@@ -31,6 +31,7 @@ from .linalg import (
     hermitize,
     pseudoinverse,
     sample_gaussian_covariance,
+    sample_haar_stiefel_batch,
     save_density_csv,
     save_esd_csv,
 )
@@ -561,22 +562,17 @@ def _suite_haar_moments() -> list:
 
 
 def _mc_matrix_moment(d, p, l, samples, rng):
-    from .linalg import WelfordAccumulator, sample_haar_stiefel_batch
-
     n = d.shape[0]
-    acc = WelfordAccumulator()
-    done = 0
-    while done < samples:
-        b = min(8192, samples - done)
+
+    def chunk(b, rng):
         phi = sample_haar_stiefel_batch(p, n, b, rng)
         w = np.einsum("bpi,ij,bqj->bpq", phi, d.astype(complex), phi.conj(), optimize=True)
         wl = w.copy()
         for _ in range(l - 1):
             wl = wl @ w
-        back = np.einsum("bpi,bpq,bqj->bij", phi.conj(), wl, phi, optimize=True)
-        acc.add_batch(back)
-        done += b
-    return haar.MonteCarloEstimate(acc.mean, acc.stderr(), acc.count)
+        return np.einsum("bpi,bpq,bqj->bij", phi.conj(), wl, phi, optimize=True), 0
+
+    return haar._monte_carlo(samples, rng, chunk, frame=n * p, block=p * p, lift=n * n)
 
 
 def _suite_block_pinv() -> list:

@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import MonteCarloEstimate, _chunk_size
+from . import haar
+from .haar import MonteCarloEstimate
 from .linalg import (
     RandomSource,
-    WelfordAccumulator,
     _pinv_batch_hermitian,
     block_pinv_correction,
+    eig_hermitian,
     hermitize,
     require_hermitian,
 )
@@ -430,19 +431,13 @@ def hybrid_inverse_mc(
     m = k.shape[0]
     if not (1 <= p <= m):
         raise ValueError(f"p={p} must lie in [1, {m}]")
-    if samples < 2:
-        raise ValueError("need at least two Monte Carlo samples")
-    acc = WelfordAccumulator()
-    done = 0
-    chunk = _chunk_size(m)
-    while done < samples:
-        b = min(chunk, samples - done)
+
+    def chunk(b, rng):
         idx = sample_ewens_batch(m, theta, b, rng)[:, :p]
         blocks = k[idx[:, :, None], idx[:, None, :]]
-        inv = _pinv_batch_hermitian(blocks)
-        acc.add_batch(_scatter_blocks(inv, idx, m))
-        done += b
-    return MonteCarloEstimate(hermitize(acc.mean), acc.stderr(), acc.count)
+        return _scatter_blocks(_pinv_batch_hermitian(blocks), idx, m), 0
+
+    return haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=m * m)
 
 
 def hybrid_inverse_inductive_step(
@@ -469,24 +464,17 @@ def hybrid_inverse_inductive_step(
     m = k.shape[0]
     if not (2 <= p <= m):
         raise ValueError("the inductive step needs p >= 2")
-    if samples < 2:
-        raise ValueError("need at least two Monte Carlo samples")
     if base is None:
         base = hybrid_inverse_mc(k, theta, p - 1, samples, rng.substream(0))
         rng = rng.substream(1)
     # factor K = R* R so each selected block is a Gram matrix of columns of R
-    from .linalg import eig_hermitian
-
     dec = eig_hermitian(k)
     scale = max(1.0, float(np.abs(dec.eigenvalues).max()))
     if dec.eigenvalues.min() < -1e-10 * scale:
         raise ValueError("k must be positive semidefinite")
     root = np.diag(np.sqrt(np.clip(dec.eigenvalues.real, 0.0, None))) @ dec.eigenvectors.conj().T
-    acc = WelfordAccumulator()
-    done = 0
-    chunk = _chunk_size(m)
-    while done < samples:
-        b = min(chunk, samples - done)
+
+    def chunk(b, rng):
         idx = sample_ewens_batch(m, theta, b, rng)[:, :p]
         out = np.zeros((b, m, m), dtype=np.complex128)
         for t in range(b):
@@ -494,8 +482,9 @@ def hybrid_inverse_inductive_step(
             corr = block_pinv_correction(cols[:, : p - 1], cols[:, p - 1])
             sel = idx[t]
             out[t][np.ix_(sel, sel)] = corr
-        acc.add_batch(out)
-        done += b
-    est = base.estimate + acc.mean
-    stderr = np.sqrt(np.asarray(base.stderr) ** 2 + np.asarray(acc.stderr()) ** 2)
-    return MonteCarloEstimate(hermitize(est), stderr, min(base.samples, acc.count))
+        return out, 0
+
+    step = haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=m * m)
+    est = base.estimate + step.estimate
+    stderr = np.sqrt(np.asarray(base.stderr) ** 2 + np.asarray(step.stderr) ** 2)
+    return MonteCarloEstimate(hermitize(est), stderr, min(base.samples, step.samples))

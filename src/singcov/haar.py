@@ -32,6 +32,8 @@ from .combinatorics import (
 from .linalg import (
     RandomSource,
     WelfordAccumulator,
+    default_rank_tol,
+    eig_hermitian,
     hermitize,
     require_hermitian,
     sample_haar_stiefel_batch,
@@ -51,18 +53,26 @@ __all__ = [
     "diagonal_loading",
 ]
 
-# Monte Carlo engine knobs: draws with a worse condition number are
+# Monte Carlo engine constants: draws with a worse condition number are
 # redrawn; aborting once more than this fraction was rejected keeps a
 # silently-degenerate input from producing a quietly biased average.
 COND_LIMIT = 1e12
 MAX_REJECT_FRACTION = 0.01
-_CHUNK = 8192
+# Draws are batched so that the arrays one chunk holds at once stay near
+# this many bytes, whatever the shape or the sample count.
+_CHUNK_BYTES = 16 * 2**20
 
 
-def _chunk_size(m: int) -> int:
-    # lifted batches are chunk x m x m complex; cap them near 48 MB so
-    # large m stays within memory instead of scaling with sample count
-    return max(16, min(_CHUNK, 3_000_000 // max(1, m * m)))
+def _chunk_draws(frame: int, block: int, lift: int) -> int:
+    """Draws per chunk: the byte budget over the bytes one draw holds.
+
+    ``frame``, ``block`` and ``lift`` count the entries of one draw's frame
+    (or injection), compressed matrix and lift. Sampling and lifting hold
+    up to five complex frames at once, the factorization four blocks, and
+    the lift with Welford's deviation pass 40 bytes per lifted entry.
+    """
+    per_draw = 16 * (5 * frame + 4 * block) + 40 * lift
+    return max(1, _CHUNK_BYTES // per_draw)
 
 
 @dataclass
@@ -73,6 +83,39 @@ class MonteCarloEstimate:
     stderr: np.ndarray
     samples: int
     rejected: int = 0
+
+
+def _monte_carlo(
+    samples: int, rng: RandomSource, chunk, frame: int, block: int, lift: int
+) -> MonteCarloEstimate:
+    """Mean of ``samples`` accepted draws, made chunk by chunk.
+
+    ``chunk(b, rng)`` makes ``b`` draws of the sizes given to
+    :func:`_chunk_draws` and returns the values of the accepted ones
+    (sample index on axis 0) with the number it rejected. Rejected draws
+    are redrawn; once rejections exceed ``MAX_REJECT_FRACTION`` of
+    ``samples`` the run aborts, since that signals p exceeding the
+    numerically effective rank. Every average taken this way is
+    Hermitian, so the mean is projected onto its Hermitian part (the real
+    part, for a lifted diagonal).
+    """
+    if samples < 2:
+        raise ValueError("need at least two Monte Carlo samples")
+    acc = WelfordAccumulator()
+    rejected = 0
+    max_reject = max(1, int(MAX_REJECT_FRACTION * samples))
+    size = _chunk_draws(frame, block, lift)
+    while acc.count < samples:
+        values, bad = chunk(min(size, samples - acc.count), rng)
+        rejected += bad
+        if rejected > max_reject:
+            raise RuntimeError(
+                f"{rejected} ill-conditioned draws exceed the "
+                f"{MAX_REJECT_FRACTION:.0%} resampling budget; "
+                "is p larger than the effective rank of K?"
+            )
+        acc.add_batch(values)
+    return MonteCarloEstimate(hermitize(acc.mean), acc.stderr(), acc.count, rejected)
 
 
 @dataclass
@@ -129,32 +172,40 @@ def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
     k = require_hermitian(k, name="k")
     m = k.shape[0]
     _check_p(p, m)
-    acc = WelfordAccumulator()
-    done = 0
-    while done < samples:
-        b = min(_chunk_size(m), samples - done)
+
+    def chunk(b, rng):
         phi = sample_haar_stiefel_batch(p, m, b, rng)
         w = np.einsum("bpi,ij,bqj->bpq", phi, k, phi.conj(), optimize=True)
-        back = np.einsum("bpi,bpq,bqj->bij", phi.conj(), w, phi, optimize=True)
-        acc.add_batch(back)
-        done += b
-    return MonteCarloEstimate(hermitize(acc.mean), acc.stderr(), samples)
+        return np.einsum("bpi,bpq,bqj->bij", phi.conj(), w, phi, optimize=True), 0
+
+    return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
 
 
-def invcov_p_mc(
-    k,
-    p: int,
-    samples: int,
-    rng: RandomSource,
-    cond_limit: float = COND_LIMIT,
-    max_reject_fraction: float = MAX_REJECT_FRACTION,
-) -> MonteCarloEstimate:
+def _compress_check_invert(phi, phik):
+    """Compressed inverses of one chunk of the inverse-compression averages.
+
+    ``phik`` holds ``Phi K`` for each frame ``Phi`` of ``phi``. Draws whose
+    compressed matrix ``Phi K Phi*`` has condition number above
+    ``COND_LIMIT`` are dropped. Returns the kept frames, the inverses of
+    their compressed matrices and the number of draws dropped.
+    """
+    w = np.einsum("bpi,bqi->bpq", phik, phi.conj(), optimize=True)
+    w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
+    lam = np.linalg.eigvalsh(w)
+    lo, hi = lam[:, 0], lam[:, -1]
+    good = (lo > 0) & (hi <= COND_LIMIT * lo)
+    if not good.all():
+        phi, w = phi[good], w[good]
+    return phi, np.linalg.inv(w), len(good) - len(phi)
+
+
+def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
     """Monte Carlo estimate of ``E(Phi* (Phi K Phi*)^{-1} Phi)``.
 
     Requires ``p <= rank(K)`` so the compressed matrix is almost surely
     invertible. Draws whose compressed matrix has condition number above
-    ``cond_limit`` are rejected and redrawn; once rejections exceed
-    ``max_reject_fraction`` of the requested sample count the run aborts,
+    ``COND_LIMIT`` are rejected and redrawn; once rejections exceed
+    ``MAX_REJECT_FRACTION`` of the requested sample count the run aborts,
     since that signals p exceeding the numerically effective rank.
 
     Returns
@@ -167,37 +218,15 @@ def invcov_p_mc(
     k = require_hermitian(k, name="k")
     m = k.shape[0]
     _check_p(p, m)
-    if samples < 2:
-        raise ValueError("need at least two Monte Carlo samples")
-    acc = WelfordAccumulator()
-    rejected = 0
-    max_reject = max(1, int(max_reject_fraction * samples))
-    done = 0
-    while done < samples:
-        b = min(_chunk_size(m), samples - done)
+
+    def chunk(b, rng):
         phi = sample_haar_stiefel_batch(p, m, b, rng)
-        w = np.einsum("bpi,ij,bqj->bpq", phi, k, phi.conj(), optimize=True)
-        w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
-        lam = np.linalg.eigvalsh(w)
-        lo, hi = lam[:, 0], lam[:, -1]
-        good = (lo > 0) & (hi <= cond_limit * lo)
-        nbad = int(b - good.sum())
-        if nbad:
-            rejected += nbad
-            if rejected > max_reject:
-                raise RuntimeError(
-                    f"{rejected} ill-conditioned draws exceed the "
-                    f"{max_reject_fraction:.0%} resampling budget; "
-                    "is p larger than the effective rank of K?"
-                )
-            phi, w = phi[good], w[good]
-            if phi.shape[0] == 0:
-                continue
-        winv = np.linalg.inv(w)
-        back = np.einsum("bpi,bpq,bqj->bij", phi.conj(), winv, phi, optimize=True)
-        acc.add_batch(back)
-        done += back.shape[0]
-    return MonteCarloEstimate(hermitize(acc.mean), acc.stderr(), acc.count, rejected)
+        phik = np.einsum("bpi,ij->bpj", phi, k, optimize=True)
+        phi, winv, rejected = _compress_check_invert(phi, phik)
+        lifted = np.einsum("bpi,bpq,bqj->bij", phi.conj(), winv, phi, optimize=True)
+        return lifted, rejected
+
+    return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
 
 
 def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectrum:
@@ -207,49 +236,24 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     eigenvalues (the average commutes with conjugation, so this loses
     nothing). For diagonal input the average is exactly diagonal, so
     only the lifted diagonal is accumulated; that trims the per-draw
-    cost from m^2 p to m p^2 and makes large m practical.
+    cost from m^2 p to m p^2 and makes large m practical. Draws are
+    rejected, and the run aborted, as in :func:`invcov_p_mc`.
     """
-    from .linalg import default_rank_tol, eig_hermitian
-
     dec = eig_hermitian(k)
     m = len(dec.eigenvalues)
     _check_p(p, m)
-    if samples < 2:
-        raise ValueError("need at least two Monte Carlo samples")
     tol = default_rank_tol(dec.eigenvalues, m)
     rank = int((dec.eigenvalues > tol).sum())
     d = np.where(dec.eigenvalues > tol, dec.eigenvalues.real, 0.0)
-    acc = WelfordAccumulator()
-    rejected = 0
-    max_reject = max(1, int(MAX_REJECT_FRACTION * samples))
-    done = 0
-    while done < samples:
-        b = min(_CHUNK, samples - done)
+
+    def chunk(b, rng):
         phi = sample_haar_stiefel_batch(p, m, b, rng)
-        w = np.einsum("bpi,i,bqi->bpq", phi, d, phi.conj(), optimize=True)
-        w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
-        lam = np.linalg.eigvalsh(w)
-        lo, hi = lam[:, 0], lam[:, -1]
-        good = (lo > 0) & (hi <= COND_LIMIT * lo)
-        nbad = int(b - good.sum())
-        if nbad:
-            rejected += nbad
-            if rejected > max_reject:
-                raise RuntimeError(
-                    f"{rejected} ill-conditioned draws exceed the "
-                    f"{MAX_REJECT_FRACTION:.0%} resampling budget; "
-                    "is p larger than the effective rank of K?"
-                )
-            phi, w = phi[good], w[good]
-            if phi.shape[0] == 0:
-                continue
-        winv = np.linalg.inv(w)
-        lifted_diag = np.einsum(
-            "bpi,bpq,bqi->bi", phi.conj(), winv, phi, optimize=True
-        ).real
-        acc.add_batch(lifted_diag)
-        done += lifted_diag.shape[0]
-    diag = np.real(np.asarray(acc.mean))
+        phi, winv, rejected = _compress_check_invert(phi, phi * d)
+        lifted = np.einsum("bpi,bpq,bqi->bi", phi.conj(), winv, phi, optimize=True)
+        return lifted.real, rejected
+
+    est = _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m)
+    diag = est.estimate.real
     mu = float(diag[rank:].mean()) if rank < m else float("nan")
     return InvcovSpectrum(diag[:rank].copy(), mu, p)
 

@@ -140,7 +140,7 @@ def pseudoinverse(k, rank_tol: float | None = None) -> np.ndarray:
     return hermitize(u @ np.diag(inv) @ u.conj().T)
 
 
-def _pinv_batch_hermitian(w_batch, rel_tol_factor=None):
+def _pinv_batch_hermitian(w_batch):
     """Batched Hermitian pseudoinverse for a stack of small matrices."""
     w_batch = np.asarray(w_batch, dtype=np.complex128)
     m = w_batch.shape[-1]

@@ -1,6 +1,7 @@
 """Unit tests for the rotation-average estimators and moment formulas."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from conftest import random_hermitian, random_psd
 
 from singcov.haar import (
+    _CHUNK_BYTES,
     LoadingParameters,
+    _chunk_draws,
     cov_p_closed,
     cov_p_mc,
     diagonal_loading,
@@ -65,6 +68,8 @@ class TestInvcov:
         k = random_psd(6, 2, 7)
         with pytest.raises(RuntimeError):
             invcov_p_mc(k, 4, 2000, rng)
+        with pytest.raises(RuntimeError):
+            invcov_spectrum(k, 4, 2000, rng)
 
     def test_preserves_eigenvectors(self, rng):
         k = random_psd(5, 5, 8)
@@ -83,6 +88,33 @@ class TestInvcov:
         assert spec.mu > 0
         # lambdas for the kernel directions equal mu by construction
         assert np.isfinite(spec.lambdas).all()
+
+
+class TestChunkPlan:
+    def test_chunk_bytes_stay_within_budget(self):
+        # diagonal lift at m=1000, p=200 and full lift at m=400, p=100: the
+        # planned draws' frames, compressed matrices and lifts fit the budget
+        for m, p, lift in ((1000, 200, 1000), (400, 100, 400 * 400)):
+            draws = _chunk_draws(m * p, p * p, lift)
+            assert draws >= 1
+            assert draws * 16 * (m * p + p * p + lift) <= _CHUNK_BYTES
+
+    def test_at_least_one_draw_when_one_exceeds_budget(self):
+        m, p = 2000, 1000
+        assert 16 * m * m > _CHUNK_BYTES
+        assert _chunk_draws(m * p, p * p, m * m) == 1
+
+    def test_spectrum_memory_is_bounded_per_chunk(self):
+        # one chunk of all 2000 draws would hold about 160 MB at this shape
+        k = random_psd(60, 40, 11)
+        tracemalloc.start()
+        try:
+            spec = invcov_spectrum(k, 15, 2000, RandomSource(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(spec.lambdas) == 40
+        assert peak <= 1.25 * _CHUNK_BYTES, f"peak {peak / 2**20:.0f} MiB"
 
 
 def _dirichlet_trace_moment(d, order):
