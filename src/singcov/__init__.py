@@ -86,7 +86,6 @@ from .toeplitz import (
     ewens_transform_closedform,
     limiting_density,
     limiting_measure,
-    limiting_support,
     power_det,
     power_inverse,
     rescaled_symbol,
@@ -167,7 +166,6 @@ __all__ = [
     "LimitingMeasure",
     "limiting_measure",
     "limiting_density",
-    "limiting_support",
     "ewens_transform_closedform",
     "rescaled_symbol",
     "toeplitz_truth",

@@ -11,10 +11,10 @@ command line.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,6 +26,7 @@ from . import toeplitz as tp
 from .linalg import (
     RandomSource,
     block_pinv_update,
+    default_rank_tol,
     esd,
     frobenius_norm,
     hermitize,
@@ -46,21 +47,82 @@ __all__ = [
     "VerifyReport",
     "verify",
     "VERIFY_SUITES",
+    "ESTIMATORS",
+    "Estimator",
+    "Point",
 ]
 
-ESTIMATORS = (
-    "truth",
-    "sample",
-    "loading",
-    "covp",
-    "invcovp",
-    "ewens",
-    "hybrid",
-    "hybrid_inverse",
-)
 
-_NEEDS_THETA = {"ewens", "hybrid", "hybrid_inverse"}
-_NEEDS_P = {"covp", "invcovp", "hybrid", "hybrid_inverse"}
+@dataclass(frozen=True)
+class Point:
+    """Typed parameter values of one estimate; a parameter the estimator
+    does not take stays None."""
+
+    theta: float | None = None
+    p: int | None = None
+    alpha: float | None = None
+    beta: float | None = None
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One estimator, as ``run_experiment`` and ``singcov estimate`` use it.
+
+    ``params``: the ``Point`` fields it reads, which are also its CLI flags.
+    ``estimate(k, x, samples, rng)``: its estimate from ``K`` at the point
+    ``x``; None marks the truth itself. ``metrics``: for each metric it
+    reports, the matrix scored from the estimate ``e`` at ``x``, against
+    the truth (``fro_direct``) or its inverse (``fro_inverse``).
+    ``p_within_rank``: rows with ``p`` above the rank of ``K`` are invalid.
+    """
+
+    params: tuple
+    estimate: Callable | None
+    metrics: dict
+    p_within_rank: bool = False
+
+
+_DIRECT = {"fro_direct": lambda e, x: e}
+
+# Every call goes through its module attribute when it runs, never through
+# a function object stored here, so rebinding ``haar.invcov_p_mc`` (as a
+# tracer or a test does) reaches the experiment and the CLI alike.
+ESTIMATORS = {
+    "truth": Estimator((), None, _DIRECT),
+    "sample": Estimator((), lambda k, x, *_: k, _DIRECT),
+    "ewens": Estimator(("theta",), lambda k, x, *_: ew.ewens_estimator(k, x.theta), _DIRECT),
+    "hybrid": Estimator(
+        ("theta", "p"), lambda k, x, *_: ew.hybrid_estimator(k, x.theta, x.p), _DIRECT
+    ),
+    "hybrid_inverse": Estimator(
+        ("theta", "p"),
+        lambda k, x, *mc: ew.hybrid_inverse_mc(k, x.theta, x.p, *mc).estimate,
+        {"fro_inverse": lambda e, x: e},
+    ),
+    "covp": Estimator(("p",), lambda k, x, *_: haar.cov_p_closed(k, x.p), _DIRECT),
+    # the inverse-compression average estimates p/m times the inverse
+    "invcovp": Estimator(
+        ("p",),
+        lambda k, x, *mc: haar.invcov_p_mc(k, x.p, *mc).estimate,
+        {
+            "fro_direct": lambda e, x: (x.p / e.shape[0]) * pseudoinverse(e),
+            "fro_inverse": lambda e, x: (e.shape[0] / x.p) * e,
+        },
+        p_within_rank=True,
+    ),
+    "loading": Estimator(
+        ("alpha", "beta"),
+        lambda k, x, *_: haar.diagonal_loading(k, haar.LoadingParameters(x.alpha, x.beta)),
+        _DIRECT,
+    ),
+}
+
+# ``singcov estimate`` offers the estimators that take parameters; ``truth``
+# and ``sample`` are reference rows of an experiment.
+CLI_ESTIMATORS = tuple(name for name, spec in ESTIMATORS.items() if spec.params)
+
+# The config grid each parameter's values come from.
+_GRIDS = {"theta": "theta_grid", "p": "p_grid", "alpha": "loading_grid", "beta": "loading_grid"}
 
 
 @dataclass(frozen=True)
@@ -89,18 +151,27 @@ class ExperimentConfig:
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be >= 2")
         tp.toeplitz_truth(self.truth_kind, self.m, self.truth_param)  # validates
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.estimators:
             raise ValueError("estimators must be a nonempty list")
         for name in self.estimators:
             if name not in ESTIMATORS:
-                raise ValueError(f"unknown estimator {name!r}; choose from {ESTIMATORS}")
-        used = set(self.estimators)
-        if used & _NEEDS_THETA and not self.theta_grid:
-            raise ValueError("theta_grid must be nonempty for the selected estimators")
-        if used & _NEEDS_P and not self.p_grid:
-            raise ValueError("p_grid must be nonempty for the selected estimators")
-        if "loading" in used and not self.loading_grid:
-            raise ValueError("loading_grid must be nonempty for the 'loading' estimator")
+                raise ValueError(
+                    f"unknown estimator {name!r}; choose from {tuple(ESTIMATORS)}"
+                )
+            for param in ESTIMATORS[name].params:
+                if not getattr(self, _GRIDS[param]):
+                    raise ValueError(
+                        f"{_GRIDS[param]} must be nonempty for estimator {name!r}"
+                    )
+        # each entry names rows of the metric files, a theta by its %g label
+        thetas = [_fmt_param(t) for t in self.theta_grid]
+        for key, labels in (
+            ("estimators", self.estimators), ("p_grid", self.p_grid), ("theta_grid", thetas)
+        ):
+            if len(set(labels)) < len(labels):
+                raise ValueError(f"{key} entries must have distinct labels, got {list(labels)}")
         if any(t <= 0 or not math.isfinite(t) for t in self.theta_grid):
             raise ValueError("theta_grid entries must be positive and finite")
         if any(not (1 <= p <= self.m) for p in self.p_grid):
@@ -268,95 +339,70 @@ def _truth_matrices(config: ExperimentConfig):
     return family, a, a_inv
 
 
-def _numeric_rank(k) -> int:
-    w = np.linalg.eigvalsh(k)
-    tol = k.shape[0] * np.finfo(float).eps * max(1e-300, float(np.abs(w).max()))
-    return int((w > tol).sum())
+@dataclass(frozen=True)
+class Job:
+    """An estimator and the points that one experiment row evaluates it at.
 
+    A job has one point, except that the loading pair is an oracle choice:
+    its job spans the whole ``loading_grid`` and keeps the least error.
+    """
 
-def _trial_errors(config: ExperimentConfig, trial: int, plan, a, a_inv):
-    """All metric values of one trial, keyed like the report rows."""
-    base = RandomSource(config.seed).substream(trial)
-    k = sample_gaussian_covariance(a, config.n, base.substream(0))
-    rank = _numeric_rank(k)
-    out = {}
-    for jobid, (est, parameter, metric) in enumerate(plan):
-        rng = base.substream(jobid + 1)
-        key = (est, parameter, metric)
-        if est == "truth":
-            out[key] = 0.0
-        elif est == "sample":
-            out[key] = frobenius_norm(a - k)
-        elif est == "loading":
-            best = min(
-                frobenius_norm(a - haar.diagonal_loading(k, haar.LoadingParameters(al, be)))
-                for al, be in config.loading_grid
-            )
-            out[key] = best
-        elif est == "covp":
-            p = int(parameter.split("=")[1])
-            out[key] = frobenius_norm(a - haar.cov_p_closed(k, p))
-        elif est == "invcovp":
-            p = int(parameter.split("=")[1])
-            if p > rank:
-                out[key] = ("invalid", f"p={p} exceeds rank {rank} of K")
-                continue
-            est_mc = haar.invcov_p_mc(k, p, config.mc_samples, rng)
-            if metric == "fro_direct":
-                inv_back = pseudoinverse(est_mc.estimate)
-                out[key] = frobenius_norm(a - (p / config.m) * inv_back)
-            else:
-                out[key] = frobenius_norm(a_inv - (config.m / p) * est_mc.estimate)
-        elif est == "ewens":
-            theta = float(parameter.split("=")[1])
-            out[key] = frobenius_norm(a - ew.ewens_estimator(k, theta))
-        elif est == "hybrid":
-            theta, p = _split_theta_p(parameter)
-            out[key] = frobenius_norm(a - ew.hybrid_estimator(k, theta, p))
-        elif est == "hybrid_inverse":
-            theta, p = _split_theta_p(parameter)
-            est_mc = ew.hybrid_inverse_mc(k, theta, p, config.mc_samples, rng)
-            out[key] = frobenius_norm(a_inv - est_mc.estimate)
-        else:  # pragma: no cover - guarded by config validation
-            raise AssertionError(est)
-    return out
+    estimator: str
+    points: tuple
 
-
-def _split_theta_p(parameter: str):
-    theta_part, p_part = parameter.split(",")
-    return float(theta_part.split("=")[1]), int(p_part.split("=")[1])
+    @property
+    def parameter(self) -> str:
+        """The row's label in the metric files."""
+        x = self.points[0]
+        if x.alpha is not None:
+            return "grid-min"
+        theta = None if x.theta is None else f"theta={_fmt_param(x.theta)}"
+        p = None if x.p is None else f"p={x.p}"
+        return ",".join(filter(None, (theta, p)))
 
 
 def _fmt_param(x: float) -> str:
     return "%g" % x
 
 
-def _build_plan(config: ExperimentConfig):
+def _build_plan(config: ExperimentConfig) -> list:
     plan = []
-    for est in config.estimators:
-        if est in ("truth", "sample"):
-            plan.append((est, "", "fro_direct"))
-        elif est == "loading":
-            plan.append((est, "grid-min", "fro_direct"))
-        elif est == "covp":
-            for p in config.p_grid:
-                plan.append((est, f"p={p}", "fro_direct"))
-        elif est == "invcovp":
-            for p in config.p_grid:
-                plan.append((est, f"p={p}", "fro_direct"))
-                plan.append((est, f"p={p}", "fro_inverse"))
-        elif est == "ewens":
-            for theta in config.theta_grid:
-                plan.append((est, f"theta={_fmt_param(theta)}", "fro_direct"))
-        elif est == "hybrid":
-            for theta in config.theta_grid:
-                for p in config.p_grid:
-                    plan.append((est, f"theta={_fmt_param(theta)},p={p}", "fro_direct"))
-        elif est == "hybrid_inverse":
-            for theta in config.theta_grid:
-                for p in config.p_grid:
-                    plan.append((est, f"theta={_fmt_param(theta)},p={p}", "fro_inverse"))
+    for name in config.estimators:
+        params = ESTIMATORS[name].params
+        if "alpha" in params:
+            pairs = tuple(Point(alpha=al, beta=be) for al, be in config.loading_grid)
+            plan.append(Job(name, pairs))
+            continue
+        thetas = config.theta_grid if "theta" in params else (None,)
+        ps = config.p_grid if "p" in params else (None,)
+        plan += [Job(name, (Point(theta=t, p=p),)) for t in thetas for p in ps]
     return plan
+
+
+def _trial_errors(config: ExperimentConfig, trial: int, plan, a, a_inv) -> list:
+    """One trial's result per job: ``{metric: error}``, or the reason the
+    job cannot apply to the drawn ``K``. Each point of a job is estimated
+    once, and every metric is scored from that one estimate."""
+    base = RandomSource(config.seed).substream(trial)
+    k = sample_gaussian_covariance(a, config.n, base.substream(0))
+    w = np.linalg.eigvalsh(k)
+    rank = int((w > default_rank_tol(w, config.m)).sum())
+    targets = {"fro_direct": a, "fro_inverse": a_inv}
+    out = []
+    for jobid, job in enumerate(plan):
+        spec = ESTIMATORS[job.estimator]
+        if spec.p_within_rank and job.points[0].p > rank:
+            out.append(f"p={job.points[0].p} exceeds rank {rank} of K")
+            continue
+        rng = base.substream(jobid + 1)
+        errors = dict.fromkeys(spec.metrics, math.inf)
+        for x in job.points:
+            e = a if spec.estimate is None else spec.estimate(k, x, config.mc_samples, rng)
+            for metric, scored in spec.metrics.items():
+                error = frobenius_norm(targets[metric] - scored(e, x))
+                errors[metric] = min(errors[metric], error)
+        out.append(errors)
+    return out
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> MetricReport:
@@ -369,7 +415,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MetricReport:
     """
     _, a, a_inv = _truth_matrices(config)
     plan = _build_plan(config)
-    rows = {key: MetricRow(*key) for key in plan}
+    rows = [
+        [
+            MetricRow(job.estimator, job.parameter, metric)
+            for metric in ESTIMATORS[job.estimator].metrics
+        ]
+        for job in plan
+    ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
@@ -382,15 +434,15 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MetricReport:
             _trial_errors(config, t, plan, a, a_inv) for t in range(config.trials)
         ]
     for per_trial in results:
-        for key, value in per_trial.items():
-            row = rows[key]
-            if isinstance(value, tuple):
-                row.valid = False
-                row.reason = value[1]
-                row.values = []
-            elif row.valid:
-                row.values.append(float(value))
-    return MetricReport(config, [rows[key] for key in plan])
+        for job_rows, errors in zip(rows, per_trial):
+            for row in job_rows:
+                if isinstance(errors, str):
+                    row.valid = False
+                    row.reason = errors
+                    row.values = []
+                elif row.valid:
+                    row.values.append(float(errors[row.metric]))
+    return MetricReport(config, [row for job_rows in rows for row in job_rows])
 
 
 def spectrum_report(config: ExperimentConfig, outdir) -> list:

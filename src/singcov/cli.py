@@ -14,23 +14,15 @@ verify suite ran but at least one check failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import __version__, bench, ewens, haar
+from . import __version__, bench
 from .linalg import RandomSource, load_matrix_csv, save_matrix_csv
-
-_ESTIMATE_CHOICES = (
-    "ewens",
-    "hybrid",
-    "hybrid_inverse",
-    "covp",
-    "invcovp",
-    "loading",
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="apply one estimator to a CSV matrix")
-    est.add_argument("--estimator", required=True, choices=_ESTIMATE_CHOICES)
+    est.add_argument("--estimator", required=True, choices=bench.CLI_ESTIMATORS)
     est.add_argument("--input", required=True, help="input matrix CSV")
     est.add_argument("--out", required=True, help="output matrix CSV")
     est.add_argument("--theta", type=float, help="permutation weight parameter")
@@ -71,30 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_estimate(args) -> int:
     k = load_matrix_csv(args.input)
-    rng = RandomSource(args.seed)
-    name = args.estimator
-
-    def need(attr):
-        value = getattr(args, attr)
-        if value is None:
-            raise ValueError(f"--{attr} is required for estimator {name!r}")
-        return value
-
-    if name == "ewens":
-        result = ewens.ewens_estimator(k, need("theta"))
-    elif name == "hybrid":
-        result = ewens.hybrid_estimator(k, need("theta"), need("p"))
-    elif name == "hybrid_inverse":
-        result = ewens.hybrid_inverse_mc(
-            k, need("theta"), need("p"), args.samples, rng
-        ).estimate
-    elif name == "covp":
-        result = haar.cov_p_closed(k, need("p"))
-    elif name == "invcovp":
-        result = haar.invcov_p_mc(k, need("p"), args.samples, rng).estimate
-    else:
-        params = haar.LoadingParameters(need("alpha"), need("beta"))
-        result = haar.diagonal_loading(k, params)
+    spec = bench.ESTIMATORS[args.estimator]
+    for name in spec.params:
+        if getattr(args, name) is None:
+            raise ValueError(f"--{name} is required for estimator {args.estimator!r}")
+    point = bench.Point(**{name: getattr(args, name) for name in spec.params})
+    result = spec.estimate(k, point, args.samples, RandomSource(args.seed))
     save_matrix_csv(args.out, np.asarray(result))
     print(f"wrote {args.out}")
     return 0
@@ -103,14 +77,8 @@ def _cmd_estimate(args) -> int:
 def _load_config(args) -> bench.ExperimentConfig:
     config = bench.ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        config = bench.ExperimentConfig(**{**dataclass_dict(config), "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     return config
-
-
-def dataclass_dict(config) -> dict:
-    import dataclasses
-
-    return {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
 
 
 def _cmd_experiment(args) -> int:
@@ -167,7 +135,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -28,7 +28,6 @@ __all__ = [
     "esd",
     "levy_bound",
     "sample_gaussian_covariance",
-    "sample_haar_stiefel",
     "sample_haar_stiefel_batch",
     "save_matrix_csv",
     "load_matrix_csv",
@@ -305,11 +304,6 @@ def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> 
     phase = np.where(np.abs(d) > 0, d / np.where(d == 0, 1.0, np.abs(d)), 1.0)
     q = q * phase[:, None, :]
     return np.swapaxes(q, 1, 2).conj()
-
-
-def sample_haar_stiefel(p: int, m: int, rng: RandomSource) -> np.ndarray:
-    """Single Haar sample: p x m matrix Phi with ``Phi Phi* = I_p``."""
-    return sample_haar_stiefel_batch(p, m, 1, rng)[0]
 
 
 class WelfordAccumulator:

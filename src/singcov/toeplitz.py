@@ -39,7 +39,6 @@ __all__ = [
     "tridiag_t_matrix",
     "power_j_matrix",
     "ewens_transform_closedform",
-    "limiting_support",
     "rescaled_symbol",
     "toeplitz_truth",
 ]
@@ -350,26 +349,13 @@ def ewens_transform_closedform(family, theta: float) -> np.ndarray:
     raise TypeError("family must be TridiagonalToeplitz or PowerToeplitz")
 
 
-def limiting_support(kind: str, param: float, beta: float) -> SupportInterval:
-    """Support of the limiting spectrum of the Ewens average at theta = beta m.
-
-    The average's limiting symbol is the affine rescale of the family
-    symbol by ``beta^2 / (beta+1)^2``, so the endpoints are the rescaled
-    symbol extremes: ``1 -+ 2 b beta^2/(beta+1)^2`` for the tridiagonal
-    family, ``1 - 2 s alpha/(1+alpha)`` and ``1 + 2 s alpha/(1-alpha)``
-    for the power family. beta -> infinity recovers the raw supports,
-    beta -> 0 collapses to {1}.
-    """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    scale = (beta / (beta + 1.0)) ** 2 if math.isfinite(beta) else 1.0
-    sym = SymbolFunction(kind, param, scale)
-    rng = sym.range()
-    return SupportInterval(rng.lo, rng.hi)
-
-
 def rescaled_symbol(kind: str, param: float, beta: float) -> SymbolFunction:
-    """Limiting symbol of the Ewens average at theta = beta m."""
+    """Limiting symbol of the Ewens average at theta = beta m.
+
+    The family symbol rescaled by ``beta^2 / (beta+1)^2``; its ``range()``
+    is the support of the limiting spectrum, which beta -> infinity takes
+    to the raw support and beta -> 0 collapses to {1}.
+    """
     if beta < 0:
         raise ValueError("beta must be >= 0")
     scale = (beta / (beta + 1.0)) ** 2 if math.isfinite(beta) else 1.0

@@ -1,14 +1,24 @@
 """Unit tests for the experiment runner, spectrum reports, and CLI."""
 
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from singcov import bench, cli
-from singcov.linalg import load_matrix_csv, save_matrix_csv
+from singcov import bench, cli, ewens, haar
+from singcov.linalg import (
+    RandomSource,
+    frobenius_norm,
+    load_matrix_csv,
+    pseudoinverse,
+    save_matrix_csv,
+)
 from singcov.ewens import ewens_estimator
 from conftest import random_psd
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 BASE = {
     "m": 8,
@@ -64,6 +74,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(truth={"kind": "power"})
 
+    def test_rejects_repeated_estimator(self):
+        with pytest.raises(ValueError, match="estimators"):
+            make_config(estimators=["sample", "ewens", "sample"])
+
+    def test_rejects_repeated_p(self):
+        with pytest.raises(ValueError, match="p_grid"):
+            make_config(p_grid=[3, 2, 3])
+
+    def test_rejects_thetas_with_one_label(self):
+        # both thetas would be written as theta=1 and share one row
+        with pytest.raises(ValueError, match="theta_grid"):
+            make_config(theta_grid=[1.0000001, 1.0000002, 3])
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(BASE))
@@ -108,6 +131,28 @@ class TestRunExperiment:
         assert not bad.valid
         assert "rank" in bad.reason
         assert report.row("sample", "", "fro_direct").valid
+
+    def test_invcovp_estimates_once_per_trial_and_p(self, monkeypatch):
+        estimates = []
+        original = haar.invcov_p_mc
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            estimates.append((args[1], result.estimate))
+            return result
+
+        monkeypatch.setattr(haar, "invcov_p_mc", recording)
+        config = make_config(estimators=["invcovp"], p_grid=[2, 3], trials=2)
+        report = bench.run_experiment(config)
+        assert [p for p, _ in estimates] == [2, 3, 2, 3]
+        # both metrics of a (trial, p) are scored from its one estimate
+        _, a, a_inv = bench._truth_matrices(config)
+        for i, (p, e) in enumerate(estimates):
+            trial = i // 2
+            direct = report.row("invcovp", f"p={p}", "fro_direct").values[trial]
+            inverse = report.row("invcovp", f"p={p}", "fro_inverse").values[trial]
+            assert direct == frobenius_norm(a - (p / config.m) * pseudoinverse(e))
+            assert inverse == frobenius_norm(a_inv - (config.m / p) * e)
 
     def test_write_outputs(self, tmp_path):
         report = bench.run_experiment(make_config(trials=2))
@@ -174,6 +219,81 @@ class TestCli:
         )
         assert code == 1
         assert "theta" in capsys.readouterr().err
+
+    def test_estimate_each_estimator_matches_library(self, tmp_path):
+        k = random_psd(5, 5, 125)
+        src = tmp_path / "k.csv"
+        save_matrix_csv(src, k)
+        cases = {
+            "ewens": (["--theta", "2.5"], lambda: ewens.ewens_estimator(k, 2.5)),
+            "hybrid": (
+                ["--theta", "2.5", "--p", "3"],
+                lambda: ewens.hybrid_estimator(k, 2.5, 3),
+            ),
+            "hybrid_inverse": (
+                ["--theta", "2.5", "--p", "3"],
+                lambda: ewens.hybrid_inverse_mc(k, 2.5, 3, 50, RandomSource(7)).estimate,
+            ),
+            "covp": (["--p", "3"], lambda: haar.cov_p_closed(k, 3)),
+            "invcovp": (
+                ["--p", "3"],
+                lambda: haar.invcov_p_mc(k, 3, 50, RandomSource(7)).estimate,
+            ),
+            "loading": (
+                ["--alpha", "0.8", "--beta", "0.2"],
+                lambda: haar.diagonal_loading(k, haar.LoadingParameters(0.8, 0.2)),
+            ),
+        }
+        assert set(cases) == set(bench.CLI_ESTIMATORS)
+        for name, (flags, expected) in cases.items():
+            dst = tmp_path / f"{name}.csv"
+            argv = ["estimate", "--estimator", name, "--input", str(src),
+                    "--out", str(dst), "--samples", "50", "--seed", "7"]
+            assert cli.main(argv + flags) == 0
+            np.testing.assert_allclose(load_matrix_csv(dst), expected(), atol=1e-15)
+
+    def test_estimate_choices_from_table(self):
+        assert bench.CLI_ESTIMATORS == (
+            "ewens", "hybrid", "hybrid_inverse", "covp", "invcovp", "loading"
+        )
+        parser = cli._build_parser()
+        base = ["estimate", "--input", "k.csv", "--out", "o.csv", "--estimator"]
+        for name in bench.CLI_ESTIMATORS:
+            assert parser.parse_args(base + [name]).estimator == name
+        for name in ("truth", "sample"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(base + [name])
+
+    def test_readme_lists_cli_estimators(self):
+        text = README.read_text()
+        line = text[text.index("Estimators:"):].split(".")[0]
+        assert re.findall(r"`(\w+)`", line) == list(bench.CLI_ESTIMATORS)
+
+    def test_estimate_rank_below_p_reports_error(self, tmp_path, capsys):
+        src = tmp_path / "k.csv"
+        save_matrix_csv(src, random_psd(6, 2, 126))
+        code = cli.main(
+            ["estimate", "--estimator", "invcovp", "--p", "4", "--samples", "200",
+             "--input", str(src), "--out", str(tmp_path / "o.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ill-conditioned" in err
+
+    def test_experiment_seed_override(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(BASE, estimators=["sample"], trials=2)))
+        plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+        assert cli.main(["experiment", "--config", str(cfg), "--out", str(plain)]) == 0
+        argv = ["experiment", "--config", str(cfg), "--out", str(seeded), "--seed", "99"]
+        assert cli.main(argv) == 0
+        assert json.loads((seeded / "config.json").read_text())["seed"] == 99
+        raw = "metrics_raw.csv"
+        assert (seeded / raw).read_bytes() != (plain / raw).read_bytes()
+        capsys.readouterr()
+        argv = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "-1"]
+        assert cli.main(argv) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_experiment_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -12,7 +12,6 @@ from singcov.toeplitz import (
     ewens_transform_closedform,
     limiting_density,
     limiting_measure,
-    limiting_support,
     power_det,
     power_inverse,
     rescaled_symbol,
@@ -164,25 +163,28 @@ class TestEwensTransform:
 class TestScaledRegime:
     def test_support_frozen_values(self):
         # beta = 1 gives oscillation scale 1/4
-        sup = limiting_support("tridiagonal", 0.3, 1.0)
+        sup = rescaled_symbol("tridiagonal", 0.3, 1.0).range()
         assert abs(sup.lo - 0.85) <= 1e-12 and abs(sup.hi - 1.15) <= 1e-12
-        sup = limiting_support("power", 0.5, 1.0)
+        sup = rescaled_symbol("power", 0.5, 1.0).range()
         assert abs(sup.lo - 5.0 / 6.0) <= 1e-12 and abs(sup.hi - 1.5) <= 1e-12
 
     def test_support_recovers_symbol_range_at_large_beta(self):
-        sup = limiting_support("power", 0.5, 1e9)
+        sup = rescaled_symbol("power", 0.5, 1e9).range()
         assert abs(sup.lo - 1.0 / 3.0) <= 1e-6 and abs(sup.hi - 3.0) <= 1e-6
-        sup = limiting_support("tridiagonal", 0.3, 1e9)
+        sup = rescaled_symbol("tridiagonal", 0.3, 1e9).range()
         assert abs(sup.lo - 0.4) <= 1e-6 and abs(sup.hi - 1.6) <= 1e-6
 
     def test_rescaled_symbol_range_equals_support(self):
-        for kind, param in (("tridiagonal", 0.3), ("power", 0.5)):
-            for beta in (0.5, 1.0, 3.0):
-                sym = rescaled_symbol(kind, param, beta)
-                rng = sym.range()
-                sup = limiting_support(kind, param, beta)
-                assert abs(rng.lo - sup.lo) <= 1e-12
-                assert abs(rng.hi - sup.hi) <= 1e-12
+        # the closed-form support edges, with s = beta^2 / (beta+1)^2
+        b, alpha = 0.3, 0.5
+        for beta in (0.5, 1.0, 3.0):
+            s = (beta / (beta + 1.0)) ** 2
+            rng = rescaled_symbol("tridiagonal", b, beta).range()
+            assert abs(rng.lo - (1 - 2 * b * s)) <= 1e-12
+            assert abs(rng.hi - (1 + 2 * b * s)) <= 1e-12
+            rng = rescaled_symbol("power", alpha, beta).range()
+            assert abs(rng.lo - (1 - 2 * s * alpha / (1 + alpha))) <= 1e-12
+            assert abs(rng.hi - (1 + 2 * s * alpha / (1 - alpha))) <= 1e-12
 
     def test_transform_bulk_tracks_rescaled_measure(self):
         m, b = 300, 0.3
