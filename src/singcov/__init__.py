@@ -43,7 +43,6 @@ from .ewens import (
     hybrid_inverse_mc,
     injection_probability,
     injection_probability_enumerated,
-    sample_ewens,
     sample_ewens_batch,
 )
 from .haar import (
@@ -142,7 +141,6 @@ __all__ = [
     "Injection",
     "cycle_count",
     "ewens_probability",
-    "sample_ewens",
     "sample_ewens_batch",
     "ewens_estimator",
     "ewens_estimator_bruteforce",

@@ -16,7 +16,7 @@ import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from . import ewens as ew
 from . import haar
 from . import toeplitz as tp
 from .linalg import (
+    FLOAT_FMT,
     RandomSource,
     block_pinv_update,
     default_rank_tol,
@@ -125,21 +126,39 @@ CLI_ESTIMATORS = tuple(name for name, spec in ESTIMATORS.items() if spec.params)
 _GRIDS = {"theta": "theta_grid", "p": "p_grid", "alpha": "loading_grid", "beta": "loading_grid"}
 
 
+def _key(read, default=MISSING):
+    """A field that is also a top-level JSON key, converted by ``read``."""
+    return field(default=default, metadata={"read": read})
+
+
+def _tuple_of(item):
+    return lambda values: tuple(item(v) for v in values)
+
+
+def _float_pair(pair):
+    a, b = pair
+    return float(a), float(b)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (mirrors the JSON schema)."""
+    """Validated experiment description (mirrors the JSON schema).
 
-    m: int
-    n: int
+    Every field but the truth pair is a top-level JSON key of the same
+    name; the truth pair is the ``truth`` object.
+    """
+
+    m: int = _key(int)
+    n: int = _key(int)
     truth_kind: str
     truth_param: float
-    estimators: tuple
-    theta_grid: tuple = ()
-    p_grid: tuple = ()
-    loading_grid: tuple = ()
-    mc_samples: int = 2000
-    seed: int = 0
-    trials: int = 10
+    estimators: tuple = _key(tuple, ("sample",))
+    theta_grid: tuple = _key(_tuple_of(float), ())
+    p_grid: tuple = _key(_tuple_of(int), ())
+    loading_grid: tuple = _key(_tuple_of(_float_pair), ())
+    mc_samples: int = _key(int, 2000)
+    seed: int = _key(int, 0)
+    trials: int = _key(int, 10)
 
     def __post_init__(self):
         if self.m < 2:
@@ -197,37 +216,14 @@ class ExperimentConfig:
             raise ValueError("truth lacks its family parameter ('b' or 'alpha')")
         if truth:
             raise ValueError(f"unknown truth keys: {sorted(truth)}")
-        known = {
-            "m",
-            "n",
-            "estimators",
-            "theta_grid",
-            "p_grid",
-            "loading_grid",
-            "mc_samples",
-            "seed",
-            "trials",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in _JSON_FIELDS}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "m" not in doc or "n" not in doc:
-            raise ValueError("config requires 'm' and 'n'")
-        return ExperimentConfig(
-            m=int(doc["m"]),
-            n=int(doc["n"]),
-            truth_kind=kind,
-            truth_param=float(param),
-            estimators=tuple(doc.get("estimators", ("sample",))),
-            theta_grid=tuple(float(t) for t in doc.get("theta_grid", ())),
-            p_grid=tuple(int(p) for p in doc.get("p_grid", ())),
-            loading_grid=tuple(
-                (float(a), float(b)) for a, b in doc.get("loading_grid", ())
-            ),
-            mc_samples=int(doc.get("mc_samples", 2000)),
-            seed=int(doc.get("seed", 0)),
-            trials=int(doc.get("trials", 10)),
-        )
+        required = [f.name for f in _JSON_FIELDS if f.default is MISSING]
+        if any(name not in doc for name in required):
+            raise ValueError("config requires " + " and ".join(f"'{n}'" for n in required))
+        values = {f.name: f.metadata["read"](doc[f.name]) for f in _JSON_FIELDS if f.name in doc}
+        return ExperimentConfig(truth_kind=kind, truth_param=float(param), **values)
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -241,18 +237,16 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         truth = {"kind": self.truth_kind}
         truth["b" if self.truth_kind == "tridiagonal" else "alpha"] = self.truth_param
-        return {
-            "m": self.m,
-            "n": self.n,
-            "truth": truth,
-            "estimators": list(self.estimators),
-            "theta_grid": list(self.theta_grid),
-            "p_grid": list(self.p_grid),
-            "loading_grid": [list(p) for p in self.loading_grid],
-            "mc_samples": self.mc_samples,
-            "seed": self.seed,
-            "trials": self.trials,
-        }
+        doc = {f.name: _plain(getattr(self, f.name)) for f in _JSON_FIELDS}
+        return dict(doc, truth=truth)
+
+
+_JSON_FIELDS = tuple(f for f in fields(ExperimentConfig) if "read" in f.metadata)
+
+
+def _plain(value):
+    """JSON form of a config value: tuples become lists, recursively."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass
@@ -275,9 +269,6 @@ class MetricRow:
         if len(self.values) < 2:
             return 0.0
         return float(np.std(self.values, ddof=1))
-
-
-_FMT = "%.17g"
 
 
 @dataclass
@@ -303,7 +294,7 @@ class MetricReport:
                     continue
                 for t, v in enumerate(r.values):
                     fh.write(
-                        f"{r.estimator},{r.parameter},{r.metric},{t}," + _FMT % v + "\n"
+                        f"{r.estimator},{r.parameter},{r.metric},{t}," + FLOAT_FMT % v + "\n"
                     )
         with open(agg, "w", newline="") as fh:
             fh.write("estimator,parameter,metric,trials,mean,std,valid,reason\n")
@@ -311,9 +302,9 @@ class MetricReport:
                 if r.valid:
                     fh.write(
                         f"{r.estimator},{r.parameter},{r.metric},{len(r.values)},"
-                        + _FMT % r.mean
+                        + FLOAT_FMT % r.mean
                         + ","
-                        + _FMT % r.std
+                        + FLOAT_FMT % r.std
                         + ",true,\n"
                     )
                 else:

@@ -37,7 +37,6 @@ __all__ = [
     "Injection",
     "cycle_count",
     "ewens_probability",
-    "sample_ewens",
     "sample_ewens_batch",
     "ewens_estimator",
     "ewens_estimator_bruteforce",
@@ -166,11 +165,6 @@ def sample_ewens_batch(m: int, theta: float, count: int, rng: RandomSource) -> n
     return sigma
 
 
-def sample_ewens(m: int, theta: float, rng: RandomSource) -> np.ndarray:
-    """Single Ewens(theta) permutation as an image array."""
-    return sample_ewens_batch(m, theta, 1, rng)[0]
-
-
 def ewens_estimator(k, theta: float) -> np.ndarray:
     """Closed form of the Ewens permutation average ``E(P K P*)``.
 
@@ -179,9 +173,7 @@ def ewens_estimator(k, theta: float) -> np.ndarray:
     total off-diagonal mass. Trace is preserved for every theta, and
     theta -> infinity returns K.
     """
-    k = np.asarray(k, dtype=np.complex128)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError("k must be square")
+    k = require_hermitian(k, name="k")
     _check_theta(theta)
     m = k.shape[0]
     if m == 1:
@@ -338,9 +330,7 @@ def hybrid_estimator(k, theta: float, p: int) -> np.ndarray:
     unchanged: reordering the selected block and scattering it back
     cancel each other.
     """
-    k = np.asarray(k, dtype=np.complex128)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError("k must be square")
+    k = require_hermitian(k, name="k")
     m = k.shape[0]
     if not (1 <= p <= m):
         raise ValueError(f"p={p} must lie in [1, {m}]")

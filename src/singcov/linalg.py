@@ -10,7 +10,7 @@ sampling, reproducible random streams, and the CSV exchange format.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +43,7 @@ def _as_square(a, name="matrix"):
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(np.float64) if a.dtype.kind == "c" else a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a.astype(np.complex128, copy=False)
 
@@ -123,20 +123,15 @@ def default_rank_tol(eigenvalues, m: int) -> float:
     return m * np.finfo(np.float64).eps * top
 
 
-def pseudoinverse(k, rank_tol: float | None = None) -> np.ndarray:
+def pseudoinverse(k) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a Hermitian matrix.
 
-    Eigenvalues with ``|w| <= rank_tol`` are treated as exact zeros. The
-    default tolerance is ``m * eps * max|w|``, which keeps the numerical
-    rank of a sample covariance with ``n < m`` at ``n``.
+    Eigenvalues with ``|w| <= m * eps * max|w|`` are treated as exact
+    zeros, which keeps the numerical rank of a sample covariance with
+    ``n < m`` at ``n``.
     """
-    dec = eig_hermitian(k)
-    w = dec.eigenvalues
-    if rank_tol is None:
-        rank_tol = default_rank_tol(w, k.shape[0] if hasattr(k, "shape") else len(w))
-    inv = np.where(np.abs(w) > rank_tol, 1.0 / np.where(w == 0, 1.0, w), 0.0)
-    u = dec.eigenvectors
-    return hermitize(u @ np.diag(inv) @ u.conj().T)
+    k = require_hermitian(k, name="k")
+    return hermitize(_pinv_batch_hermitian(k[None])[0])
 
 
 def _pinv_batch_hermitian(w_batch):
@@ -307,13 +302,11 @@ def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> 
 
 
 class WelfordAccumulator:
-    """Streaming mean and standard error with associative chunk merging.
+    """Streaming mean and standard error, folded in one batch at a time.
 
     Tracks (count, mean, sum of squared deviations) per entry; for
     complex data the squared deviation is ``|x - mean|^2``, so the
-    standard error covers both components jointly. Merging chunk
-    statistics is exact, which keeps multi-stream Monte Carlo runs
-    independent of scheduling order.
+    standard error covers both components jointly.
     """
 
     def __init__(self):
@@ -338,20 +331,6 @@ class WelfordAccumulator:
         self.mean = self.mean + delta * (b / total)
         self.count = total
 
-    def merge(self, other: "WelfordAccumulator"):
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
-            return
-        delta = other.mean - self.mean
-        total = self.count + other.count
-        self._m2 = self._m2 + other._m2 + np.abs(delta) ** 2 * (
-            self.count * other.count / total
-        )
-        self.mean = self.mean + delta * (other.count / total)
-        self.count = total
-
     def stderr(self) -> np.ndarray:
         """Per-entry standard error of the mean."""
         if self.count < 2:
@@ -366,31 +345,28 @@ class WelfordAccumulator:
 # Matrix files: a header line "m=<dim>" followed by m rows of 2m floats,
 # row-major real/imaginary pairs. Spectra: "index,eigenvalue" rows.
 # Densities: "abscissa,density" rows. Floats carry 17 significant digits
-# so a write/read round trip is bit exact.
+# so a write/read round trip is bit exact. Every line but the matrix
+# header ends in CRLF.
 
 FLOAT_FMT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
+def _write_csv(path, head: str, rows, fmt):
+    with open(path, "w", newline="") as fh:
+        fh.write(head)
+        np.savetxt(fh, rows, fmt=fmt, delimiter=",", newline="\r\n")
 
 
 def save_matrix_csv(path, a):
     a = _as_square(a, "matrix")
-    m = a.shape[0]
-    with open(path, "w", newline="") as fh:
-        fh.write(f"m={m}\n")
-        writer = csv.writer(fh)
-        for i in range(m):
-            row = []
-            for j in range(m):
-                row.append(_fmt(a[i, j].real))
-                row.append(_fmt(a[i, j].imag))
-            writer.writerow(row)
+    # the float view interleaves each entry's real and imaginary part
+    _write_csv(path, f"m={a.shape[0]}\n", np.ascontiguousarray(a).view(np.float64), FLOAT_FMT)
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
+    """Read a matrix file; either line ending is accepted and blank lines
+    are skipped."""
+    with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("m="):
             raise ValueError(f"matrix file {path!r} lacks the 'm=<dim>' header")
@@ -398,25 +374,24 @@ def load_matrix_csv(path) -> np.ndarray:
             m = int(header[2:])
         except ValueError as exc:
             raise ValueError(f"bad matrix header {header!r}") from exc
-        out = np.zeros((m, m), dtype=np.complex128)
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-        if len(rows) != m:
-            raise ValueError(f"expected {m} matrix rows, found {len(rows)}")
-        for i, row in enumerate(rows):
-            if len(row) != 2 * m:
-                raise ValueError(f"row {i} has {len(row)} fields, expected {2 * m}")
-            vals = np.asarray([float(x) for x in row])
-            out[i] = vals[0::2] + 1j * vals[1::2]
-    return out
+        if m < 1:
+            raise ValueError(f"bad matrix header {header!r}: m must be >= 1")
+        # loadtxt warns on input without data, so look for a first row here
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise ValueError(f"expected {m} matrix rows, found 0")
+        vals = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2, comments=None)
+    if vals.shape != (m, 2 * m):
+        raise ValueError(
+            f"expected {m} matrix rows of {2 * m} fields, found {vals.shape[0]} of {vals.shape[1]}"
+        )
+    return vals.view(np.complex128)
 
 
 def save_esd_csv(path, dist: EmpiricalSpectralDistribution):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, lam in enumerate(dist.eigenvalues):
-            writer.writerow([i, _fmt(lam)])
+    lam = dist.eigenvalues
+    rows = np.column_stack((np.arange(len(lam)), lam))
+    _write_csv(path, "index,eigenvalue\r\n", rows, ("%d", FLOAT_FMT))
 
 
 def save_density_csv(path, xs, ys):
@@ -424,8 +399,4 @@ def save_density_csv(path, xs, ys):
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:
         raise ValueError("abscissae and density values must align")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["abscissa", "density"])
-        for x, y in zip(xs, ys):
-            writer.writerow([_fmt(x), _fmt(y)])
+    _write_csv(path, "abscissa,density\r\n", np.column_stack((xs, ys)), FLOAT_FMT)

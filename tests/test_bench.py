@@ -46,6 +46,15 @@ class TestConfig:
         again = bench.ExperimentConfig.from_dict(config.to_dict())
         assert again == config
 
+    def test_defaults_and_required_keys(self):
+        doc = {"m": 8, "n": 6, "truth": {"kind": "power", "alpha": 0.5}}
+        assert bench.ExperimentConfig.from_dict(doc).to_dict() == dict(
+            doc, estimators=["sample"], theta_grid=[], p_grid=[], loading_grid=[],
+            mc_samples=2000, seed=0, trials=10,
+        )
+        with pytest.raises(ValueError, match="config requires 'm' and 'n'"):
+            bench.ExperimentConfig.from_dict({"m": 8, "truth": doc["truth"]})
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             make_config(extra=1)
@@ -157,10 +166,10 @@ class TestRunExperiment:
     def test_write_outputs(self, tmp_path):
         report = bench.run_experiment(make_config(trials=2))
         raw, agg, cfg = report.write(tmp_path / "out")
-        lines = open(raw).read().splitlines()
+        lines = pathlib.Path(raw).read_text().splitlines()
         assert lines[0] == "estimator,parameter,metric,trial,value"
-        assert open(agg).readline().startswith("estimator,parameter,metric,trials")
-        assert json.load(open(cfg))["m"] == 8
+        assert pathlib.Path(agg).read_text().startswith("estimator,parameter,metric,trials")
+        assert json.loads(pathlib.Path(cfg).read_text())["m"] == 8
 
 
 class TestSpectrumReport:
@@ -174,7 +183,7 @@ class TestSpectrumReport:
         assert "esd_ewens_theta_2.csv" in names
         assert "density_ewens_beta_1.csv" in names
         for path in paths:
-            rows = open(path).read().strip().splitlines()
+            rows = pathlib.Path(path).read_text().strip().splitlines()
             assert len(rows) >= 2
 
 
@@ -219,6 +228,23 @@ class TestCli:
         )
         assert code == 1
         assert "theta" in capsys.readouterr().err
+
+    def test_estimate_rejects_non_hermitian_input(self, tmp_path, capsys):
+        k = random_psd(3, 3, 126)
+        k[0, 2] += 1.0
+        src = tmp_path / "k.csv"
+        save_matrix_csv(src, k)
+        for name, flags in {
+            "ewens": ["--theta", "2.5"],
+            "hybrid": ["--theta", "2.5", "--p", "2"],
+            "covp": ["--p", "2"],
+            "loading": ["--alpha", "0.8", "--beta", "0.2"],
+        }.items():
+            argv = ["estimate", "--estimator", name, "--input", str(src),
+                    "--out", str(tmp_path / f"{name}.csv")]
+            assert cli.main(argv + flags) == 1
+            assert "k is not Hermitian" in capsys.readouterr().err
+            assert not (tmp_path / f"{name}.csv").exists()
 
     def test_estimate_each_estimator_matches_library(self, tmp_path):
         k = random_psd(5, 5, 125)
@@ -337,7 +363,7 @@ class TestCli:
         code = cli.main(["verify", "always-red", "--out", str(report_path)])
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
-        assert json.load(open(report_path))["passed"] is False
+        assert json.loads(report_path.read_text())["passed"] is False
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

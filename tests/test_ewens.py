@@ -23,7 +23,6 @@ from singcov.ewens import (
     hybrid_inverse_mc,
     injection_probability,
     injection_probability_enumerated,
-    sample_ewens,
     sample_ewens_batch,
 )
 from singcov.linalg import RandomSource
@@ -67,10 +66,6 @@ class TestEwensMeasure:
         assert sigmas.shape == (200, 6)
         assert (np.sort(sigmas, axis=1) == np.arange(6)).all()
 
-    def test_single_sample_wrapper(self):
-        sigma = sample_ewens(5, 1.3, RandomSource(2))
-        assert sorted(sigma) == list(range(5))
-
 
 class TestEwensEstimator:
     def test_matches_bruteforce(self):
@@ -95,6 +90,16 @@ class TestEwensEstimator:
     def test_trivial_size_one(self):
         k = np.array([[2.5]])
         np.testing.assert_allclose(ewens_estimator(k, 3.0), k)
+
+    def test_rejects_non_hermitian_and_nan(self):
+        k = random_hermitian(3, 53)
+        skew = k.copy()
+        skew[0, 1] += 0.5
+        with pytest.raises(ValueError, match="k is not Hermitian"):
+            ewens_estimator(skew, 2.0)
+        k[1, 1] = np.nan
+        with pytest.raises(ValueError, match="k contains non-finite entries"):
+            ewens_estimator(k, 2.0)
 
     def test_mc_average_converges_to_closed_form(self):
         # direct check that the closed form is the measure average
@@ -166,6 +171,16 @@ class TestHybridEstimator:
         k = random_hermitian(5, 71)
         est = hybrid_estimator(k, 1.7, 3)
         np.testing.assert_allclose(est, est.conj().T, atol=1e-13)
+
+    def test_rejects_non_hermitian_and_nan(self):
+        k = random_hermitian(4, 73)
+        skew = k.copy()
+        skew[2, 0] += 0.5j
+        with pytest.raises(ValueError, match="k is not Hermitian"):
+            hybrid_estimator(skew, 1.7, 2)
+        k[0, 3] = np.nan
+        with pytest.raises(ValueError, match="k contains non-finite entries"):
+            hybrid_estimator(k, 1.7, 2)
 
 
 class TestHybridInverse:

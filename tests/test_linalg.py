@@ -59,19 +59,6 @@ class TestWelford:
         var = (np.abs(data - data.mean(axis=0)) ** 2).sum(axis=0) / 499
         np.testing.assert_allclose(acc.stderr(), np.sqrt(var / 500), rtol=1e-10)
 
-    def test_merge_equals_single_pass(self):
-        g = RandomSource(12).generator
-        data = g.standard_normal((100, 2, 2))
-        whole = WelfordAccumulator()
-        whole.add_batch(data)
-        left = WelfordAccumulator()
-        right = WelfordAccumulator()
-        left.add_batch(data[:37])
-        right.add_batch(data[37:])
-        left.merge(right)
-        np.testing.assert_allclose(left.mean, whole.mean, atol=1e-13)
-        np.testing.assert_allclose(left.stderr(), whole.stderr(), rtol=1e-10)
-
 
 class TestHaarSampling:
     def test_rows_orthonormal(self, rng):
@@ -185,31 +172,101 @@ class TestGaussianCovariance:
             sample_gaussian_covariance(np.diag([1.0, -0.5]), 3, RandomSource(0))
 
 
+# A 2x2 complex matrix, written as the exchange format always has: 17
+# significant digits (so 0.1 keeps its binary error), a signed zero kept,
+# LF after the header and CRLF after every other line.
+GOLDEN_MATRIX = np.array([[0.1, complex(-0.0, 2.5)], [complex(0.0, -2.5), 1e-300]])
+GOLDEN_MATRIX_BYTES = b"m=2\n0.10000000000000001,0,-0,2.5\r\n0,-2.5,1e-300,0\r\n"
+
+
 class TestCsvRoundtrip:
     def test_matrix_roundtrip_exact(self, tmp_path):
         k = random_hermitian(5, 31)
         path = tmp_path / "k.csv"
         save_matrix_csv(path, k)
-        with open(path) as fh:
-            assert fh.readline().strip() == "m=5"
+        # the same bytes as formatting each entry on its own
+        rows = [",".join("%.17g" % x for z in row for x in (z.real, z.imag)) for row in k]
+        assert path.read_bytes() == ("m=5\n" + "".join(r + "\r\n" for r in rows)).encode()
         back = load_matrix_csv(path)
         assert np.array_equal(back, k)
+
+    def test_matrix_golden_bytes(self, tmp_path):
+        path = tmp_path / "k.csv"
+        save_matrix_csv(path, GOLDEN_MATRIX)
+        assert path.read_bytes() == GOLDEN_MATRIX_BYTES
+        assert np.array_equal(load_matrix_csv(path), GOLDEN_MATRIX)
+
+    def test_roundtrip_keeps_signed_zeros(self, tmp_path):
+        path = tmp_path / "k.csv"
+        save_matrix_csv(path, GOLDEN_MATRIX)
+        back = load_matrix_csv(path).view(np.float64)
+        assert np.array_equal(np.signbit(back), np.signbit(GOLDEN_MATRIX.view(np.float64)))
+
+    def test_fortran_order_writes_same_bytes(self, tmp_path):
+        k = random_hermitian(4, 32)
+        c_path, f_path = tmp_path / "c.csv", tmp_path / "f.csv"
+        save_matrix_csv(c_path, np.ascontiguousarray(k))
+        save_matrix_csv(f_path, np.asfortranarray(k))
+        assert f_path.read_bytes() == c_path.read_bytes()
+        save_matrix_csv(f_path, np.asfortranarray(GOLDEN_MATRIX))
+        assert f_path.read_bytes() == GOLDEN_MATRIX_BYTES
+
+    def test_loads_lf_file_with_shortest_floats(self, tmp_path):
+        # the layout perfbench/checks.write_matrix_csv writes: LF endings, repr floats
+        k = random_hermitian(4, 33)
+        path = tmp_path / "k.csv"
+        lines = [f"m={k.shape[0]}"]
+        lines += [",".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) for row in k]
+        path.write_text("\n".join(lines) + "\n")
+        assert np.array_equal(load_matrix_csv(path), k)
+
+    def test_esd_golden_bytes(self, tmp_path):
+        path = tmp_path / "esd.csv"
+        save_esd_csv(path, EmpiricalSpectralDistribution(np.array([-0.0, 0.1])))
+        assert path.read_bytes() == b"index,eigenvalue\r\n0,-0\r\n1,0.10000000000000001\r\n"
+
+    def test_density_golden_bytes(self, tmp_path):
+        path = tmp_path / "density.csv"
+        save_density_csv(path, [0.5, 1 / 3], [np.inf, 0.1])
+        assert path.read_bytes() == (
+            b"abscissa,density\r\n0.5,inf\r\n0.33333333333333331,0.10000000000000001\r\n"
+        )
 
     def test_esd_and_density_files(self, tmp_path):
         dist = esd(np.diag([1.0, 2.0]))
         esd_path = tmp_path / "esd.csv"
         save_esd_csv(esd_path, dist)
-        rows = open(esd_path).read().strip().splitlines()
+        rows = esd_path.read_text().strip().splitlines()
         assert rows[0] == "index,eigenvalue"
         assert len(rows) == 3
         den_path = tmp_path / "density.csv"
         save_density_csv(den_path, np.array([0.5, 1.5]), np.array([0.25, 0.75]))
-        rows = open(den_path).read().strip().splitlines()
+        rows = den_path.read_text().strip().splitlines()
         assert rows[0] == "abscissa,density"
 
     def test_load_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nonsense\n1,2\n")
+        with pytest.raises(ValueError):
+            load_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "m=2\n1,0,2,0\r\n",  # a missing row
+            "m=2\n1,0,2,0\r\n2,0,1\r\n",  # a short row
+            "m=2\n1,0,2,0\r\n2,0,x,0\r\n",  # a non-numeric field
+            "m=2\n# note\r\n1,0,2,0\r\n2,0,1,0\r\n",  # a comment line
+            "m=2\n",  # header only
+            "m=2\n\r\n\r\n",  # header and blank lines
+            "m=0\n",  # header only, of an empty matrix
+        ],
+        ids=["missing-row", "short-row", "non-numeric", "comment", "header-only",
+             "blank-lines", "empty-matrix"],
+    )
+    def test_load_rejects_malformed(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
         with pytest.raises(ValueError):
             load_matrix_csv(path)
 
