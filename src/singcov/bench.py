@@ -33,7 +33,6 @@ from .linalg import (
     hermitize,
     pseudoinverse,
     sample_gaussian_covariance,
-    sample_haar_stiefel_batch,
     save_density_csv,
     save_esd_csv,
 )
@@ -127,17 +126,43 @@ _GRIDS = {"theta": "theta_grid", "p": "p_grid", "alpha": "loading_grid", "beta":
 
 
 def _key(read, default=MISSING):
-    """A field that is also a top-level JSON key, converted by ``read``."""
+    """A field that is also a top-level JSON key, converted by
+    ``read(value, key)``, which raises ``ValueError`` naming the key for a
+    value of the wrong JSON type."""
     return field(default=default, metadata={"read": read})
 
 
-def _tuple_of(item):
-    return lambda values: tuple(item(v) for v in values)
+def _int(value, key):
+    if type(value) is not int:  # not isinstance: bool is a subclass of int
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
-def _float_pair(pair):
-    a, b = pair
-    return float(a), float(b)
+def _number(value, key):
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _text(value, key):
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _list_of(item):
+    def read(values, key):
+        if not isinstance(values, list):
+            raise ValueError(f"{key} must be a list, got {values!r}")
+        return tuple(item(v, f"{key} entries") for v in values)
+
+    return read
+
+
+def _number_pair(pair, key):
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"{key} must be [alpha, beta] pairs, got {pair!r}")
+    return _number(pair[0], key), _number(pair[1], key)
 
 
 @dataclass(frozen=True)
@@ -148,17 +173,17 @@ class ExperimentConfig:
     name; the truth pair is the ``truth`` object.
     """
 
-    m: int = _key(int)
-    n: int = _key(int)
+    m: int = _key(_int)
+    n: int = _key(_int)
     truth_kind: str
     truth_param: float
-    estimators: tuple = _key(tuple, ("sample",))
-    theta_grid: tuple = _key(_tuple_of(float), ())
-    p_grid: tuple = _key(_tuple_of(int), ())
-    loading_grid: tuple = _key(_tuple_of(_float_pair), ())
-    mc_samples: int = _key(int, 2000)
-    seed: int = _key(int, 0)
-    trials: int = _key(int, 10)
+    estimators: tuple = _key(_list_of(_text), ("sample",))
+    theta_grid: tuple = _key(_list_of(_number), ())
+    p_grid: tuple = _key(_list_of(_int), ())
+    loading_grid: tuple = _key(_list_of(_number_pair), ())
+    mc_samples: int = _key(_int, 2000)
+    seed: int = _key(_int, 0)
+    trials: int = _key(_int, 10)
 
     def __post_init__(self):
         if self.m < 2:
@@ -200,6 +225,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         doc = dict(doc)
         truth = doc.pop("truth", None)
         if not isinstance(truth, dict):
@@ -207,11 +234,12 @@ class ExperimentConfig:
         truth = dict(truth)
         kind = truth.pop("kind", None)
         if kind == "tridiagonal":
-            param = truth.pop("b", None)
+            name = "b"
         elif kind == "power":
-            param = truth.pop("alpha", None)
+            name = "alpha"
         else:
             raise ValueError("truth.kind must be 'tridiagonal' or 'power'")
+        param = truth.pop(name, None)
         if param is None:
             raise ValueError("truth lacks its family parameter ('b' or 'alpha')")
         if truth:
@@ -222,8 +250,11 @@ class ExperimentConfig:
         required = [f.name for f in _JSON_FIELDS if f.default is MISSING]
         if any(name not in doc for name in required):
             raise ValueError("config requires " + " and ".join(f"'{n}'" for n in required))
-        values = {f.name: f.metadata["read"](doc[f.name]) for f in _JSON_FIELDS if f.name in doc}
-        return ExperimentConfig(truth_kind=kind, truth_param=float(param), **values)
+        values = {
+            f.name: f.metadata["read"](doc[f.name], f.name) for f in _JSON_FIELDS if f.name in doc
+        }
+        param = _number(param, f"truth.{name}")
+        return ExperimentConfig(truth_kind=kind, truth_param=param, **values)
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -605,17 +636,7 @@ def _suite_haar_moments() -> list:
 
 
 def _mc_matrix_moment(d, p, l, samples, rng):
-    n = d.shape[0]
-
-    def chunk(b, rng):
-        phi = sample_haar_stiefel_batch(p, n, b, rng)
-        w = np.einsum("bpi,ij,bqj->bpq", phi, d.astype(complex), phi.conj(), optimize=True)
-        wl = w.copy()
-        for _ in range(l - 1):
-            wl = wl @ w
-        return np.einsum("bpi,bpq,bqj->bij", phi.conj(), wl, phi, optimize=True), 0
-
-    return haar._monte_carlo(samples, rng, chunk, frame=n * p, block=p * p, lift=n * n)
+    return haar._compression_mc(d, p, l, samples, rng)
 
 
 def _suite_block_pinv() -> list:

@@ -466,13 +466,11 @@ def hybrid_inverse_inductive_step(
 
     def chunk(b, rng):
         idx = sample_ewens_batch(m, theta, b, rng)[:, :p]
-        out = np.zeros((b, m, m), dtype=np.complex128)
-        for t in range(b):
-            cols = root[:, idx[t]]
-            corr = block_pinv_correction(cols[:, : p - 1], cols[:, p - 1])
-            sel = idx[t]
-            out[t][np.ix_(sel, sel)] = corr
-        return out, 0
+        corr = []
+        for sel in idx:
+            cols = root[:, sel]
+            corr.append(block_pinv_correction(cols[:, : p - 1], cols[:, p - 1]))
+        return _scatter_blocks(np.stack(corr), idx, m), 0
 
     step = haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=m * m)
     est = base.estimate + step.estimate

@@ -167,36 +167,49 @@ def cov_p_closed(k, p: int) -> np.ndarray:
     return hermitize(lead * ((m * p - 1.0) * k + (m - p) * np.trace(k) * np.eye(m)))
 
 
-def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
-    """Monte Carlo twin of :func:`cov_p_closed` for validation."""
-    k = require_hermitian(k, name="k")
+def _compression_mc(
+    k, p: int, degree: int, samples: int, rng: RandomSource
+) -> MonteCarloEstimate:
+    """Monte Carlo mean of ``Phi* (Phi K Phi*)^degree Phi`` over Haar frames.
+
+    ``k`` is a validated Hermitian matrix, lifted in full, or a real
+    vector standing for its diagonal matrix, whose average is diagonal
+    and of which only the real diagonal is lifted. A negative ``degree``
+    needs an invertible compressed matrix, so draws whose compressed
+    matrix has condition number above ``COND_LIMIT`` are rejected and
+    redrawn.
+    """
     m = k.shape[0]
-    _check_p(p, m)
+    diagonal = k.ndim == 1
+    lift = "bpi,bpq,bqi->bi" if diagonal else "bpi,bpq,bqj->bij"
 
     def chunk(b, rng):
         phi = sample_haar_stiefel_batch(p, m, b, rng)
-        w = np.einsum("bpi,ij,bqj->bpq", phi, k, phi.conj(), optimize=True)
-        return np.einsum("bpi,bpq,bqj->bij", phi.conj(), w, phi, optimize=True), 0
+        phik = phi * k if diagonal else np.einsum("bpi,ij->bpj", phi, k, optimize=True)
+        w = np.einsum("bpi,bqi->bpq", phik, phi.conj(), optimize=True)
+        del phik  # freed, like w below, so the chunk's peak holds neither
+        w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
+        rejected = 0
+        if degree < 0:
+            lam = np.linalg.eigvalsh(w)
+            lo, hi = lam[:, 0], lam[:, -1]
+            good = (lo > 0) & (hi <= COND_LIMIT * lo)
+            if not good.all():
+                phi, w = phi[good], w[good]
+                rejected = b - len(phi)
+        w = np.linalg.matrix_power(w, degree)
+        lifted = np.einsum(lift, phi.conj(), w, phi, optimize=True)
+        return (lifted.real if diagonal else lifted), rejected
 
-    return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
+    lifted_entries = m if diagonal else m * m
+    return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=lifted_entries)
 
 
-def _compress_check_invert(phi, phik):
-    """Compressed inverses of one chunk of the inverse-compression averages.
-
-    ``phik`` holds ``Phi K`` for each frame ``Phi`` of ``phi``. Draws whose
-    compressed matrix ``Phi K Phi*`` has condition number above
-    ``COND_LIMIT`` are dropped. Returns the kept frames, the inverses of
-    their compressed matrices and the number of draws dropped.
-    """
-    w = np.einsum("bpi,bqi->bpq", phik, phi.conj(), optimize=True)
-    w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
-    lam = np.linalg.eigvalsh(w)
-    lo, hi = lam[:, 0], lam[:, -1]
-    good = (lo > 0) & (hi <= COND_LIMIT * lo)
-    if not good.all():
-        phi, w = phi[good], w[good]
-    return phi, np.linalg.inv(w), len(good) - len(phi)
+def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
+    """Monte Carlo twin of :func:`cov_p_closed` for validation."""
+    k = require_hermitian(k, name="k")
+    _check_p(p, k.shape[0])
+    return _compression_mc(k, p, 1, samples, rng)
 
 
 def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
@@ -216,17 +229,8 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
         discarded draws.
     """
     k = require_hermitian(k, name="k")
-    m = k.shape[0]
-    _check_p(p, m)
-
-    def chunk(b, rng):
-        phi = sample_haar_stiefel_batch(p, m, b, rng)
-        phik = np.einsum("bpi,ij->bpj", phi, k, optimize=True)
-        phi, winv, rejected = _compress_check_invert(phi, phik)
-        lifted = np.einsum("bpi,bpq,bqj->bij", phi.conj(), winv, phi, optimize=True)
-        return lifted, rejected
-
-    return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
+    _check_p(p, k.shape[0])
+    return _compression_mc(k, p, -1, samples, rng)
 
 
 def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectrum:
@@ -245,15 +249,7 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     tol = default_rank_tol(dec.eigenvalues, m)
     rank = int((dec.eigenvalues > tol).sum())
     d = np.where(dec.eigenvalues > tol, dec.eigenvalues.real, 0.0)
-
-    def chunk(b, rng):
-        phi = sample_haar_stiefel_batch(p, m, b, rng)
-        phi, winv, rejected = _compress_check_invert(phi, phi * d)
-        lifted = np.einsum("bpi,bpq,bqi->bi", phi.conj(), winv, phi, optimize=True)
-        return lifted.real, rejected
-
-    est = _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m)
-    diag = est.estimate.real
+    diag = _compression_mc(d, p, -1, samples, rng).estimate.real
     mu = float(diag[rank:].mean()) if rank < m else float("nan")
     return InvcovSpectrum(diag[:rank].copy(), mu, p)
 

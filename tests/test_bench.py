@@ -96,6 +96,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="theta_grid"):
             make_config(theta_grid=[1.0000001, 1.0000002, 3])
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            (dict(BASE, m=None), "m"),
+            (dict(BASE, m=5.7), "m"),
+            (dict(BASE, n=True), "n"),
+            (dict(BASE, trials="3"), "trials"),
+            (dict(BASE, p_grid=3), "p_grid"),
+            (dict(BASE, p_grid=[3.0]), "p_grid"),
+            (dict(BASE, theta_grid=[None]), "theta_grid"),
+            (dict(BASE, theta_grid=[False]), "theta_grid"),
+            (dict(BASE, estimators="sample"), "estimators"),
+            (dict(BASE, estimators=[["sample"]]), "estimators"),
+            (dict(BASE, loading_grid=[1.0]), "loading_grid"),
+            (dict(BASE, loading_grid=[[1.0, "0"]]), "loading_grid"),
+            (dict(BASE, truth={"kind": "power", "alpha": [0.5]}), "truth.alpha"),
+            (dict(BASE, truth={"kind": "tridiagonal", "b": "0.3"}), "truth.b"),
+            ([1], "JSON object"),
+        ],
+    )
+    def test_rejects_wrong_json_types(self, doc, key):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            bench.ExperimentConfig.from_dict(doc)
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(BASE))
@@ -338,6 +362,15 @@ class TestCli:
         code = cli.main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [dict(BASE, m=None), dict(BASE, p_grid=3), [1]])
+    def test_experiment_wrong_json_type_exit_one(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_spectrum_seed_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import random_hermitian, random_psd
 
+from singcov import bench
 from singcov.haar import (
     _CHUNK_BYTES,
     LoadingParameters,
@@ -88,6 +89,22 @@ class TestInvcov:
         assert spec.mu > 0
         # lambdas for the kernel directions equal mu by construction
         assert np.isfinite(spec.lambdas).all()
+
+
+class TestCompressionCore:
+    def test_diagonal_and_full_lift_agree_on_same_draws(self):
+        # 2000 draws fit one chunk of either lift, so both see the same frames
+        d = np.array([3.0, 2.5, 1.7, 1.1, 0.6, 0.2])
+        spec = invcov_spectrum(np.diag(d), 3, 2000, RandomSource(41))
+        full = invcov_p_mc(np.diag(d), 3, 2000, RandomSource(41))
+        np.testing.assert_allclose(spec.lambdas, np.diag(full.estimate).real, rtol=1e-12)
+
+    def test_cov_average_is_first_matrix_moment(self):
+        k = random_hermitian(5, 42)
+        cov = cov_p_mc(k, 2, 3000, RandomSource(43))
+        moment = bench._mc_matrix_moment(k, 2, 1, 3000, RandomSource(43))
+        assert np.array_equal(cov.estimate, moment.estimate)
+        assert np.array_equal(cov.stderr, moment.stderr)
 
 
 class TestChunkPlan:
