@@ -233,15 +233,12 @@ class ExperimentConfig:
             raise ValueError("config requires a 'truth' object")
         truth = dict(truth)
         kind = truth.pop("kind", None)
-        if kind == "tridiagonal":
-            name = "b"
-        elif kind == "power":
-            name = "alpha"
-        else:
-            raise ValueError("truth.kind must be 'tridiagonal' or 'power'")
+        if kind not in tp.FAMILIES:
+            raise ValueError(f"truth.kind must be {' or '.join(map(repr, tp.FAMILIES))}")
+        name = tp.FAMILIES[kind][0]
         param = truth.pop(name, None)
         if param is None:
-            raise ValueError("truth lacks its family parameter ('b' or 'alpha')")
+            raise ValueError(f"truth lacks its family parameter {name!r}")
         if truth:
             raise ValueError(f"unknown truth keys: {sorted(truth)}")
         unknown = set(doc) - {f.name for f in _JSON_FIELDS}
@@ -266,8 +263,7 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(doc)
 
     def to_dict(self) -> dict:
-        truth = {"kind": self.truth_kind}
-        truth["b" if self.truth_kind == "tridiagonal" else "alpha"] = self.truth_param
+        truth = {"kind": self.truth_kind, tp.FAMILIES[self.truth_kind][0]: self.truth_param}
         doc = {f.name: _plain(getattr(self, f.name)) for f in _JSON_FIELDS}
         return dict(doc, truth=truth)
 
@@ -350,15 +346,7 @@ class MetricReport:
 
 def _truth_matrices(config: ExperimentConfig):
     family = tp.toeplitz_truth(config.truth_kind, config.m, config.truth_param)
-    a = family.matrix()
-    if isinstance(family, tp.PowerToeplitz):
-        a_inv = family.inverse()
-    else:
-        dec = family.eigensystem()
-        a_inv = hermitize(
-            dec.eigenvectors @ np.diag(1.0 / dec.eigenvalues) @ dec.eigenvectors.conj().T
-        )
-    return family, a, a_inv
+    return family, family.matrix(), family.inverse()
 
 
 @dataclass(frozen=True)
@@ -488,25 +476,25 @@ def spectrum_report(config: ExperimentConfig, outdir) -> list:
     )
     _emit_esd("esd_sample.csv", k)
 
-    sym = family.symbol()
-    grid = _density_grid(sym)
-    path = os.path.join(outdir, "density_truth.csv")
-    save_density_csv(path, grid, tp.limiting_density(sym, grid))
-    paths.append(path)
+    def _emit_law(name, sym):
+        # a constant symbol's law is a point mass: the single row "atom,inf"
+        path = os.path.join(outdir, name)
+        law = tp.limiting_measure(sym)
+        if law.atom is not None:
+            save_density_csv(path, [law.atom], [math.inf])
+        else:
+            grid = _density_grid(sym)
+            save_density_csv(path, grid, law.density(grid))
+        paths.append(path)
+
+    _emit_law("density_truth.csv", family.symbol())
 
     for theta in config.theta_grid:
         tag = _fmt_param(theta)
         _emit_esd(f"esd_ewens_theta_{tag}.csv", ew.ewens_estimator(a, theta))
         beta = theta / config.m
         rsym = tp.rescaled_symbol(config.truth_kind, config.truth_param, beta)
-        path = os.path.join(outdir, f"density_ewens_beta_{_fmt_param(beta)}.csv")
-        if rsym.is_degenerate:
-            xs = np.array([1.0])
-            save_density_csv(path, xs, np.array([math.inf]))
-        else:
-            grid = _density_grid(rsym)
-            save_density_csv(path, grid, tp.limiting_density(rsym, grid))
-        paths.append(path)
+        _emit_law(f"density_ewens_beta_{_fmt_param(beta)}.csv", rsym)
     return paths
 
 

@@ -246,10 +246,11 @@ def schur_bialternant(partition: Partition, values) -> object:
     """Schur polynomial as the ratio of alternants.
 
     ``det(x_j^(d_i + n - i)) / prod_{j<k}(x_j - x_k)`` for distinct
-    variables. Near-coincident variables make that ratio 0/0, so the
-    evaluation switches route: hook shapes go through the power-sum
-    expansion, general shapes through the Jacobi-Trudi determinant in
-    complete homogeneous polynomials. All routes agree on overlap.
+    float variables. Exact (int or Fraction) variables, and float ones so
+    close that the ratio is 0/0, go through the Jacobi-Trudi determinant
+    in complete homogeneous polynomials instead. Neither route uses the
+    power-sum expansion of :func:`schur_hook_powersum`, so the two stay
+    independent checks of each other.
     """
     values = list(values)
     n = len(values)
@@ -269,12 +270,6 @@ def schur_bialternant(partition: Partition, values) -> object:
         min_gap == 0 if exact else min_gap < 1e-8 * max(1.0, float(scale))
     )
     if coincident or exact:
-        if len(parts) <= 1 or all(x == 1 for x in parts[1:]):
-            # hook (or single row / empty): power-sum route
-            if not parts:
-                return 1
-            shape = HookShape(sum(parts), len(parts) - 1)
-            return schur_hook_powersum(shape, power_sums(values, shape.weight))
         return _schur_jacobi_trudi(parts, values)
     padded = list(parts) + [0] * (n - len(parts))
     exps = [padded[i] + n - 1 - i for i in range(n)]

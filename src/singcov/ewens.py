@@ -26,10 +26,13 @@ from .haar import MonteCarloEstimate
 from .linalg import (
     RandomSource,
     _pinv_batch_hermitian,
+    _psd_root,
     block_pinv_correction,
-    eig_hermitian,
     hermitize,
+    require_finite,
     require_hermitian,
+    require_p,
+    require_theta,
 )
 
 __all__ = [
@@ -88,8 +91,7 @@ class Injection:
             raise ValueError("images must be distinct")
         if images and not (0 <= min(images) and max(images) < self.m):
             raise ValueError("images must lie in 0..m-1")
-        if not (1 <= len(images) <= self.m):
-            raise ValueError("need 1 <= p <= m")
+        require_p(len(images), self.m)
         object.__setattr__(self, "images", images)
 
     @property
@@ -98,24 +100,20 @@ class Injection:
 
 
 def cycle_count(images) -> int:
-    """Number of cycles of a permutation given as an image array."""
-    images = list(images)
-    seen = [False] * len(images)
-    count = 0
-    for start in range(len(images)):
+    """Number of closed cycles of the map ``i -> images[i]`` on 0..p-1: all
+    cycles of a permutation; an injection's paths that leave 0..p-1 stay open."""
+    p = len(images)
+    seen = [False] * p
+    closed = 0
+    for start in range(p):
         if seen[start]:
             continue
-        count += 1
         j = start
-        while not seen[j]:
+        while j < p and not seen[j]:
             seen[j] = True
             j = images[j]
-    return count
-
-
-def _check_theta(theta: float):
-    if not (theta > 0) or not math.isfinite(theta):
-        raise ValueError("theta must be positive and finite")
+        closed += j == start
+    return closed
 
 
 def _log_rising(theta: float, start: int, stop: int) -> float:
@@ -123,18 +121,13 @@ def _log_rising(theta: float, start: int, stop: int) -> float:
     return float(sum(math.log(theta + k) for k in range(start, stop)))
 
 
-def ewens_probability(perm, theta: float) -> float:
-    """Probability of a permutation under the Ewens(theta) measure.
+def ewens_probability(images, theta: float) -> float:
+    """Probability of a permutation (its image array) under Ewens(theta).
 
-    ``theta^(#cycles) / (theta (theta+1) ... (theta+m-1))``, evaluated
-    in log space so large m and extreme theta stay finite.
+    ``theta^(#cycles) / (theta (theta+1) ... (theta+m-1))``: the
+    injection mass of :func:`injection_probability` at p = m.
     """
-    _check_theta(theta)
-    images = perm.images if isinstance(perm, Permutation) else tuple(perm)
-    images = Permutation(images).images
-    m = len(images)
-    logp = cycle_count(images) * math.log(theta) - _log_rising(theta, 0, m)
-    return math.exp(logp)
+    return injection_probability(images, theta, len(images))
 
 
 def sample_ewens_batch(m: int, theta: float, count: int, rng: RandomSource) -> np.ndarray:
@@ -151,7 +144,7 @@ def sample_ewens_batch(m: int, theta: float, count: int, rng: RandomSource) -> n
         raise ValueError("m must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    _check_theta(theta)
+    require_theta(theta)
     g = rng.generator
     sigma = np.zeros((count, m), dtype=np.int64)
     rows = np.arange(count)
@@ -174,7 +167,7 @@ def ewens_estimator(k, theta: float) -> np.ndarray:
     theta -> infinity returns K.
     """
     k = require_hermitian(k, name="k")
-    _check_theta(theta)
+    require_theta(theta)
     m = k.shape[0]
     if m == 1:
         return k.copy()
@@ -195,22 +188,18 @@ def ewens_estimator(k, theta: float) -> np.ndarray:
     return out
 
 
-def _permutation_table(m: int):
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
-    cycles = np.array([cycle_count(p) for p in perms], dtype=np.int64)
-    return perms, cycles
-
-
 def ewens_estimator_bruteforce(k, theta: float) -> np.ndarray:
     """Definitional sum over all m! permutations; oracle for the closed form."""
     k = np.asarray(k, dtype=np.complex128)
     m = k.shape[0]
-    _check_theta(theta)
+    require_theta(theta)
     if m > MAX_BRUTE_M:
         raise ValueError(f"brute force capped at m <= {MAX_BRUTE_M}")
-    perms, cycles = _permutation_table(m)
-    logw = cycles * math.log(theta) - _log_rising(theta, 0, m)
-    weights = np.exp(logw)
+    # the weights of ewens_probability, vectorized over the m! permutations
+    table = list(itertools.permutations(range(m)))
+    perms = np.array(table, dtype=np.int64)
+    cycles = np.array([cycle_count(s) for s in table], dtype=np.int64)
+    weights = np.exp(cycles * math.log(theta) - _log_rising(theta, 0, m))
     out = np.zeros((m, m), dtype=np.complex128)
     step = 50_000
     for lo in range(0, len(perms), step):
@@ -222,6 +211,7 @@ def ewens_estimator_bruteforce(k, theta: float) -> np.ndarray:
 
 def enumerate_injections(p: int, m: int):
     """All images of injective maps 0..p-1 -> 0..m-1, budget checked."""
+    require_p(p, m)
     terms = math.perm(m, p)
     if terms > MAX_INJECTION_TERMS:
         raise ValueError(
@@ -230,28 +220,7 @@ def enumerate_injections(p: int, m: int):
     return itertools.permutations(range(m), p)
 
 
-def _injection_cycles(images) -> int:
-    # closed cycles of the partial map i -> images[i] on 0..p-1
-    p = len(images)
-    visited = [False] * p
-    closed = 0
-    for start in range(p):
-        if visited[start]:
-            continue
-        j = start
-        while True:
-            visited[j] = True
-            nxt = images[j]
-            if nxt == start:
-                closed += 1
-                break
-            if nxt >= p or visited[nxt]:
-                break
-            j = nxt
-    return closed
-
-
-def injection_probability(inj, theta: float, m: int | None = None) -> float:
+def injection_probability(images, theta: float, m: int) -> float:
     """Mass of an injection under the restriction of the Ewens measure.
 
     The restriction of Ewens(theta) from permutations of 0..m-1 to the
@@ -260,42 +229,26 @@ def injection_probability(inj, theta: float, m: int | None = None) -> float:
     the number of already-closed cycles of the partial map: grouping the
     completions by how they link the open paths reduces their weighted
     count to a rising factorial. :func:`injection_probability_enumerated`
-    performs the definitional completion sum for cross-checking.
+    performs the definitional completion sum for cross-checking. The mass
+    is evaluated in log space, so large m and extreme theta stay finite.
     """
-    if isinstance(inj, Injection):
-        images, m = inj.images, inj.m
-    else:
-        if m is None:
-            raise ValueError("m required when passing a raw image tuple")
-        images = Injection(m, tuple(inj)).images
-    _check_theta(theta)
+    images = Injection(m, tuple(images)).images
+    require_theta(theta)
     p = len(images)
-    logp = _injection_cycles(images) * math.log(theta) - _log_rising(theta, m - p, m)
+    logp = cycle_count(images) * math.log(theta) - _log_rising(theta, m - p, m)
     return math.exp(logp)
 
 
-def injection_probability_enumerated(inj, theta: float, m: int | None = None) -> float:
+def injection_probability_enumerated(images, theta: float, m: int) -> float:
     """Definitional mass: sum of Ewens weights over all (m-p)! completions."""
-    if isinstance(inj, Injection):
-        images, m = inj.images, inj.m
-    else:
-        if m is None:
-            raise ValueError("m required when passing a raw image tuple")
-        images = Injection(m, tuple(inj)).images
-    _check_theta(theta)
+    images = Injection(m, tuple(images)).images
+    require_theta(theta)
     p = len(images)
     if m - p > MAX_COMPLETION_DEGREE:
         raise ValueError(f"completion enumeration capped at m - p <= {MAX_COMPLETION_DEGREE}")
-    free_slots = list(range(p, m))
-    free_values = [v for v in range(m) if v not in set(images)]
-    log_denom = _log_rising(theta, 0, m)
-    total = 0.0
-    for assign in itertools.permutations(free_values):
-        full = list(images) + [0] * (m - p)
-        for slot, val in zip(free_slots, assign):
-            full[slot] = val
-        total += math.exp(cycle_count(full) * math.log(theta) - log_denom)
-    return total
+    free_values = [v for v in range(m) if v not in images]
+    completions = itertools.permutations(free_values)
+    return sum(ewens_probability(images + rest, theta) for rest in completions)
 
 
 def _hybrid_weights(m: int, p: int, theta: float) -> np.ndarray:
@@ -332,22 +285,24 @@ def hybrid_estimator(k, theta: float, p: int) -> np.ndarray:
     """
     k = require_hermitian(k, name="k")
     m = k.shape[0]
-    if not (1 <= p <= m):
-        raise ValueError(f"p={p} must lie in [1, {m}]")
-    _check_theta(theta)
+    require_p(p, m)
+    require_theta(theta)
     return _hybrid_weights(m, p, theta) * k
+
+
+def _injection_sum(k, theta: float, p: int, block_map) -> np.ndarray:
+    # sum over all injections s of mu(s) V_s^T block_map(V_s K V_s^T) V_s
+    m = k.shape[0]
+    out = np.zeros((m, m), dtype=np.complex128)
+    for images in enumerate_injections(p, m):
+        idx = np.ix_(images, images)
+        out[idx] += injection_probability(images, theta, m) * block_map(k[idx])
+    return out
 
 
 def hybrid_estimator_bruteforce(k, theta: float, p: int) -> np.ndarray:
     """Definitional sum over all m!/(m-p)! injections; oracle for the closed form."""
-    k = np.asarray(k, dtype=np.complex128)
-    m = k.shape[0]
-    out = np.zeros((m, m), dtype=np.complex128)
-    for images in enumerate_injections(p, m):
-        idx = np.asarray(images)
-        w = injection_probability(images, theta, m)
-        out[np.ix_(idx, idx)] += w * k[np.ix_(idx, idx)]
-    return out
+    return _injection_sum(np.asarray(k, dtype=np.complex128), theta, p, lambda b: b)
 
 
 def hybrid_inverse_diagonal(d, theta: float, p: int) -> np.ndarray:
@@ -368,10 +323,10 @@ def hybrid_inverse_diagonal(d, theta: float, p: int) -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1:
         raise ValueError("d must be a vector of diagonal entries")
+    require_finite(d, "d")
     m = len(d)
-    if not (1 <= p <= m):
-        raise ValueError(f"p={p} must lie in [1, {m}]")
-    _check_theta(theta)
+    require_p(p, m)
+    require_theta(theta)
     nz = np.flatnonzero(d != 0)
     n = int(nz[-1]) + 1 if len(nz) else 0
     if len(nz) != n:
@@ -388,14 +343,9 @@ def hybrid_inverse_diagonal(d, theta: float, p: int) -> np.ndarray:
 def hybrid_inverse_bruteforce(k, theta: float, p: int) -> np.ndarray:
     """Definitional inverse-side sum ``sum_s mu(s) V_s^T (V_s K V_s^T)^+ V_s``."""
     k = require_hermitian(k, name="k")
-    m = k.shape[0]
-    out = np.zeros((m, m), dtype=np.complex128)
-    for images in enumerate_injections(p, m):
-        idx = np.asarray(images)
-        w = injection_probability(images, theta, m)
-        block = k[np.ix_(idx, idx)]
-        out[np.ix_(idx, idx)] += w * _pinv_batch_hermitian(block[None])[0]
-    return hermitize(out)
+    return hermitize(
+        _injection_sum(k, theta, p, lambda block: _pinv_batch_hermitian(block[None])[0])
+    )
 
 
 def _scatter_blocks(blocks: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
@@ -419,8 +369,7 @@ def hybrid_inverse_mc(
     """
     k = require_hermitian(k, name="k")
     m = k.shape[0]
-    if not (1 <= p <= m):
-        raise ValueError(f"p={p} must lie in [1, {m}]")
+    require_p(p, m)
 
     def chunk(b, rng):
         idx = sample_ewens_batch(m, theta, b, rng)[:, :p]
@@ -450,19 +399,16 @@ def hybrid_inverse_inductive_step(
     the last column of a p-injection gives the (p-1)-injection law) is
     exercised by the tests rather than assumed silently.
     """
-    k = require_hermitian(k, name="k")
-    m = k.shape[0]
-    if not (2 <= p <= m):
+    # factor K = R* R so each selected block is a Gram matrix of columns of R
+    u, s = _psd_root(k, "k")
+    root = np.diag(s) @ u.conj().T
+    m = len(s)
+    require_p(p, m)
+    if p < 2:
         raise ValueError("the inductive step needs p >= 2")
     if base is None:
         base = hybrid_inverse_mc(k, theta, p - 1, samples, rng.substream(0))
         rng = rng.substream(1)
-    # factor K = R* R so each selected block is a Gram matrix of columns of R
-    dec = eig_hermitian(k)
-    scale = max(1.0, float(np.abs(dec.eigenvalues).max()))
-    if dec.eigenvalues.min() < -1e-10 * scale:
-        raise ValueError("k must be positive semidefinite")
-    root = np.diag(np.sqrt(np.clip(dec.eigenvalues.real, 0.0, None))) @ dec.eigenvectors.conj().T
 
     def chunk(b, rng):
         idx = sample_ewens_batch(m, theta, b, rng)[:, :p]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .linalg import (
     eig_hermitian,
     hermitize,
     require_hermitian,
+    require_p,
     sample_haar_stiefel_batch,
 )
 
@@ -140,15 +141,11 @@ class LoadingParameters:
     beta: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("loading weights must be nonnegative")
+        weights = (self.alpha, self.beta)
+        if not all(isfinite(w) and w >= 0 for w in weights):
+            raise ValueError(f"loading weights must be finite and nonnegative, got {weights}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("loading weights must not both vanish")
-
-
-def _check_p(p: int, m: int):
-    if not (1 <= p <= m):
-        raise ValueError(f"compression size p={p} must lie in [1, {m}]")
 
 
 def cov_p_closed(k, p: int) -> np.ndarray:
@@ -160,7 +157,7 @@ def cov_p_closed(k, p: int) -> np.ndarray:
     """
     k = require_hermitian(k, name="k")
     m = k.shape[0]
-    _check_p(p, m)
+    require_p(p, m)
     if m == 1:
         return k.astype(np.complex128, copy=True)
     lead = p / ((m * m - 1.0) * m)
@@ -208,7 +205,7 @@ def _compression_mc(
 def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
     """Monte Carlo twin of :func:`cov_p_closed` for validation."""
     k = require_hermitian(k, name="k")
-    _check_p(p, k.shape[0])
+    require_p(p, k.shape[0])
     return _compression_mc(k, p, 1, samples, rng)
 
 
@@ -229,7 +226,7 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
         discarded draws.
     """
     k = require_hermitian(k, name="k")
-    _check_p(p, k.shape[0])
+    require_p(p, k.shape[0])
     return _compression_mc(k, p, -1, samples, rng)
 
 
@@ -245,7 +242,7 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     """
     dec = eig_hermitian(k)
     m = len(dec.eigenvalues)
-    _check_p(p, m)
+    require_p(p, m)
     tol = default_rank_tol(dec.eigenvalues, m)
     rank = int((dec.eigenvalues > tol).sum())
     d = np.where(dec.eigenvalues > tol, dec.eigenvalues.real, 0.0)
@@ -285,7 +282,7 @@ def trace_moment(d, p: int, moment: int):
     """
     d = list(d)
     n = len(d)
-    _check_p(p, n)
+    require_p(p, n)
     if moment < 1:
         raise ValueError("moment order must be >= 1")
     psums = power_sums(d, moment)
@@ -332,7 +329,7 @@ def moment_matrix_coeffs(d, p: int, degree: int) -> MomentCoefficients:
     """
     d = list(d)
     n = len(d)
-    _check_p(p, n)
+    require_p(p, n)
     if degree < 1:
         raise ValueError("degree must be >= 1")
     big_n = degree + 1

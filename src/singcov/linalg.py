@@ -11,6 +11,7 @@ sampling, reproducible random streams, and the CSV exchange format.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,26 +36,54 @@ __all__ = [
     "save_density_csv",
 ]
 
-# Residual tolerance below which a computed matrix is accepted as Hermitian.
-HERMITIAN_TOL = 1e-12
+# Roundoff allowed in an input matrix, relative to max(1, its largest entry or
+# eigenvalue magnitude): asymmetry if Hermitian, negative eigenvalues if PSD.
+HERMITIAN_TOL = 1e-10
+
+
+def require_finite(a, name):
+    """Reject an array holding NaN or infinite entries."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
 
 
 def _as_square(a, name="matrix"):
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    require_finite(a, name)
     return a.astype(np.complex128, copy=False)
 
 
-def require_hermitian(a, tol=1e-10, name="matrix"):
-    """Validate that ``a`` is square, finite and Hermitian within ``tol``."""
+def require_hermitian(a, name="matrix"):
+    """Validate that ``a`` is square, finite and Hermitian within ``HERMITIAN_TOL``."""
     a = _as_square(a, name)
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if float(np.abs(a - a.conj().T).max()) > tol * scale:
-        raise ValueError(f"{name} is not Hermitian within tolerance {tol}")
+    if float(np.abs(a - a.conj().T).max()) > HERMITIAN_TOL * scale:
+        raise ValueError(f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}")
     return a
+
+
+def _psd_root(a, name):
+    """``(u, s)`` with ``u diag(s**2) u* = a`` for a PSD matrix ``a``; eigenvalues
+    within ``HERMITIAN_TOL`` below zero are clipped to zero."""
+    a = require_hermitian(a, name=name)
+    w, u = np.linalg.eigh(a)
+    if w.size and w.min() < -HERMITIAN_TOL * max(1.0, float(np.abs(w).max())):
+        raise ValueError(f"{name} must be positive semidefinite")
+    return u, np.sqrt(np.clip(w, 0.0, None))
+
+
+def require_p(p: int, m: int):
+    """A compression or injection size p must lie in [1, m]."""
+    if not (1 <= p <= m):
+        raise ValueError(f"p={p} must lie in [1, {m}]")
+
+
+def require_theta(theta: float):
+    """The Ewens weight ``theta`` must be positive and finite."""
+    if not (theta > 0) or not math.isfinite(theta):
+        raise ValueError("theta must be positive and finite")
 
 
 def hermitize(a):
@@ -117,9 +146,10 @@ def eig_hermitian(k) -> SpectralDecomposition:
     return SpectralDecomposition(w[::-1].copy(), u[:, ::-1].copy())
 
 
-def default_rank_tol(eigenvalues, m: int) -> float:
-    """Rank cutoff ``m * eps * max|eigenvalue|`` used by the pseudoinverse."""
-    top = float(np.abs(eigenvalues).max()) if len(eigenvalues) else 0.0
+def default_rank_tol(eigenvalues, m: int) -> np.ndarray:
+    """Rank cutoff ``m * eps * max|eigenvalue|`` used by the pseudoinverse, taken
+    over the last axis and kept, so it broadcasts against one or many spectra."""
+    top = np.abs(eigenvalues).max(axis=-1, keepdims=True, initial=0.0)
     return m * np.finfo(np.float64).eps * top
 
 
@@ -139,7 +169,7 @@ def _pinv_batch_hermitian(w_batch):
     w_batch = np.asarray(w_batch, dtype=np.complex128)
     m = w_batch.shape[-1]
     lam, u = np.linalg.eigh(w_batch)
-    cut = m * np.finfo(np.float64).eps * np.abs(lam).max(axis=-1, keepdims=True)
+    cut = default_rank_tol(lam, m)
     inv = np.where(np.abs(lam) > cut, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
     return np.einsum("...ik,...k,...jk->...ij", u, inv, u.conj(), optimize=True)
 
@@ -266,15 +296,11 @@ def sample_gaussian_covariance(sigma, n: int, rng: RandomSource) -> np.ndarray:
     ``E K = sigma``. For ``n < m`` the result is singular of rank at
     most n.
     """
-    sigma = require_hermitian(sigma, name="sigma")
+    u, s = _psd_root(sigma, "sigma")
     if n < 1:
         raise ValueError("n must be >= 1")
-    w, u = np.linalg.eigh(sigma)
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    if w.size and w.min() < -1e-10 * max(1.0, scale):
-        raise ValueError("sigma must be positive semidefinite")
-    root = u @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    m = sigma.shape[0]
+    root = u @ np.diag(s) @ u.conj().T
+    m = len(s)
     g = rng.generator.standard_normal((m, n)) + 1j * rng.generator.standard_normal((m, n))
     obs = root @ (g / np.sqrt(2.0))
     return hermitize(obs @ obs.conj().T / n)
@@ -288,8 +314,7 @@ def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> 
     turns the QR output into an exactly Haar-distributed point rather
     than one biased by the factorization convention.
     """
-    if not (1 <= p <= m):
-        raise ValueError("need 1 <= p <= m")
+    require_p(p, m)
     if count < 1:
         raise ValueError("count must be >= 1")
     g = rng.generator

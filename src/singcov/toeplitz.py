@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition
+from .linalg import SpectralDecomposition, hermitize, require_theta
 
 __all__ = [
     "TridiagonalToeplitz",
@@ -60,16 +60,15 @@ class SymbolFunction:
     the analytic density inversion uses.
     """
 
-    kind: str  # "tridiagonal" or "power"
+    kind: str  # a key of FAMILIES
     param: float
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("tridiagonal", "power"):
-            raise ValueError("kind must be 'tridiagonal' or 'power'")
+        _family(self.kind)
         if self.kind == "power" and not (0.0 <= self.param < 1.0):
             raise ValueError("power symbol needs alpha in [0, 1)")
-        if self.kind == "tridiagonal" and self.param < 0:
+        if self.kind == "tridiagonal" and not (self.param >= 0):
             raise ValueError("tridiagonal symbol needs b >= 0")
         if not (0.0 <= self.scale <= 1.0):
             raise ValueError("scale must lie in [0, 1]")
@@ -143,6 +142,12 @@ class TridiagonalToeplitz:
     def eigensystem(self) -> SpectralDecomposition:
         return tridiag_eigensystem(self.m, self.b)
 
+    def inverse(self) -> np.ndarray:
+        """Inverse through the exact eigensystem, ``U diag(1/w) U*``."""
+        dec = self.eigensystem()
+        u = dec.eigenvectors
+        return hermitize(u @ np.diag(1.0 / dec.eigenvalues) @ u.conj().T)
+
 
 @dataclass(frozen=True)
 class PowerToeplitz:
@@ -204,6 +209,17 @@ def power_inverse(m: int, alpha: float) -> np.ndarray:
     diag[0] = diag[-1] = 1.0
     out = np.diag(diag) - alpha * (np.eye(m, k=1) + np.eye(m, k=-1))
     return out / (1.0 - alpha * alpha)
+
+
+# The ground-truth families by kind, each with the name of its parameter,
+# which is also the parameter's key in an experiment config's truth object.
+FAMILIES = {"tridiagonal": ("b", TridiagonalToeplitz), "power": ("alpha", PowerToeplitz)}
+
+
+def _family(kind: str) -> tuple:
+    if kind not in FAMILIES:
+        raise ValueError(f"kind must be {' or '.join(map(repr, FAMILIES))}, got {kind!r}")
+    return FAMILIES[kind]
 
 
 @dataclass(frozen=True)
@@ -318,8 +334,7 @@ def ewens_transform_closedform(family, theta: float) -> np.ndarray:
     assembled matrix agrees with :func:`~singcov.ewens.ewens_estimator`
     to near machine precision, which the verification suite enforces.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    require_theta(theta)
     m = family.m
     delta = (theta + m - 2.0) * (theta + m - 1.0)
     ee = np.ones((m, m)) - np.eye(m)
@@ -356,16 +371,12 @@ def rescaled_symbol(kind: str, param: float, beta: float) -> SymbolFunction:
     is the support of the limiting spectrum, which beta -> infinity takes
     to the raw support and beta -> 0 collapses to {1}.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not (beta >= 0):
+        raise ValueError(f"beta must be >= 0, got {beta}")
     scale = (beta / (beta + 1.0)) ** 2 if math.isfinite(beta) else 1.0
     return SymbolFunction(kind, param, scale)
 
 
-# re-export for callers assembling experiment truths
 def toeplitz_truth(kind: str, m: int, param: float):
-    if kind == "tridiagonal":
-        return TridiagonalToeplitz(m, param)
-    if kind == "power":
-        return PowerToeplitz(m, param)
-    raise ValueError("kind must be 'tridiagonal' or 'power'")
+    """The ``m x m`` member of the family ``kind`` with parameter ``param``."""
+    return _family(kind)[1](m, param)

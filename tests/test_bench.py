@@ -1,6 +1,7 @@
 """Unit tests for the experiment runner, spectrum reports, and CLI."""
 
 import json
+import math
 import pathlib
 import re
 
@@ -82,6 +83,17 @@ class TestConfig:
             make_config(p_grid=[9])
         with pytest.raises(ValueError):
             make_config(truth={"kind": "power"})
+
+    def test_rejects_non_finite_loading_weights(self):
+        with pytest.raises(ValueError, match="loading weights must be finite"):
+            make_config(loading_grid=[[float("nan"), 0.2]])
+
+    @pytest.mark.parametrize("kind, name", [("tridiagonal", "b"), ("power", "alpha")])
+    def test_truth_parameter_key_follows_kind(self, kind, name):
+        config = make_config(truth={"kind": kind, name: 0.25})
+        assert config.to_dict()["truth"] == {"kind": kind, name: 0.25}
+        with pytest.raises(ValueError, match=f"truth lacks its family parameter '{name}'"):
+            make_config(truth={"kind": kind})
 
     def test_rejects_repeated_estimator(self):
         with pytest.raises(ValueError, match="estimators"):
@@ -209,6 +221,15 @@ class TestSpectrumReport:
         for path in paths:
             rows = pathlib.Path(path).read_text().strip().splitlines()
             assert len(rows) >= 2
+
+    def test_constant_symbol_law_is_one_point_mass(self, tmp_path):
+        # b = 0 makes the truth, and every Ewens average of it, the identity
+        config = make_config(truth={"kind": "tridiagonal", "b": 0}, theta_grid=[2.0])
+        paths = bench.spectrum_report(config, tmp_path / "spec")
+        densities = [p for p in map(pathlib.Path, paths) if p.name.startswith("density_")]
+        assert [p.name for p in densities] == ["density_truth.csv", "density_ewens_beta_0.25.csv"]
+        for path in densities:
+            assert path.read_bytes() == b"abscissa,density\r\n1,inf\r\n"
 
 
 class TestVerify:
@@ -370,6 +391,25 @@ class TestCli:
         out = tmp_path / "x"
         assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_experiment_nan_loading_weight_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        doc = dict(BASE, n=3, trials=2, estimators=["loading"], loading_grid=[[math.nan, 0.2]])
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: loading weights must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimate_nan_loading_weight_exit_one(self, tmp_path, capsys):
+        src = tmp_path / "k.csv"
+        save_matrix_csv(src, random_psd(3, 3, 127))
+        out = tmp_path / "o.csv"
+        argv = ["estimate", "--estimator", "loading", "--alpha", "nan", "--beta", "0.2",
+                "--input", str(src), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "error: loading weights must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_spectrum_seed_override(self, tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from singcov import combinatorics
 from singcov.combinatorics import (
     CycleType,
     HookShape,
@@ -116,6 +117,17 @@ class TestSchur:
         # frozen by expanding the monomial sum by hand:
         # x1^2x2^2 + x1^2x3^2 + x2^2x3^2 + x1^2x2x3 + x1x2^2x3 + x1x2x3^2
         assert val == 4 + 9 + 36 + 6 + 12 + 18
+
+    def test_exact_and_coincident_inputs_avoid_power_sum_route(self, monkeypatch):
+        # the bialternant must stay independent of the expansion it checks
+        def refuse(*args):
+            raise AssertionError("schur_bialternant used the power-sum route")
+
+        monkeypatch.setattr(combinatorics, "schur_hook_powersum", refuse)
+        exact = [Fraction(1), Fraction(2), Fraction(3)]
+        assert schur_bialternant(Partition((3, 1)), exact) == 239
+        # s_(2,1)(1, 1, 2) = m_(2,1) + 2 m_(1,1,1) = 14 + 2 * 2
+        assert abs(schur_bialternant(Partition((2, 1)), [1.0, 1.0, 2.0]) - 18.0) <= 1e-12
 
     def test_vanishes_beyond_variable_count(self):
         assert schur_bialternant(Partition((1, 1, 1)), [1.5, 2.5]) == 0

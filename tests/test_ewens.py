@@ -1,6 +1,7 @@
 """Unit tests for permutation- and injection-average estimators."""
 
 import math
+import re
 from itertools import permutations
 
 import numpy as np
@@ -37,6 +38,11 @@ class TestCycleCount:
 
     def test_transposition(self):
         assert cycle_count((1, 0, 2)) == 2
+
+    def test_injection_counts_closed_cycles_only(self):
+        # 0 -> 1 -> 0 closes; 2 -> 4 and 3 -> 2 -> 4 leave 0..3
+        assert cycle_count((1, 0, 4, 2)) == 1
+        assert cycle_count((3, 4, 0, 5)) == 0
 
 
 class TestEwensMeasure:
@@ -133,6 +139,19 @@ class TestInjections:
         for s in enumerate_injections(p, m):
             assert abs(injection_probability(s, 1.0, m) - want) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: enumerate_injections(5, 3),
+            lambda: hybrid_estimator_bruteforce(np.eye(3), 1.0, 5),
+            lambda: hybrid_inverse_bruteforce(np.eye(3), 1.0, 5),
+        ],
+        ids=["enumerate", "hybrid_bruteforce", "inverse_bruteforce"],
+    )
+    def test_rejects_p_above_m(self, call):
+        with pytest.raises(ValueError, match=re.escape("p=5 must lie in [1, 3]")):
+            call()
+
     def test_closed_form_matches_pushforward_enumeration(self):
         for m, p in ((4, 2), (5, 2), (5, 4)):
             for theta in (0.5, 2.0):
@@ -195,6 +214,19 @@ class TestHybridInverse:
                         ref = hybrid_inverse_bruteforce(np.diag(d), theta, p)
                         got = hybrid_inverse_diagonal(d, theta, p)
                         assert np.abs(ref - got).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_diagonal_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="d contains non-finite entries"):
+            hybrid_inverse_diagonal([bad, 1.0], 1.0, 1)
+
+    def test_inductive_step_names_p_range(self):
+        with pytest.raises(ValueError, match=re.escape("p=5 must lie in [1, 3]")):
+            hybrid_inverse_inductive_step(np.eye(3), 1.0, 5, 10, RandomSource(0))
+
+    def test_inductive_step_rejects_indefinite_k(self):
+        with pytest.raises(ValueError, match="k must be positive semidefinite"):
+            hybrid_inverse_inductive_step(-np.eye(3), 1.0, 2, 10, RandomSource(0))
 
     def test_diagonal_rejects_interleaved_zeros(self):
         with pytest.raises(ValueError):

@@ -211,3 +211,10 @@ class TestDiagonalLoading:
             LoadingParameters(-0.1, 0.5)
         with pytest.raises(ValueError):
             LoadingParameters(0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "weights", [(math.nan, 0.2), (math.inf, 0.0), (0.5, math.nan)], ids=["nan", "inf", "beta"]
+    )
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="loading weights must be finite"):
+            LoadingParameters(*weights)

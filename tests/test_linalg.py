@@ -5,10 +5,12 @@ import pytest
 from conftest import random_hermitian, random_psd
 
 from singcov.linalg import (
+    HERMITIAN_TOL,
     EmpiricalSpectralDistribution,
     RandomSource,
     WelfordAccumulator,
     block_pinv_update,
+    default_rank_tol,
     eig_hermitian,
     esd,
     frobenius_norm,
@@ -168,7 +170,7 @@ class TestGaussianCovariance:
         np.testing.assert_allclose(np.mean(draws, axis=0), a, atol=0.05)
 
     def test_rejects_non_psd_truth(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sigma must be positive semidefinite"):
             sample_gaussian_covariance(np.diag([1.0, -0.5]), 3, RandomSource(0))
 
 
@@ -269,6 +271,22 @@ class TestCsvRoundtrip:
         path.write_bytes(text.encode())
         with pytest.raises(ValueError):
             load_matrix_csv(path)
+
+
+def test_hermitian_tolerance_is_the_module_constant():
+    drift = np.array([[1.0, 0.0], [0.0, 1.0]])
+    drift[0, 1] = 0.5 * HERMITIAN_TOL
+    assert np.array_equal(require_hermitian(drift), drift)
+    drift[0, 1] = 2.0 * HERMITIAN_TOL
+    with pytest.raises(ValueError, match=f"within tolerance {HERMITIAN_TOL}"):
+        require_hermitian(drift)
+
+
+def test_rank_tol_reduces_over_last_axis():
+    lam = np.array([[1.0, -4.0, 2.0], [0.0, 0.0, 0.0]])
+    eps = np.finfo(np.float64).eps
+    np.testing.assert_array_equal(default_rank_tol(lam, 3), [[12.0 * eps], [0.0]])
+    np.testing.assert_array_equal(default_rank_tol(lam[0], 3), [12.0 * eps])
 
 
 def test_require_hermitian_rejects_drift():

@@ -6,6 +6,7 @@ import pytest
 from singcov.ewens import ewens_estimator
 from singcov.linalg import esd
 from singcov.toeplitz import (
+    FAMILIES,
     PowerToeplitz,
     SymbolFunction,
     TridiagonalToeplitz,
@@ -41,6 +42,10 @@ class TestTridiagonal:
         closed = np.sort(t.eigensystem().eigenvalues)
         numeric = np.sort(np.linalg.eigvalsh(t.matrix()))
         assert np.abs(closed - numeric).max() <= 1e-12
+
+    def test_inverse_closed_form(self):
+        t = TridiagonalToeplitz(9, 0.4)
+        np.testing.assert_allclose(t.inverse(), np.linalg.inv(t.matrix()), atol=1e-12)
 
     def test_rejects_indefinite_band(self):
         with pytest.raises(ValueError):
@@ -84,6 +89,13 @@ class TestSymbol:
         sym = PowerToeplitz(5, 0.5).symbol()
         rng = sym.range()
         assert abs(rng.lo - 1.0 / 3.0) <= 1e-12 and abs(rng.hi - 3.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kind, param", [("tridiagonal", float("nan")), ("power", float("nan")), ("circulant", 0.3)]
+    )
+    def test_rejects_nan_parameter_and_unknown_kind(self, kind, param):
+        with pytest.raises(ValueError):
+            SymbolFunction(kind, param)
 
     def test_inverse_theta_roundtrip(self):
         for sym in (
@@ -159,6 +171,14 @@ class TestEwensTransform:
         got = ewens_transform_closedform(trid, 3.5)
         assert abs(np.trace(got) - 12.0) <= 1e-10
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "family", [TridiagonalToeplitz(6, 0.3), PowerToeplitz(6, 0.5)], ids=["tridiagonal", "power"]
+    )
+    def test_rejects_non_finite_theta(self, family, theta):
+        with pytest.raises(ValueError, match="theta must be positive and finite"):
+            ewens_transform_closedform(family, theta)
+
 
 class TestScaledRegime:
     def test_support_frozen_values(self):
@@ -173,6 +193,10 @@ class TestScaledRegime:
         assert abs(sup.lo - 1.0 / 3.0) <= 1e-6 and abs(sup.hi - 3.0) <= 1e-6
         sup = rescaled_symbol("tridiagonal", 0.3, 1e9).range()
         assert abs(sup.lo - 0.4) <= 1e-6 and abs(sup.hi - 1.6) <= 1e-6
+
+    def test_rescaled_symbol_rejects_nan_beta(self):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            rescaled_symbol("power", 0.5, float("nan"))
 
     def test_rescaled_symbol_range_equals_support(self):
         # the closed-form support edges, with s = beta^2 / (beta+1)^2
@@ -204,3 +228,12 @@ def test_toeplitz_truth_dispatch():
     assert isinstance(a, PowerToeplitz)
     with pytest.raises(ValueError):
         toeplitz_truth("circulant", 6, 0.5)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_families_table_names_parameter_and_class(kind):
+    name, cls = FAMILIES[kind]
+    family = toeplitz_truth(kind, 5, 0.25)
+    assert type(family) is cls and getattr(family, name) == 0.25
+    assert family.symbol() == SymbolFunction(kind, 0.25)
+    np.testing.assert_allclose(family.inverse() @ family.matrix(), np.eye(5), atol=1e-12)
