@@ -98,6 +98,7 @@ ESTIMATORS = {
         ("theta", "p"),
         lambda k, x, *mc: ew.hybrid_inverse_mc(k, x.theta, x.p, *mc).estimate,
         {"fro_inverse": lambda e, x: e},
+        p_within_rank=True,
     ),
     "covp": Estimator(("p",), lambda k, x, *_: haar.cov_p_closed(k, x.p), _DIRECT),
     # the inverse-compression average estimates p/m times the inverse
@@ -480,11 +481,8 @@ def spectrum_report(config: ExperimentConfig, outdir) -> list:
         # a constant symbol's law is a point mass: the single row "atom,inf"
         path = os.path.join(outdir, name)
         law = tp.limiting_measure(sym)
-        if law.atom is not None:
-            save_density_csv(path, [law.atom], [math.inf])
-        else:
-            grid = _density_grid(sym)
-            save_density_csv(path, grid, law.density(grid))
+        grid = _density_grid(sym) if law.atom is None else [law.atom]
+        save_density_csv(path, grid, law.density(grid))
         paths.append(path)
 
     _emit_law("density_truth.csv", family.symbol())

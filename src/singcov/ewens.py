@@ -25,6 +25,7 @@ from . import haar
 from .haar import MonteCarloEstimate
 from .linalg import (
     RandomSource,
+    _inv_batch_hermitian,
     _pinv_batch_hermitian,
     _psd_root,
     block_pinv_correction,
@@ -190,7 +191,7 @@ def ewens_estimator(k, theta: float) -> np.ndarray:
 
 def ewens_estimator_bruteforce(k, theta: float) -> np.ndarray:
     """Definitional sum over all m! permutations; oracle for the closed form."""
-    k = np.asarray(k, dtype=np.complex128)
+    k = require_hermitian(k, name="k")
     m = k.shape[0]
     require_theta(theta)
     if m > MAX_BRUTE_M:
@@ -302,7 +303,7 @@ def _injection_sum(k, theta: float, p: int, block_map) -> np.ndarray:
 
 def hybrid_estimator_bruteforce(k, theta: float, p: int) -> np.ndarray:
     """Definitional sum over all m!/(m-p)! injections; oracle for the closed form."""
-    return _injection_sum(np.asarray(k, dtype=np.complex128), theta, p, lambda b: b)
+    return _injection_sum(require_hermitian(k, name="k"), theta, p, lambda b: b)
 
 
 def hybrid_inverse_diagonal(d, theta: float, p: int) -> np.ndarray:
@@ -348,13 +349,25 @@ def hybrid_inverse_bruteforce(k, theta: float, p: int) -> np.ndarray:
     )
 
 
-def _scatter_blocks(blocks: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
-    # place each p x p block at rows/cols idx[b] of an m x m zero matrix
-    b, p, _ = blocks.shape
-    out = np.zeros((b, m, m), dtype=np.complex128)
-    rows = np.arange(b)[:, None, None]
-    out[rows, idx[:, :, None], idx[:, None, :]] = blocks
-    return out
+def _fold_blocks(blocks: np.ndarray, idx: np.ndarray, m: int):
+    """The fold, into a :class:`~singcov.linalg.WelfordAccumulator`, of the
+    draws whose ``m x m`` value is zero but for the ``p x p`` block
+    ``blocks[b]`` at rows and columns ``idx[b]``.
+
+    The blocks are scatter-added into per-entry sums over flat indices
+    ``i*m + j``, so no ``m x m`` matrix is built per draw. The batch's sum of
+    squared deviations adds those of the draws that hit an entry to the
+    ``|mean|^2`` that each of the others, a zero there, contributes.
+    """
+    b = len(blocks)
+    flat = (idx[:, :, None] * m + idx[:, None, :]).ravel()
+    values = blocks.ravel()
+    size = m * m
+    hits = np.bincount(flat, minlength=size)
+    mean = (np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)) / b
+    dev = values - mean[flat]
+    m2 = np.bincount(flat, dev.real**2 + dev.imag**2, size) + (b - hits) * np.abs(mean) ** 2
+    return lambda acc: acc.add_moments(b, mean.reshape(m, m), m2.reshape(m, m))
 
 
 def hybrid_inverse_mc(
@@ -363,9 +376,11 @@ def hybrid_inverse_mc(
     """Monte Carlo inverse injection average.
 
     Draws a full Ewens(theta) permutation, keeps the images of 0..p-1
-    (that restriction is exactly the injection law), pseudo-inverts the
-    selected block of K and scatters it back. Welford accumulation
-    provides per-entry standard errors.
+    (that restriction is exactly the injection law), inverts the selected
+    block of K and scatters it back. A block whose Frobenius condition
+    number exceeds ``haar.COND_LIMIT`` is pseudo-inverted instead, as in
+    :func:`~singcov.linalg.pseudoinverse`. Welford accumulation provides
+    per-entry standard errors.
     """
     k = require_hermitian(k, name="k")
     m = k.shape[0]
@@ -374,9 +389,15 @@ def hybrid_inverse_mc(
     def chunk(b, rng):
         idx = sample_ewens_batch(m, theta, b, rng)[:, :p]
         blocks = k[idx[:, :, None], idx[:, None, :]]
-        return _scatter_blocks(_pinv_batch_hermitian(blocks), idx, m), 0
+        inv, cond = _inv_batch_hermitian(blocks)
+        # kappa_2 <= kappa_F, so every block the pseudoinverse would
+        # truncate is among these
+        bad = ~(cond <= haar.COND_LIMIT)
+        if bad.any():
+            inv[bad] = _pinv_batch_hermitian(blocks[bad])
+        return _fold_blocks(inv, idx, m), 0
 
-    return haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=m * m)
+    return haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=p * p)
 
 
 def hybrid_inverse_inductive_step(
@@ -412,13 +433,11 @@ def hybrid_inverse_inductive_step(
 
     def chunk(b, rng):
         idx = sample_ewens_batch(m, theta, b, rng)[:, :p]
-        corr = []
-        for sel in idx:
-            cols = root[:, sel]
-            corr.append(block_pinv_correction(cols[:, : p - 1], cols[:, p - 1]))
-        return _scatter_blocks(np.stack(corr), idx, m), 0
+        cols = np.moveaxis(root[:, idx], 0, 1)  # (b, m, p): the selected columns
+        corr = block_pinv_correction(cols[..., : p - 1], cols[..., p - 1])
+        return _fold_blocks(corr, idx, m), 0
 
-    step = haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=m * m)
+    step = haar._monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=p * p)
     est = base.estimate + step.estimate
     stderr = np.sqrt(np.asarray(base.stderr) ** 2 + np.asarray(step.stderr) ** 2)
     return MonteCarloEstimate(hermitize(est), stderr, min(base.samples, step.samples))

@@ -174,6 +174,29 @@ def _pinv_batch_hermitian(w_batch):
     return np.einsum("...ik,...k,...jk->...ij", u, inv, u.conj(), optimize=True)
 
 
+def _inv_batch_hermitian(w_batch):
+    """Inverses of a stack of Hermitian blocks, each by one LU factorization,
+    and each block's Frobenius condition number ``||W||_F ||W^-1||_F``.
+
+    ``np.linalg.inv`` refuses the whole stack when one block is exactly
+    singular; the stack is then inverted through its eigendecomposition,
+    with zero eigenvalues left out of the inverse and their block's
+    condition number infinite.
+    """
+    w_batch = np.asarray(w_batch, dtype=np.complex128)
+    try:
+        inv = np.linalg.inv(w_batch)
+    except np.linalg.LinAlgError:
+        lam, u = np.linalg.eigh(w_batch)
+        zero = lam == 0
+        inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, lam))
+        inv = np.einsum("...ik,...k,...jk->...ij", u, inv_lam, u.conj(), optimize=True)
+        cond = np.linalg.norm(lam, axis=-1) * np.linalg.norm(inv_lam, axis=-1)
+        return inv, np.where(zero.any(axis=-1), np.inf, cond)
+    cond = np.linalg.norm(w_batch, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+    return inv, cond
+
+
 def block_pinv_correction(a_block, a_col):
     """Correction term in the bordered Gram-matrix pseudoinverse update.
 
@@ -182,48 +205,52 @@ def block_pinv_correction(a_block, a_col):
     returned here. The two analytic branches split on
     ``s = ||a||^2 - a* A A^+ a``, the squared distance from ``a`` to
     range(A): ``s`` is treated as zero when
-    ``|s| <= 1e-10 * (1 + ||a||^2)``.
+    ``|s| <= 1e-10 * (1 + ||a||^2)``. A stack of blocks and columns is
+    corrected pair by pair, each taking its own branch.
 
     Parameters
     ----------
-    a_block : array_like, shape (m, n-1)
+    a_block : array_like, shape (..., m, n-1)
         Existing columns ``A``.
-    a_col : array_like, shape (m,)
+    a_col : array_like, shape (..., m)
         Appended column ``a``.
 
     Returns
     -------
-    numpy.ndarray, shape (n, n)
+    numpy.ndarray, shape (..., n, n)
         Hermitian correction ``E`` with
         ``(M* M)^+ = [[(A* A)^+, 0], [0, 0]] + E``.
     """
     a_block = np.asarray(a_block, dtype=np.complex128)
-    a_col = np.asarray(a_col, dtype=np.complex128).reshape(-1)
-    if a_block.ndim != 2 or a_block.shape[0] != a_col.shape[0]:
+    a_col = np.asarray(a_col, dtype=np.complex128)
+    if a_block.ndim < 2 or a_col.size != math.prod(a_block.shape[:-1]):
         raise ValueError("a_block and a_col have incompatible shapes")
-    n1 = a_block.shape[1]
+    a_col = a_col.reshape(a_block.shape[:-1] + (1,))
     ap = np.linalg.pinv(a_block)
     x = ap @ a_col
-    norm_a2 = float(np.vdot(a_col, a_col).real)
-    s = norm_a2 - float(np.vdot(a_col, a_block @ x).real)
-    e = np.zeros((n1 + 1, n1 + 1), dtype=np.complex128)
-    if abs(s) > 1e-10 * (1.0 + norm_a2):
-        e[:n1, :n1] = np.outer(x, x.conj()) / s
-        e[:n1, n1] = -x / s
-        e[n1, :n1] = -x.conj() / s
-        e[n1, n1] = 1.0 / s
-    else:
-        # a lies in range(A): rank does not grow, rank-two correction.
-        b = ap.conj().T @ (x / (1.0 + float(np.vdot(x, x).real)))
-        y = ap @ b
-        nb2 = float(np.vdot(b, b).real)
-        e[:n1, :n1] = (
-            nb2 * np.outer(x, x.conj()) - np.outer(x, y.conj()) - np.outer(y, x.conj())
-        )
-        e[:n1, n1] = -nb2 * x + y
-        e[n1, :n1] = e[:n1, n1].conj()
-        e[n1, n1] = nb2
-    return hermitize(e)
+    norm_a2 = _squared_norm(a_col)
+    s = norm_a2 - np.real(_adjoint(a_col) @ (a_block @ x))
+    grows = np.abs(s) > 1e-10 * (1.0 + norm_a2)
+    # With v = [x; -1], E = v v*/s when a leaves range(A). Otherwise the
+    # rank does not grow and E = |b|^2 v v* - (v w* + w v*), w = [y; 0].
+    b = _adjoint(ap) @ (x / (1.0 + _squared_norm(x)))
+    y = np.where(grows, 0.0, ap @ b)
+    minus_one = np.full(s.shape, -1.0)
+    v = np.concatenate([x, minus_one], axis=-2)
+    w = np.concatenate([y, np.zeros_like(minus_one)], axis=-2)
+    num = np.where(grows, 1.0, _squared_norm(b))
+    den = np.where(grows, s, 1.0)
+    e = (v @ _adjoint(v)) * num / den - (v @ _adjoint(w) + w @ _adjoint(v))
+    return (e + _adjoint(e)) / 2.0
+
+
+def _adjoint(a):
+    return np.swapaxes(a, -1, -2).conj()
+
+
+def _squared_norm(col):
+    # ||col||^2 of each column vector in a stack, kept as a 1 x 1 matrix
+    return np.sum(np.abs(col) ** 2, axis=(-2, -1), keepdims=True)
 
 
 def block_pinv_update(a_block, a_col):
@@ -346,14 +373,21 @@ class WelfordAccumulator:
         if b == 0:
             return
         bmean = values.mean(axis=0)
-        bm2 = (np.abs(values - bmean) ** 2).sum(axis=0)
-        if self.count == 0:
-            self.count, self.mean, self._m2 = b, bmean.astype(np.complex128), bm2
+        self.add_moments(b, bmean, (np.abs(values - bmean) ** 2).sum(axis=0))
+
+    def add_moments(self, count: int, mean: np.ndarray, m2: np.ndarray):
+        """Fold in a batch given by its size, mean and per-entry sum of
+        squared deviations from that mean (the pairwise merge of Chan,
+        Golub and LeVeque)."""
+        if count == 0:
             return
-        delta = bmean - self.mean
-        total = self.count + b
-        self._m2 = self._m2 + bm2 + np.abs(delta) ** 2 * (self.count * b / total)
-        self.mean = self.mean + delta * (b / total)
+        if self.count == 0:
+            self.count, self.mean, self._m2 = count, mean.astype(np.complex128), m2
+            return
+        delta = mean - self.mean
+        total = self.count + count
+        self._m2 = self._m2 + m2 + np.abs(delta) ** 2 * (self.count * count / total)
+        self.mean = self.mean + delta * (count / total)
         self.count = total
 
     def stderr(self) -> np.ndarray:

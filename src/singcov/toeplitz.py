@@ -228,7 +228,8 @@ class LimitingMeasure:
 
     For a non-degenerate symbol this is an absolutely continuous law on
     the symbol range with density ``(1/pi) / |a'(theta(lam))|``; a
-    constant symbol degenerates to a point mass (``atom``).
+    constant symbol degenerates to a point mass (``atom``), whose density
+    is infinite at the atom and zero elsewhere.
     """
 
     symbol: SymbolFunction
@@ -246,7 +247,7 @@ class LimitingMeasure:
     def density(self, grid) -> np.ndarray:
         grid = np.asarray(grid, dtype=float)
         if self.symbol.is_degenerate:
-            return np.zeros_like(grid)
+            return np.where(grid == self.atom, np.inf, 0.0)
         sup = self.support
         inside = (grid > sup.lo) & (grid < sup.hi)
         out = np.zeros_like(grid)

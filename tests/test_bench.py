@@ -177,6 +177,17 @@ class TestRunExperiment:
         assert "rank" in bad.reason
         assert report.row("sample", "", "fro_direct").valid
 
+    def test_hybrid_inverse_rows_above_rank_are_invalid(self):
+        # K has rank 3: p=3 is scored, p=5 would pseudo-invert singular blocks
+        config = make_config(
+            n=3, estimators=["hybrid_inverse"], theta_grid=[2.0], p_grid=[3, 5], mc_samples=100
+        )
+        report = bench.run_experiment(config)
+        assert report.row("hybrid_inverse", "theta=2,p=3", "fro_inverse").valid
+        bad = report.row("hybrid_inverse", "theta=2,p=5", "fro_inverse")
+        assert not bad.valid
+        assert bad.reason == "p=5 exceeds rank 3 of K"
+
     def test_invcovp_estimates_once_per_trial_and_p(self, monkeypatch):
         estimates = []
         original = haar.invcov_p_mc

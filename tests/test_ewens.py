@@ -26,7 +26,7 @@ from singcov.ewens import (
     injection_probability_enumerated,
     sample_ewens_batch,
 )
-from singcov.linalg import RandomSource
+from singcov.linalg import RandomSource, WelfordAccumulator
 
 
 class TestCycleCount:
@@ -152,6 +152,18 @@ class TestInjections:
         with pytest.raises(ValueError, match=re.escape("p=5 must lie in [1, 3]")):
             call()
 
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda k: ewens_estimator_bruteforce(k, 1.0),
+            lambda k: hybrid_estimator_bruteforce(k, 1.0, 2),
+        ],
+        ids=["ewens", "hybrid"],
+    )
+    def test_bruteforce_oracles_reject_non_square_k(self, oracle):
+        with pytest.raises(ValueError, match=re.escape("k must be square, got shape (3, 2)")):
+            oracle(np.ones((3, 2)))
+
     def test_closed_form_matches_pushforward_enumeration(self):
         for m, p in ((4, 2), (5, 2), (5, 4)):
             for theta in (0.5, 2.0):
@@ -237,6 +249,32 @@ class TestHybridInverse:
         theta, p = 1.6, 2
         ref = hybrid_inverse_bruteforce(k, theta, p)
         mc = hybrid_inverse_mc(k, theta, p, 60000, RandomSource(8))
+        resid = np.abs(mc.estimate - ref)
+        assert (resid <= 5 * np.maximum(mc.stderr, 1e-12)).all()
+
+    def test_mc_matches_dense_welford_on_same_draws(self):
+        # 2000 draws at m=6, p=3 fit one chunk, so the oracle redraws them all
+        # at once and accumulates the scattered m x m stack entry by entry
+        k = random_psd(6, 6, 83)
+        theta, p, n = 1.3, 3, 2000
+        mc = hybrid_inverse_mc(k, theta, p, n, RandomSource(11))
+        idx = sample_ewens_batch(6, theta, n, RandomSource(11))[:, :p]
+        blocks = np.linalg.inv(k[idx[:, :, None], idx[:, None, :]])
+        dense = np.zeros((n, 6, 6), dtype=complex)
+        dense[np.arange(n)[:, None, None], idx[:, :, None], idx[:, None, :]] = blocks
+        acc = WelfordAccumulator()
+        acc.add_batch(dense)
+        want = (acc.mean + acc.mean.conj().T) / 2
+        assert mc.samples == n
+        assert np.abs(mc.estimate - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(mc.stderr - acc.stderr()).max() <= 1e-12 * acc.stderr().max()
+
+    def test_mc_pseudo_inverts_exactly_singular_blocks(self):
+        # blocks that select a zero diagonal entry are exactly singular
+        k = np.diag([2.0, 1.5, 1.0, 0.7, 0.0, 0.0])
+        theta, p = 1.5, 3
+        ref = hybrid_inverse_bruteforce(k, theta, p)
+        mc = hybrid_inverse_mc(k, theta, p, 40000, RandomSource(12))
         resid = np.abs(mc.estimate - ref)
         assert (resid <= 5 * np.maximum(mc.stderr, 1e-12)).all()
 

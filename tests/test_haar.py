@@ -9,6 +9,7 @@ import pytest
 from conftest import random_hermitian, random_psd
 
 from singcov import bench
+from singcov.ewens import hybrid_inverse_mc
 from singcov.haar import (
     _CHUNK_BYTES,
     LoadingParameters,
@@ -72,6 +73,14 @@ class TestInvcov:
         with pytest.raises(RuntimeError):
             invcov_spectrum(k, 4, 2000, rng)
 
+    def test_accepts_p_at_rank_and_rejects_above(self):
+        k = random_psd(6, 3, 9)
+        mc = invcov_p_mc(k, 3, 2000, RandomSource(10))
+        assert mc.samples == 2000
+        assert mc.rejected <= 20
+        with pytest.raises(RuntimeError, match="resampling budget"):
+            invcov_p_mc(k, 4, 2000, RandomSource(10))
+
     def test_preserves_eigenvectors(self, rng):
         k = random_psd(5, 5, 8)
         dec = eig_hermitian(k)
@@ -132,6 +141,19 @@ class TestChunkPlan:
             tracemalloc.stop()
         assert len(spec.lambdas) == 40
         assert peak <= 1.25 * _CHUNK_BYTES, f"peak {peak / 2**20:.0f} MiB"
+
+
+    def test_injection_memory_is_bounded_per_run(self):
+        # one 200 x 200 complex stack per draw would hold 640 kB, 1.3 GB in all
+        k = random_psd(200, 200, 13)
+        tracemalloc.start()
+        try:
+            mc = hybrid_inverse_mc(k, 2.0, 20, 2000, RandomSource(14))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mc.samples == 2000
+        assert peak <= _CHUNK_BYTES, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _dirichlet_trace_moment(d, order):

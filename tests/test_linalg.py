@@ -9,6 +9,8 @@ from singcov.linalg import (
     EmpiricalSpectralDistribution,
     RandomSource,
     WelfordAccumulator,
+    _inv_batch_hermitian,
+    block_pinv_correction,
     block_pinv_update,
     default_rank_tol,
     eig_hermitian,
@@ -60,6 +62,38 @@ class TestWelford:
         sem = np.sqrt(np.abs(data - data.mean(axis=0)) ** 2).std(axis=0)
         var = (np.abs(data - data.mean(axis=0)) ** 2).sum(axis=0) / 499
         np.testing.assert_allclose(acc.stderr(), np.sqrt(var / 500), rtol=1e-10)
+
+
+    def test_add_moments_folds_like_add_batch(self):
+        g = RandomSource(12).generator
+        data = g.standard_normal((300, 2, 2)) + 1j * g.standard_normal((300, 2, 2))
+        batched, folded = WelfordAccumulator(), WelfordAccumulator()
+        for part in (data[:120], data[120:]):
+            batched.add_batch(part)
+            mean = part.mean(axis=0)
+            folded.add_moments(len(part), mean, (np.abs(part - mean) ** 2).sum(axis=0))
+        assert folded.count == batched.count == 300
+        assert np.array_equal(folded.mean, batched.mean)
+        assert np.array_equal(folded.stderr(), batched.stderr())
+        var = (np.abs(data - data.mean(axis=0)) ** 2).sum(axis=0) / 299
+        np.testing.assert_allclose(folded.stderr(), np.sqrt(var / 300), rtol=1e-10)
+
+
+class TestBlockInverse:
+    def test_inverse_and_frobenius_condition(self):
+        w = np.stack([random_psd(4, 4, 13) + np.eye(4), np.diag([1.0, 2.0, 4.0, 1e-3])])
+        inv, cond = _inv_batch_hermitian(w)
+        np.testing.assert_allclose(inv, np.linalg.inv(w), rtol=1e-12)
+        want = [np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) for a in w]
+        np.testing.assert_allclose(cond, want, rtol=1e-12)
+
+    def test_exactly_singular_block_falls_back_to_eigendecomposition(self):
+        w = np.stack([np.diag([2.0, 0.0, 1.0]), random_psd(3, 3, 14) + np.eye(3)])
+        inv, cond = _inv_batch_hermitian(w)
+        assert cond[0] == np.inf
+        np.testing.assert_allclose(inv[0], np.diag([0.5, 0.0, 1.0]), atol=1e-15)
+        np.testing.assert_allclose(inv[1], np.linalg.inv(w[1]), rtol=1e-12)
+        assert np.isfinite(cond[1])
 
 
 class TestHaarSampling:
@@ -124,6 +158,26 @@ class TestBlockPinv:
         got = block_pinv_update(a, np.zeros(5))
         full = np.hstack([a, np.zeros((5, 1))])
         np.testing.assert_allclose(got, np.linalg.pinv(full.conj().T @ full), atol=1e-10)
+
+
+    def test_stack_takes_each_pairs_branch(self):
+        # one stack mixing the independent, dependent and zero-column branches
+        g = RandomSource(7).generator
+        a = g.standard_normal((3, 6, 2)) + 1j * g.standard_normal((3, 6, 2))
+        fresh = g.standard_normal(6) + 1j * g.standard_normal(6)
+        cols = np.stack([fresh, a[1] @ [1.0, -2j], np.zeros(6)])
+        got = block_pinv_correction(a, cols)
+        assert got.shape == (3, 3, 3)
+        for i in range(3):
+            full = np.hstack([a[i], cols[i][:, None]])
+            want = np.linalg.pinv(full.conj().T @ full)
+            want[:2, :2] -= np.linalg.pinv(a[i].conj().T @ a[i])
+            np.testing.assert_allclose(got[i], want, atol=1e-10)
+            np.testing.assert_allclose(got[i], block_pinv_correction(a[i], cols[i]), atol=1e-14)
+
+    def test_rejects_mismatched_column(self):
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            block_pinv_correction(np.ones((4, 2)), np.ones(5))
 
 
 class TestEsd:

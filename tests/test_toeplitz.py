@@ -137,6 +137,14 @@ class TestLimitingMeasure:
             want = float(measure.cdf(xs[-1]) - measure.cdf(xs[0]))
             assert abs(integral - want) <= 1e-6
 
+    def test_constant_symbol_density_is_point_mass(self):
+        # infinite at the atom 1 and zero elsewhere, as spectrum_report writes it
+        sym = SymbolFunction("power", 0.0)
+        grid = [0.5, 1.0, 1.5]
+        want = [0.0, np.inf, 0.0]
+        assert limiting_measure(sym).density(grid).tolist() == want
+        assert limiting_density(sym, grid).tolist() == want
+
     def test_cdf_is_uniform_angle_mass(self):
         # mass below a(theta) equals the fraction of angles above theta
         sym = SymbolFunction("power", 0.4)
