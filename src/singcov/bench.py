@@ -27,11 +27,13 @@ from .linalg import (
     FLOAT_FMT,
     RandomSource,
     block_pinv_update,
-    default_rank_tol,
     esd,
     frobenius_norm,
     hermitize,
+    numeric_rank,
     pseudoinverse,
+    require_p,
+    require_theta,
     sample_gaussian_covariance,
     save_density_csv,
     save_esd_csv,
@@ -80,6 +82,17 @@ class Estimator:
     estimate: Callable | None
     metrics: dict
     p_within_rank: bool = False
+
+
+def rank_error(spec: Estimator, x: Point, eigenvalues) -> str:
+    """Why ``spec`` cannot estimate at ``x`` from a ``K`` with these
+    eigenvalues, or '' when it can: with ``p_within_rank``, ``p`` must not
+    exceed the numeric rank of ``K``. A ``p`` outside ``[1, m]`` raises."""
+    if not spec.p_within_rank:
+        return ""
+    require_p(x.p, len(eigenvalues))
+    rank = numeric_rank(eigenvalues)
+    return f"p={x.p} exceeds rank {rank} of K" if x.p > rank else ""
 
 
 _DIRECT = {"fro_direct": lambda e, x: e}
@@ -187,15 +200,13 @@ class ExperimentConfig:
     trials: int = _key(_int, 10)
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
+        tp.toeplitz_truth(self.truth_kind, self.m, self.truth_param)  # validates m too
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be >= 2")
-        tp.toeplitz_truth(self.truth_kind, self.m, self.truth_param)  # validates
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not self.estimators:
@@ -217,10 +228,10 @@ class ExperimentConfig:
         ):
             if len(set(labels)) < len(labels):
                 raise ValueError(f"{key} entries must have distinct labels, got {list(labels)}")
-        if any(t <= 0 or not math.isfinite(t) for t in self.theta_grid):
-            raise ValueError("theta_grid entries must be positive and finite")
-        if any(not (1 <= p <= self.m) for p in self.p_grid):
-            raise ValueError(f"p_grid entries must lie in [1, {self.m}]")
+        for theta in self.theta_grid:
+            require_theta(theta)
+        for p in self.p_grid:
+            require_p(p, self.m)
         for pair in self.loading_grid:
             haar.LoadingParameters(*pair)  # validates
 
@@ -397,13 +408,13 @@ def _trial_errors(config: ExperimentConfig, trial: int, plan, a, a_inv) -> list:
     base = RandomSource(config.seed).substream(trial)
     k = sample_gaussian_covariance(a, config.n, base.substream(0))
     w = np.linalg.eigvalsh(k)
-    rank = int((w > default_rank_tol(w, config.m)).sum())
     targets = {"fro_direct": a, "fro_inverse": a_inv}
     out = []
     for jobid, job in enumerate(plan):
         spec = ESTIMATORS[job.estimator]
-        if spec.p_within_rank and job.points[0].p > rank:
-            out.append(f"p={job.points[0].p} exceeds rank {rank} of K")
+        reason = rank_error(spec, job.points[0], w)
+        if reason:
+            out.append(reason)
             continue
         rng = base.substream(jobid + 1)
         errors = dict.fromkeys(spec.metrics, math.inf)
@@ -610,7 +621,7 @@ def _suite_haar_moments() -> list:
         coeffs = haar.moment_matrix_coeffs(dvals, p, l)
         pred = coeffs.as_matrix([float(x) for x in dvals])
         phi_rng = rng.substream(10 + l)
-        acc_est = _mc_matrix_moment(d, p, l, 60_000, phi_rng)
+        acc_est = haar._compression_mc(d, p, l, 60_000, phi_rng)
         resid = np.abs(acc_est.estimate - pred)
         z = float((resid / np.maximum(acc_est.stderr, 1e-300)).max())
         checks.append(VerifyCheck(f"matrix moment closed form vs MC (l={l})", z, 5.0))
@@ -619,10 +630,6 @@ def _suite_haar_moments() -> list:
             VerifyCheck(f"trace identity exact (l={l})", float(abs(tr_identity)), 0.0)
         )
     return checks
-
-
-def _mc_matrix_moment(d, p, l, samples, rng):
-    return haar._compression_mc(d, p, l, samples, rng)
 
 
 def _suite_block_pinv() -> list:

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, bench
-from .linalg import RandomSource, load_matrix_csv, save_matrix_csv
+from .linalg import RandomSource, load_matrix_csv, require_hermitian, save_matrix_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,6 +68,10 @@ def _cmd_estimate(args) -> int:
         if getattr(args, name) is None:
             raise ValueError(f"--{name} is required for estimator {args.estimator!r}")
     point = bench.Point(**{name: getattr(args, name) for name in spec.params})
+    if spec.p_within_rank:  # only then are the eigenvalues needed
+        reason = bench.rank_error(spec, point, np.linalg.eigvalsh(require_hermitian(k, "k")))
+        if reason:
+            raise ValueError(reason)
     result = spec.estimate(k, point, args.samples, RandomSource(args.seed))
     save_matrix_csv(args.out, np.asarray(result))
     print(f"wrote {args.out}")

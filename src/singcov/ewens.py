@@ -172,20 +172,19 @@ def ewens_estimator(k, theta: float) -> np.ndarray:
     m = k.shape[0]
     if m == 1:
         return k.copy()
+    d1 = theta + m - 1.0
+    d2 = theta + m - 2.0
+    # each coefficient is a product of ratios bounded in theta, so none
+    # overflows as theta grows: (theta^2-1)/(d1 d2) = (theta-1)/d2 (theta+1)/d1
+    lag = (theta - 1.0) / d2
     diag = np.diag(k)
     tr = diag.sum()
     total = k.sum()
     row = k.sum(axis=1)
     col = k.sum(axis=0)
-    numer = (
-        (theta**2 - 1.0) * k
-        + (theta - 1.0) * k.T
-        + (theta - 1.0)
-        * (row[:, None] + col[None, :] - diag[:, None] - diag[None, :] - 2.0 * k)
-        + (total - tr)
-    )
-    out = numer / ((theta + m - 2.0) * (theta + m - 1.0))
-    out[np.diag_indices(m)] = ((theta - 1.0) * diag + tr) / (theta + m - 1.0)
+    cross = row[:, None] + col[None, :] - diag[:, None] - diag[None, :] - 2.0 * k
+    out = lag * ((theta + 1.0) / d1) * k + lag / d1 * (k.T + cross) + (total - tr) / d2 / d1
+    out[np.diag_indices(m)] = (theta - 1.0) / d1 * diag + tr / d1
     return out
 
 
@@ -253,6 +252,10 @@ def injection_probability_enumerated(images, theta: float, m: int) -> float:
 
 
 def _hybrid_weights(m: int, p: int, theta: float) -> np.ndarray:
+    """Coefficient of each entry of K in the injection average: the
+    probability that a random injection hits both its indices."""
+    if m == 1:
+        return np.ones((1, 1))  # the only injection hits the only index
     d1 = theta + m - 1.0
     d2 = theta + m - 2.0
     w = np.zeros((m, m))
@@ -260,11 +263,11 @@ def _hybrid_weights(m: int, p: int, theta: float) -> np.ndarray:
     both = np.outer(head, head)
     neither = np.outer(~head, ~head)
     mixed = ~both & ~neither
-    w[both] = (theta + p - 1.0) * (theta + p - 2.0) / (d1 * d2)
-    w[mixed] = (p - 1.0) * (theta + p - 1.0) / (d1 * d2)
-    w[neither] = p * (p - 1.0) / (d1 * d2)
-    diag = np.where(head, (theta + p - 1.0) / d1, p / d1)
-    w[np.diag_indices(m)] = diag
+    # products of ratios bounded in theta, so none overflows as theta grows
+    w[both] = (theta + p - 1.0) / d1 * ((theta + p - 2.0) / d2)
+    w[mixed] = (theta + p - 1.0) / d1 * ((p - 1.0) / d2)
+    w[neither] = p / d1 * ((p - 1.0) / d2)
+    w[np.diag_indices(m)] = np.where(head, (theta + p - 1.0) / d1, p / d1)
     return w
 
 
@@ -310,7 +313,8 @@ def hybrid_inverse_diagonal(d, theta: float, p: int) -> np.ndarray:
     """Closed form of the inverse injection average for diagonal input.
 
     For ``D = diag(d_1..d_n, 0..0)`` the average
-    ``E(V_s^T (V_s D V_s^T)^+ V_s)`` is diagonal with entries
+    ``E(V_s^T (V_s D V_s^T)^+ V_s)`` is the coefficient matrix of
+    :func:`hybrid_estimator` times ``D^+``: a diagonal with entries
 
     * ``(theta+p-1)/(theta+m-1) / d_i`` for i < min(p, n),
     * ``p/(theta+m-1) / d_i``          for p <= i < n,
@@ -334,11 +338,9 @@ def hybrid_inverse_diagonal(d, theta: float, p: int) -> np.ndarray:
         raise ValueError("zero entries must trail the nonzero block")
     if n and d[:n].min() <= 0:
         raise ValueError("nonzero block must be strictly positive")
-    out = np.zeros((m, m), dtype=np.complex128)
-    for i in range(n):
-        coef = (theta + p - 1.0) if i < p else float(p)
-        out[i, i] = coef / ((theta + m - 1.0) * d[i])
-    return out
+    inv = np.zeros(m, dtype=np.complex128)
+    inv[:n] = 1.0 / d[:n]
+    return _hybrid_weights(m, p, theta) * np.diag(inv)
 
 
 def hybrid_inverse_bruteforce(k, theta: float, p: int) -> np.ndarray:

@@ -33,9 +33,9 @@ from .linalg import (
     RandomSource,
     WelfordAccumulator,
     _inv_batch_hermitian,
-    default_rank_tol,
     eig_hermitian,
     hermitize,
+    numeric_rank,
     require_hermitian,
     require_p,
     sample_haar_stiefel_batch,
@@ -252,22 +252,21 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     dec = eig_hermitian(k)
     m = len(dec.eigenvalues)
     require_p(p, m)
-    tol = default_rank_tol(dec.eigenvalues, m)
-    rank = int((dec.eigenvalues > tol).sum())
-    d = np.where(dec.eigenvalues > tol, dec.eigenvalues.real, 0.0)
+    # the eigenvalues descend, so those above the rank cutoff come first
+    rank = numeric_rank(dec.eigenvalues)
+    d = dec.eigenvalues.copy()
+    d[rank:] = 0.0
     diag = _compression_mc(d, p, -1, samples, rng).estimate.real
     mu = float(diag[rank:].mean()) if rank < m else float("nan")
     return InvcovSpectrum(diag[:rank].copy(), mu, p)
 
 
-def _factorial_ratio(num_terms, den_terms) -> Fraction:
-    num = 1
-    for t in num_terms:
-        num *= factorial(t)
-    den = 1
-    for t in den_terms:
-        den *= factorial(t)
-    return Fraction(num, den)
+def _hook_prefactor(moment: int, n: int, p: int, j: int) -> Fraction:
+    """Weight ``(-1)^j (N+p-j-1)! (n-j-1)! / ((N+n-j-1)! (p-j-1)!)`` of the
+    hook shape ``(N-j, 1^j)`` in the order ``N`` trace moment."""
+    num = factorial(moment + p - j - 1) * factorial(n - j - 1)
+    den = factorial(moment + n - j - 1) * factorial(p - j - 1)
+    return (-1) ** j * Fraction(num, den)
 
 
 def trace_moment(d, p: int, moment: int):
@@ -297,9 +296,7 @@ def trace_moment(d, p: int, moment: int):
     psums = power_sums(d, moment)
     total = 0
     for j in range(min(p, moment)):
-        coef = (-1) ** j * _factorial_ratio(
-            (moment + p - j - 1, n - j - 1), (moment + n - j - 1, p - j - 1)
-        )
+        coef = _hook_prefactor(moment, n, p, j)
         total = total + coef * schur_hook_powersum(HookShape(moment, j), psums)
     return total
 
@@ -345,13 +342,7 @@ def moment_matrix_coeffs(d, p: int, degree: int) -> MomentCoefficients:
     psums = power_sums(d, big_n)
     coeffs = [0] * big_n
     for j in range(min(p, big_n)):
-        beta = (
-            (-1) ** j
-            * _factorial_ratio(
-                (degree + p - j, n - j - 1), (degree + n - j, p - j - 1)
-            )
-            / (degree + 1)
-        )
+        beta = _hook_prefactor(big_n, n, p, j) / big_n
         per_shape = schur_hook_derivative_coeffs(HookShape(big_n, j), psums)
         for k in range(big_n):
             coeffs[k] = coeffs[k] + beta * per_shape[k]

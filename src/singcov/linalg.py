@@ -153,6 +153,12 @@ def default_rank_tol(eigenvalues, m: int) -> np.ndarray:
     return m * np.finfo(np.float64).eps * top
 
 
+def numeric_rank(eigenvalues) -> int:
+    """Number of eigenvalues of a Hermitian matrix above :func:`default_rank_tol`."""
+    w = np.asarray(eigenvalues)
+    return int((w > default_rank_tol(w, len(w))).sum())
+
+
 def pseudoinverse(k) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a Hermitian matrix.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, hermitize, require_theta
+from .linalg import SpectralDecomposition, default_rank_tol, hermitize, require_theta
 
 __all__ = [
     "TridiagonalToeplitz",
@@ -32,9 +32,6 @@ __all__ = [
     "LimitingMeasure",
     "SupportInterval",
     "tridiag_eigensystem",
-    "power_det",
-    "power_inverse",
-    "limiting_density",
     "limiting_measure",
     "tridiag_t_matrix",
     "power_j_matrix",
@@ -128,10 +125,12 @@ class TridiagonalToeplitz:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("m must be >= 2")
-        # positivity regime: smallest eigenvalue 1 + 2 b cos(pi m / (m+1)) >= 0
-        cap = 1.0 / (2.0 * math.cos(math.pi / (self.m + 1)))
-        if not (0.0 <= self.b <= cap + 1e-12):
-            raise ValueError(f"b must lie in [0, {cap:.6f}] for m={self.m}")
+        # definite regime: of the extreme eigenvalues 1 +- 2 b cos(pi / (m+1)),
+        # the smallest must stay above the rank cutoff; at the cap it is zero
+        c = math.cos(math.pi / (self.m + 1))
+        extremes = np.array([1.0 + 2.0 * self.b * c, 1.0 - 2.0 * self.b * c])
+        if not (self.b >= 0.0 and extremes[1] > default_rank_tol(extremes, self.m)[0]):
+            raise ValueError(f"b must lie in [0, {1.0 / (2.0 * c):.6f}) for m={self.m}")
 
     def matrix(self) -> np.ndarray:
         return np.eye(self.m) + self.b * (np.eye(self.m, k=1) + np.eye(self.m, k=-1))
@@ -170,10 +169,18 @@ class PowerToeplitz:
         return SymbolFunction("power", self.alpha)
 
     def det(self) -> float:
-        return power_det(self.m, self.alpha)
+        """Closed-form determinant ``(1 - alpha^2)^(m-1)``."""
+        return float((1.0 - self.alpha * self.alpha) ** (self.m - 1))
 
     def inverse(self) -> np.ndarray:
-        return power_inverse(self.m, self.alpha)
+        """Closed-form tridiagonal inverse: ``(1 - alpha^2)^{-1}`` times the
+        tridiagonal matrix with diagonal ``(1, 1 + alpha^2, ..., 1 + alpha^2, 1)``
+        and off-diagonals ``-alpha``."""
+        m, alpha = self.m, self.alpha
+        diag = np.full(m, 1.0 + alpha * alpha)
+        diag[0] = diag[-1] = 1.0
+        out = np.diag(diag) - alpha * (np.eye(m, k=1) + np.eye(m, k=-1))
+        return out / (1.0 - alpha * alpha)
 
 
 def tridiag_eigensystem(m: int, b: float) -> SpectralDecomposition:
@@ -189,26 +196,6 @@ def tridiag_eigensystem(m: int, b: float) -> SpectralDecomposition:
     k = np.arange(1, m + 1)
     vecs = np.sin(np.pi * np.outer(k, j) / (m + 1)) * math.sqrt(2.0 / (m + 1))
     return SpectralDecomposition(values, vecs.astype(np.complex128))
-
-
-def power_det(m: int, alpha: float) -> float:
-    """Closed-form determinant ``(1 - alpha^2)^(m-1)``."""
-    PowerToeplitz(m, alpha)
-    return float((1.0 - alpha * alpha) ** (m - 1))
-
-
-def power_inverse(m: int, alpha: float) -> np.ndarray:
-    """Closed-form tridiagonal inverse of the power-decay family.
-
-    ``(1 - alpha^2)^{-1}`` times the tridiagonal matrix with diagonal
-    ``(1, 1 + alpha^2, ..., 1 + alpha^2, 1)`` and off-diagonals
-    ``-alpha``.
-    """
-    PowerToeplitz(m, alpha)
-    diag = np.full(m, 1.0 + alpha * alpha)
-    diag[0] = diag[-1] = 1.0
-    out = np.diag(diag) - alpha * (np.eye(m, k=1) + np.eye(m, k=-1))
-    return out / (1.0 - alpha * alpha)
 
 
 # The ground-truth families by kind, each with the name of its parameter,
@@ -238,17 +225,11 @@ class LimitingMeasure:
     def atom(self):
         return 1.0 if self.symbol.is_degenerate else None
 
-    @property
-    def support(self) -> SupportInterval:
-        if self.symbol.is_degenerate:
-            return SupportInterval(1.0, 1.0)
-        return self.symbol.range()
-
     def density(self, grid) -> np.ndarray:
         grid = np.asarray(grid, dtype=float)
         if self.symbol.is_degenerate:
             return np.where(grid == self.atom, np.inf, 0.0)
-        sup = self.support
+        sup = self.symbol.range()
         inside = (grid > sup.lo) & (grid < sup.hi)
         out = np.zeros_like(grid)
         if inside.any():
@@ -262,7 +243,7 @@ class LimitingMeasure:
         x = np.asarray(x, dtype=float)
         if self.symbol.is_degenerate:
             return (x >= 1.0).astype(float)
-        sup = self.support
+        sup = self.symbol.range()
         out = np.empty_like(x)
         below, above = x <= sup.lo, x >= sup.hi
         out[below], out[above] = 0.0, 1.0
@@ -275,11 +256,6 @@ class LimitingMeasure:
 
 def limiting_measure(sym: SymbolFunction) -> LimitingMeasure:
     return LimitingMeasure(sym)
-
-
-def limiting_density(sym: SymbolFunction, grid) -> np.ndarray:
-    """Density samples of the limiting spectral law on ``grid``."""
-    return LimitingMeasure(sym).density(grid)
 
 
 def tridiag_t_matrix(m: int) -> np.ndarray:
@@ -337,30 +313,35 @@ def ewens_transform_closedform(family, theta: float) -> np.ndarray:
     """
     require_theta(theta)
     m = family.m
-    delta = (theta + m - 2.0) * (theta + m - 1.0)
+    d1 = theta + m - 1.0
+    d2 = theta + m - 2.0
+    # (theta-1)/Delta and 1/Delta as ratios bounded in theta, so no
+    # coefficient overflows as theta grows
+    lag = (theta - 1.0) / d2 / d1
+    inv_delta = 1.0 / d2 / d1
     ee = np.ones((m, m)) - np.eye(m)
     if isinstance(family, TridiagonalToeplitz):
         b = family.b
         band = family.matrix() - np.eye(m)
         return (
             np.eye(m)
-            + (theta**2 + theta - 2.0) / delta * band
-            + b * (theta - 1.0) / delta * tridiag_t_matrix(m)
-            + 2.0 * b * (m - 1.0) / delta * ee
+            + (theta - 1.0) / d2 * ((theta + 2.0) / d1) * band
+            + b * lag * tridiag_t_matrix(m)
+            + 2.0 * b * (m - 1.0) * inv_delta * ee
         )
     if isinstance(family, PowerToeplitz):
         a = family.alpha
         const = (
             2.0
             * a
-            * (a**m - m * a + m - 1.0 - 2.0 * (theta - 1.0) * (a - 1.0))
-            / ((1.0 - a) ** 2 * delta)
+            * ((a**m - m * a + m - 1.0) * inv_delta - 2.0 * (a - 1.0) * lag)
+            / (1.0 - a) ** 2
         )
         return (
             np.eye(m)
-            + (theta**2 - theta) / delta * (family.matrix() - np.eye(m))
+            + theta / d1 * ((theta - 1.0) / d2) * (family.matrix() - np.eye(m))
             + const * ee
-            - (theta - 1.0) / ((1.0 - a) * delta) * power_j_matrix(m, a)
+            - lag / (1.0 - a) * power_j_matrix(m, a)
         )
     raise TypeError("family must be TridiagonalToeplitz or PowerToeplitz")
 

@@ -15,7 +15,7 @@ import numpy as np
 from conftest import random_hermitian, random_psd
 
 from singcov import bench, cli
-from singcov.bench import _mc_matrix_moment
+from singcov.haar import _compression_mc as _mc_matrix_moment
 from singcov.combinatorics import (
     CycleType,
     HookShape,
@@ -55,7 +55,6 @@ from singcov.toeplitz import (
     TridiagonalToeplitz,
     ewens_transform_closedform,
     limiting_measure,
-    power_det,
     tridiag_eigensystem,
 )
 
@@ -327,7 +326,7 @@ def test_c09_toeplitz_spectra():
     for m in range(2, 51):
         for alpha in (0.3, 0.5, 0.8):
             lu = float(np.linalg.det(PowerToeplitz(m, alpha).matrix()))
-            got = power_det(m, alpha)
+            got = PowerToeplitz(m, alpha).det()
             assert abs(got - lu) <= 1e-10 * abs(lu), f"m={m} alpha={alpha}"
 
     # (c) structured transform displays vs the general closed form

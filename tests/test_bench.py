@@ -84,6 +84,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(truth={"kind": "power"})
 
+    def test_grids_use_the_linalg_rules(self):
+        with pytest.raises(ValueError, match="theta must be positive and finite"):
+            make_config(theta_grid=[0.0])
+        with pytest.raises(ValueError, match=re.escape("p=9 must lie in [1, 8]")):
+            make_config(p_grid=[9])
+
     def test_rejects_non_finite_loading_weights(self):
         with pytest.raises(ValueError, match="loading weights must be finite"):
             make_config(loading_grid=[[float("nan"), 0.2]])
@@ -360,7 +366,31 @@ class TestCli:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "ill-conditioned" in err
+        assert err.startswith("error: ") and "p=4 exceeds rank 2 of K" in err
+
+    @pytest.mark.parametrize(
+        "name, flags", [("invcovp", []), ("hybrid_inverse", ["--theta", "2"])]
+    )
+    def test_estimate_rejects_p_above_rank(self, tmp_path, capsys, name, flags):
+        # a rank-3 sample covariance at m = 8: p = 3 runs, p = 5 is refused
+        src = tmp_path / "k.csv"
+        save_matrix_csv(src, random_psd(8, 3, 128))
+        for p, code in (("3", 0), ("5", 1)):
+            out = tmp_path / f"{name}_{p}.csv"
+            argv = ["estimate", "--estimator", name, "--p", p, "--samples", "50",
+                    "--input", str(src), "--out", str(out)]
+            assert cli.main(argv + flags) == code
+            assert out.exists() == (code == 0)
+        assert capsys.readouterr().err == "error: p=5 exceeds rank 3 of K\n"
+
+    def test_estimate_ewens_at_huge_theta_returns_input(self, tmp_path):
+        k = random_psd(5, 5, 129)
+        src, dst = tmp_path / "k.csv", tmp_path / "e.csv"
+        save_matrix_csv(src, k)
+        argv = ["estimate", "--estimator", "ewens", "--theta", "1e200",
+                "--input", str(src), "--out", str(dst)]
+        assert cli.main(argv) == 0
+        np.testing.assert_allclose(load_matrix_csv(dst), k, rtol=1e-15)
 
     def test_experiment_seed_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -411,6 +441,16 @@ class TestCli:
         out = tmp_path / "x"
         assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
         assert "error: loading weights must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_experiment_singular_tridiagonal_truth_exit_one(self, tmp_path, capsys):
+        # at the cap the truth's smallest eigenvalue is zero and its inverse blows up
+        cap = 1.0 / (2.0 * math.cos(math.pi / 9))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(BASE, truth={"kind": "tridiagonal", "b": cap})))
+        out = tmp_path / "x"
+        assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: b must lie in [0, 0.532089) for m=8" in capsys.readouterr().err
         assert not out.exists()
 
     def test_estimate_nan_loading_weight_exit_one(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import random_hermitian, random_psd
 
-from singcov import bench
+from singcov import haar
 from singcov.ewens import hybrid_inverse_mc
 from singcov.haar import (
     _CHUNK_BYTES,
@@ -111,7 +111,7 @@ class TestCompressionCore:
     def test_cov_average_is_first_matrix_moment(self):
         k = random_hermitian(5, 42)
         cov = cov_p_mc(k, 2, 3000, RandomSource(43))
-        moment = bench._mc_matrix_moment(k, 2, 1, 3000, RandomSource(43))
+        moment = haar._compression_mc(k, 2, 1, 3000, RandomSource(43))
         assert np.array_equal(cov.estimate, moment.estimate)
         assert np.array_equal(cov.stderr, moment.stderr)
 

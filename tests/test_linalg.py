@@ -19,6 +19,7 @@ from singcov.linalg import (
     hermitize,
     levy_bound,
     load_matrix_csv,
+    numeric_rank,
     pseudoinverse,
     require_hermitian,
     sample_gaussian_covariance,
@@ -341,6 +342,16 @@ def test_rank_tol_reduces_over_last_axis():
     eps = np.finfo(np.float64).eps
     np.testing.assert_array_equal(default_rank_tol(lam, 3), [[12.0 * eps], [0.0]])
     np.testing.assert_array_equal(default_rank_tol(lam[0], 3), [12.0 * eps])
+
+
+def test_numeric_rank_counts_eigenvalues_above_the_cutoff():
+    # the cutoff is m * eps * max|w| = 12 eps: values below it, negative ones
+    # included, do not count
+    eps = np.finfo(np.float64).eps
+    ascending = np.array([-1e-3, 0.0, 10.0 * eps, 20.0 * eps, 0.5, 2.0])
+    assert numeric_rank(ascending) == 3
+    assert numeric_rank(ascending[::-1]) == 3
+    assert numeric_rank(np.zeros(4)) == 0
 
 
 def test_require_hermitian_rejects_drift():

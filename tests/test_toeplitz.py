@@ -11,10 +11,7 @@ from singcov.toeplitz import (
     SymbolFunction,
     TridiagonalToeplitz,
     ewens_transform_closedform,
-    limiting_density,
     limiting_measure,
-    power_det,
-    power_inverse,
     rescaled_symbol,
     toeplitz_truth,
     tridiag_eigensystem,
@@ -50,6 +47,11 @@ class TestTridiagonal:
     def test_rejects_indefinite_band(self):
         with pytest.raises(ValueError):
             TridiagonalToeplitz(5, 0.7)
+        # at the cap the smallest eigenvalue is zero up to roundoff
+        for m in (8, 10):
+            cap = 1.0 / (2.0 * np.cos(np.pi / (m + 1)))
+            with pytest.raises(ValueError, match=r"b must lie in \[0, 0\.5\d+\)"):
+                TridiagonalToeplitz(m, cap)
 
 
 class TestPower:
@@ -62,14 +64,14 @@ class TestPower:
         for m in (2, 10, 50):
             for alpha in (0.3, 0.5, 0.8):
                 want = np.linalg.det(PowerToeplitz(m, alpha).matrix())
-                got = power_det(m, alpha)
+                got = PowerToeplitz(m, alpha).det()
                 assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_inverse_closed_form(self):
         for m, alpha in ((4, 0.3), (9, 0.6)):
             a = PowerToeplitz(m, alpha)
             np.testing.assert_allclose(
-                power_inverse(m, alpha), np.linalg.inv(a.matrix()), atol=1e-12
+                a.inverse(), np.linalg.inv(a.matrix()), atol=1e-12
             )
             # tridiagonal structure with corner corrections
             inv = a.inverse()
@@ -132,7 +134,7 @@ class TestLimitingMeasure:
             rng = sym.range()
             pad = 0.01 * (rng.hi - rng.lo)
             xs = np.linspace(rng.lo + pad, rng.hi - pad, 40001)
-            dens = limiting_density(sym, xs)
+            dens = measure.density(xs)
             integral = np.trapezoid(dens, xs)
             want = float(measure.cdf(xs[-1]) - measure.cdf(xs[0]))
             assert abs(integral - want) <= 1e-6
@@ -143,7 +145,6 @@ class TestLimitingMeasure:
         grid = [0.5, 1.0, 1.5]
         want = [0.0, np.inf, 0.0]
         assert limiting_measure(sym).density(grid).tolist() == want
-        assert limiting_density(sym, grid).tolist() == want
 
     def test_cdf_is_uniform_angle_mass(self):
         # mass below a(theta) equals the fraction of angles above theta
@@ -164,7 +165,7 @@ class TestLimitingMeasure:
 class TestEwensTransform:
     def test_matches_general_closed_form(self):
         for m in (5, 17):
-            for theta in (0.5, 2.0, 7.0):
+            for theta in (0.5, 2.0, 7.0, 1e200):
                 trid = TridiagonalToeplitz(m, 0.3)
                 got = ewens_transform_closedform(trid, theta)
                 want = ewens_estimator(trid.matrix(), theta)
