@@ -174,16 +174,21 @@ def ewens_estimator(k, theta: float) -> np.ndarray:
         return k.copy()
     d1 = theta + m - 1.0
     d2 = theta + m - 2.0
-    # each coefficient is a product of ratios bounded in theta, so none
-    # overflows as theta grows: (theta^2-1)/(d1 d2) = (theta-1)/d2 (theta+1)/d1
-    lag = (theta - 1.0) / d2
     diag = np.diag(k)
     tr = diag.sum()
-    total = k.sum()
-    row = k.sum(axis=1)
-    col = k.sum(axis=0)
-    cross = row[:, None] + col[None, :] - diag[:, None] - diag[None, :] - 2.0 * k
-    out = lag * ((theta + 1.0) / d1) * k + lag / d1 * (k.T + cross) + (total - tr) / d2 / d1
+    if m == 2:
+        # identity with weight theta/d1, the swap with 1/d1; the general form
+        # divides a cancelled numerator by d2 = theta, losing eps/theta
+        out = theta / d1 * k + k.T / d1
+    else:
+        # each coefficient is a product of ratios bounded in theta, so none
+        # overflows as theta grows: (theta^2-1)/(d1 d2) = (theta-1)/d2 (theta+1)/d1
+        lag = (theta - 1.0) / d2
+        row = k.sum(axis=1)
+        col = k.sum(axis=0)
+        cross = row[:, None] + col[None, :] - diag[:, None] - diag[None, :] - 2.0 * k
+        out = lag * ((theta + 1.0) / d1) * k + lag / d1 * (k.T + cross)
+        out += (k.sum() - tr) / d2 / d1
     out[np.diag_indices(m)] = (theta - 1.0) / d1 * diag + tr / d1
     return out
 

@@ -38,6 +38,7 @@ from .linalg import (
     numeric_rank,
     require_hermitian,
     require_p,
+    sample_complex_gaussian,
     sample_haar_stiefel_batch,
 )
 
@@ -70,9 +71,11 @@ def _chunk_draws(frame: int, block: int, lift: int) -> int:
     """Draws per chunk: the byte budget over the bytes one draw holds.
 
     ``frame``, ``block`` and ``lift`` count the entries of one draw's frame
-    (or injection), compressed matrix and lift. Sampling and lifting hold
-    up to five complex frames at once, the factorization four blocks, and
-    the lift with Welford's deviation pass 40 bytes per lifted entry.
+    (its injection, or the m x p Gaussian basis of the inverse spectrum),
+    compressed matrix and lift. Sampling and lifting hold up to five
+    complex frames at once, the factorization four blocks, and the lift
+    with Welford's deviation pass 40 bytes per lifted entry. Plans with
+    equal sizes cut a run into the same draws, whichever path takes them.
     """
     per_draw = 16 * (5 * frame + 4 * block) + 40 * lift
     return max(1, _CHUNK_BYTES // per_draw)
@@ -132,12 +135,17 @@ class InvcovSpectrum:
 
     The average preserves the eigenvectors of ``K``; nonzero eigenvalues
     ``d_i`` map to ``lambdas[i]`` and the zero eigenvalues map to the
-    common constant ``mu``.
+    common constant ``mu``. ``stderr`` holds the Monte Carlo standard error
+    of each of ``lambdas``, ``samples`` the accepted draws and ``rejected``
+    the ill-conditioned draws that were redrawn.
     """
 
     lambdas: np.ndarray
     mu: float
     p: int
+    stderr: np.ndarray | None = None
+    samples: int = 0
+    rejected: int = 0
 
 
 @dataclass(frozen=True)
@@ -176,20 +184,16 @@ def _compression_mc(
 ) -> MonteCarloEstimate:
     """Monte Carlo mean of ``Phi* (Phi K Phi*)^degree Phi`` over Haar frames.
 
-    ``k`` is a validated Hermitian matrix, lifted in full, or a real
-    vector standing for its diagonal matrix, whose average is diagonal
-    and of which only the real diagonal is lifted. ``degree`` is a positive
-    power or -1, the inverse, which needs an invertible compressed matrix:
-    draws whose compressed matrix has a Frobenius condition number above
-    ``COND_LIMIT`` are rejected and redrawn.
+    ``k`` is a validated Hermitian matrix, lifted in full. ``degree`` is a
+    positive power or -1, the inverse, which needs an invertible compressed
+    matrix: draws whose compressed matrix has a Frobenius condition number
+    above ``COND_LIMIT`` are rejected and redrawn.
     """
     m = k.shape[0]
-    diagonal = k.ndim == 1
-    lift = "bpi,bpq,bqi->bi" if diagonal else "bpi,bpq,bqj->bij"
 
     def chunk(b, rng):
         phi = sample_haar_stiefel_batch(p, m, b, rng)
-        phik = phi * k if diagonal else np.einsum("bpi,ij->bpj", phi, k, optimize=True)
+        phik = np.einsum("bpi,ij->bpj", phi, k, optimize=True)
         w = np.einsum("bpi,bqi->bpq", phik, phi.conj(), optimize=True)
         del phik  # freed, like w below, so the chunk's peak holds neither
         w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
@@ -202,12 +206,74 @@ def _compression_mc(
                 rejected = b - len(phi)
         else:
             w = np.linalg.matrix_power(w, degree)
-        lifted = np.einsum(lift, phi.conj(), w, phi, optimize=True)
-        values = lifted.real if diagonal else lifted
-        return (lambda acc: acc.add_batch(values)), rejected
+        lifted = np.einsum("bpi,bpq,bqj->bij", phi.conj(), w, phi, optimize=True)
+        return (lambda acc: acc.add_batch(lifted)), rejected
 
-    lifted_entries = m if diagonal else m * m
-    return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=lifted_entries)
+    return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
+
+
+def _trace_square(a):
+    """``Re tr(A^2)`` of each matrix in a stack."""
+    return np.einsum("bij,bji->b", a, a).real
+
+
+def _invcov_diagonal_mc(d, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
+    """Monte Carlo mean of the diagonal of ``Phi* (Phi D Phi*)^{-1} Phi``, for
+    the diagonal matrix D of a real nonnegative vector ``d``, without QR.
+
+    The lift depends on Phi only through its row span: for any m x p basis
+    Z of that span it is ``Z W^{-1} Z*`` with ``W = Z* D Z``, whose diagonal
+    is ``Re(z_i W^{-1} z_i*)`` over the rows z_i of Z. For ``2p <= m``, Z is
+    the complex Gaussian matrix that
+    :func:`~singcov.linalg.sample_haar_stiefel_batch` would orthonormalize,
+    drawn from the same stream, so a chunk holds the frames that a sampler
+    chunk of its size would. For ``2p > m`` that Gaussian is too
+    ill-conditioned for its Gram matrix ``G = Z* Z``, and Z is the
+    orthonormal Haar frame itself, with ``G = I``.
+
+    Draws are rejected exactly as in :func:`invcov_p_mc`. ``Phi D Phi*`` is
+    similar to ``G^{-1} W``, so the square of its Frobenius condition
+    number is ``tr((G^{-1} W)^2) tr((W^{-1} G)^2)``. A screen bounds it by
+    ``s ||W^{-1}||_F^2 ||Z||_F^4``, where s sums the p largest ``d_k^2``
+    (Poincare separation: the eigenvalues of a compression of D lie below
+    those of D) and ``||Z||_F^2 >= ||G||_2``. Only the draws whose screen
+    exceeds ``COND_LIMIT`` pay for G and the exact value.
+    """
+    m = len(d)
+    orthonormal = 2 * p > m
+    top_sq = float(np.sort(d * d)[m - p :].sum())
+    limit_sq = COND_LIMIT**2
+    # Z, its conjugate and D Z, made at the first chunk's size (no later chunk
+    # is larger) and reused: allocated afresh, their pages were faulted in
+    # again every chunk, which took a sixth of the run at m=200, p=45.
+    frames = []
+
+    def chunk(b, rng):
+        if not frames:
+            frames.extend(np.empty((b, m, p), dtype=np.complex128) for _ in range(3))
+        z, zc, zd = (f[:b] for f in frames)
+        if orthonormal:
+            np.conjugate(np.swapaxes(sample_haar_stiefel_batch(p, m, b, rng), 1, 2), out=z)
+        else:
+            sample_complex_gaussian((b, m, p), rng, out=z)
+        zh = np.swapaxes(np.conjugate(z, out=zc), 1, 2)
+        w = zh @ np.multiply(z, d[:, None], out=zd)
+        w_inv, cond = _inv_batch_hermitian(w)
+        zf = z.view(np.float64).reshape(b, -1)
+        wf = w_inv.view(np.float64).reshape(b, -1)
+        screen = top_sq * np.einsum("bk,bk->b", wf, wf) * np.einsum("bk,bk->b", zf, zf) ** 2
+        good = np.isfinite(cond)
+        flagged = np.flatnonzero(good & (screen > limit_sq))
+        if len(flagged):
+            g = zh[flagged] @ z[flagged]
+            w_norm_sq = _trace_square(np.linalg.solve(g, w[flagged]))
+            good[flagged] = w_norm_sq * _trace_square(w_inv[flagged] @ g) <= limit_sq
+        # Re(z_i W^-1 z_i*): a real dot of each row of Z W^-1 with that row of Z
+        lift = np.matmul(z, w_inv, out=zd).view(np.float64)
+        values = np.einsum("bij,bij->bi", lift, z.view(np.float64))[good]
+        return (lambda acc: acc.add_batch(values)), b - len(values)
+
+    return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m)
 
 
 def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
@@ -246,8 +312,12 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     eigenvalues (the average commutes with conjugation, so this loses
     nothing). For diagonal input the average is exactly diagonal, so
     only the lifted diagonal is accumulated; that trims the per-draw
-    cost from m^2 p to m p^2 and makes large m practical. Draws are
-    rejected, and the run aborted, as in :func:`invcov_p_mc`.
+    cost from m^2 p to m p^2 and makes large m practical. For ``2p <= m``
+    the draws skip QR: each averages ``Z (Z* D Z)^{-1} Z*`` over the
+    Gaussian basis Z of the frame's row span (see
+    :func:`_invcov_diagonal_mc`). Draws are rejected, and the run aborted,
+    as in :func:`invcov_p_mc`; the result reports the standard errors,
+    the accepted draws and the rejected ones.
     """
     dec = eig_hermitian(k)
     m = len(dec.eigenvalues)
@@ -256,9 +326,12 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     rank = numeric_rank(dec.eigenvalues)
     d = dec.eigenvalues.copy()
     d[rank:] = 0.0
-    diag = _compression_mc(d, p, -1, samples, rng).estimate.real
+    mc = _invcov_diagonal_mc(d, p, samples, rng)
+    diag = mc.estimate.real
     mu = float(diag[rank:].mean()) if rank < m else float("nan")
-    return InvcovSpectrum(diag[:rank].copy(), mu, p)
+    return InvcovSpectrum(
+        diag[:rank].copy(), mu, p, mc.stderr[:rank].copy(), mc.samples, mc.rejected
+    )
 
 
 def _hook_prefactor(moment: int, n: int, p: int, j: int) -> Fraction:

@@ -28,6 +28,7 @@ __all__ = [
     "frobenius_norm",
     "esd",
     "levy_bound",
+    "sample_complex_gaussian",
     "sample_gaussian_covariance",
     "sample_haar_stiefel_batch",
     "save_matrix_csv",
@@ -320,6 +321,23 @@ def levy_bound(a, b) -> float:
     return float((frobenius_norm(a - b) ** 2 / m) ** (1.0 / 3.0))
 
 
+def sample_complex_gaussian(shape, rng: RandomSource, out=None) -> np.ndarray:
+    """Array of independent standard complex Gaussians, whose real and
+    imaginary parts are independent with variance 1/2.
+
+    All real parts are drawn before all imaginary parts, so a seed fixes
+    the array whichever sampler asks for it. ``out``, if given, is a
+    complex array of that shape to write into.
+    """
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    # the product with 1/sqrt(2) rounds as numpy's complex division by sqrt(2)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(rng.generator.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.generator.standard_normal(shape), scale, out=out.imag)
+    return out
+
+
 def sample_gaussian_covariance(sigma, n: int, rng: RandomSource) -> np.ndarray:
     """Sample covariance ``K = (1/n) M M*`` of n standard complex Gaussian
     observations with population covariance ``sigma``.
@@ -342,17 +360,16 @@ def sample_gaussian_covariance(sigma, n: int, rng: RandomSource) -> np.ndarray:
 def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> np.ndarray:
     """Stack of ``count`` Haar-distributed p x m matrices with orthonormal rows.
 
-    Complex Gaussian matrices are orthonormalized by QR; multiplying by
-    the phases of the R diagonal makes the factor unique, which is what
-    turns the QR output into an exactly Haar-distributed point rather
-    than one biased by the factorization convention.
+    The m x p complex Gaussian matrices of :func:`sample_complex_gaussian`
+    are orthonormalized by QR; multiplying by the phases of the R diagonal
+    makes the factor unique, which is what turns the QR output into an
+    exactly Haar-distributed point rather than one biased by the
+    factorization convention.
     """
     require_p(p, m)
     if count < 1:
         raise ValueError("count must be >= 1")
-    g = rng.generator
-    z = (g.standard_normal((count, m, p)) + 1j * g.standard_normal((count, m, p))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(sample_complex_gaussian((count, m, p), rng))
     d = np.einsum("bii->bi", r)
     phase = np.where(np.abs(d) > 0, d / np.where(d == 0, 1.0, np.abs(d)), 1.0)
     q = q * phase[:, None, :]

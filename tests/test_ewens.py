@@ -82,6 +82,13 @@ class TestEwensEstimator:
                 got = ewens_estimator(k, theta)
                 assert np.abs(ref - got).max() <= 1e-12
 
+    @pytest.mark.parametrize("theta", [1e-8, 1e-6, 1e-3, 1.0, 1e3])
+    def test_size_two_matches_bruteforce_to_roundoff(self, theta):
+        # each m = 2 entry is a two-term weighted sum, so small theta loses nothing
+        k = random_hermitian(2, 44)
+        ref = ewens_estimator_bruteforce(k, theta)
+        np.testing.assert_allclose(ewens_estimator(k, theta), ref, rtol=1e-14, atol=0)
+
     def test_limits(self):
         k = random_hermitian(4, 50)
         # huge theta concentrates on the identity permutation; theta^2

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import random_hermitian, random_psd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singcov import haar
 from singcov.ewens import hybrid_inverse_mc
@@ -22,7 +24,12 @@ from singcov.haar import (
     moment_matrix_coeffs,
     trace_moment,
 )
-from singcov.linalg import RandomSource, eig_hermitian
+from singcov.linalg import (
+    RandomSource,
+    eig_hermitian,
+    sample_complex_gaussian,
+    sample_haar_stiefel_batch,
+)
 
 
 class TestCovPClosed:
@@ -98,6 +105,87 @@ class TestInvcov:
         assert spec.mu > 0
         # lambdas for the kernel directions equal mu by construction
         assert np.isfinite(spec.lambdas).all()
+
+
+class TestInvcovSpectrumChunk:
+    def test_gaussian_basis_matches_frames_on_same_draws(self):
+        # m = 40 >= 2p takes the QR-free path; 150 draws fit one chunk of
+        # either path, so both average the same frames
+        d = np.concatenate([np.linspace(3.0, 0.1, 30), np.zeros(10)])
+        spec = invcov_spectrum(np.diag(d), 10, 150, RandomSource(44))
+        full = invcov_p_mc(np.diag(d), 10, 150, RandomSource(44))
+        diag = np.diag(full.estimate).real
+        np.testing.assert_allclose(spec.lambdas, diag[:30], rtol=1e-12)
+        np.testing.assert_allclose(spec.mu, diag[30:].mean(), rtol=1e-12)
+        # the run's noise and draw counts are reported too
+        np.testing.assert_allclose(spec.stderr, np.diag(full.stderr)[:30], rtol=1e-9)
+        assert (spec.samples, spec.rejected) == (full.samples, full.rejected) == (150, 0)
+
+    def test_rejections_match_frame_condition_numbers(self, monkeypatch):
+        m, p, samples, seed = 12, 4, 300, 45
+        d = np.logspace(0, -3, m)
+        rng = RandomSource(seed)
+        frames = sample_haar_stiefel_batch(p, m, samples, rng)
+        # the three rejected draws are redrawn from the same stream
+        redrawn = sample_haar_stiefel_batch(p, m, 3, rng)
+
+        def kappa(phi):
+            w = (phi * d) @ np.swapaxes(phi, 1, 2).conj()
+            w_inv = np.linalg.inv(w)
+            return np.linalg.norm(w, axis=(1, 2)) * np.linalg.norm(w_inv, axis=(1, 2))
+
+        cond = kappa(frames)
+        limit = float(np.sqrt(np.sort(cond)[-4] * np.sort(cond)[-3]))
+        assert (kappa(redrawn) <= limit).all()
+        # the screen s ||W^-1||_F^2 ||Z||_F^4 over the Gaussian bases of these frames
+        z = sample_complex_gaussian((samples, m, p), RandomSource(seed))
+        w_inv = np.linalg.inv(np.swapaxes(z, 1, 2).conj() @ (z * d[:, None]))
+        screen = (
+            np.sort(d**2)[-p:].sum()
+            * (np.abs(w_inv) ** 2).sum(axis=(1, 2))
+            * (np.abs(z) ** 2).sum(axis=(1, 2)) ** 2
+        )
+        assert ((screen > limit**2) & (cond <= limit)).sum() > 10
+
+        monkeypatch.setattr(haar, "COND_LIMIT", limit)
+        spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(seed))
+        full = invcov_p_mc(np.diag(d), p, samples, RandomSource(seed))
+        assert spec.rejected == full.rejected == 3
+        np.testing.assert_allclose(spec.lambdas, np.diag(full.estimate).real, rtol=1e-12)
+
+    def test_full_frame_inverts_ill_conditioned_diagonal(self):
+        # p = m takes the orthonormal frame; the average is then D^-1 itself
+        d = np.logspace(0, -8, 12)
+        spec = invcov_spectrum(np.diag(d), 12, 200, RandomSource(46))
+        np.testing.assert_allclose(spec.lambdas * d, 1.0, rtol=1e-9)
+
+
+@st.composite
+def _spectra(draw):
+    """(d, p): a diagonal with condition number up to 1e8 over its rank,
+    zero-padded to m in [2, 12] and shuffled, and p in {1, rank, m}."""
+    m = draw(st.integers(2, 12))
+    p = draw(st.sampled_from(["one", "rank", "m"]))
+    rank = m if p == "m" else draw(st.integers(1, m))
+    log_kappa = draw(st.floats(0.0, 8.0))
+    d = np.concatenate([np.logspace(0.0, -log_kappa, rank), np.zeros(m - rank)])
+    d = d[draw(st.permutations(range(m)))]
+    return d, {"one": 1, "rank": rank, "m": m}[p]
+
+
+class TestInvcovSpectrumProperties:
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(_spectra())
+    def test_trace_positivity_and_full_frame_limit(self, case):
+        d, p = case
+        spec = invcov_spectrum(np.diag(d), p, 1000, RandomSource(48))
+        nonzero = np.sort(d)[::-1][: len(spec.lambdas)]
+        # tr(D Phi* (Phi D Phi*)^-1 Phi) = p holds draw by draw
+        assert abs(nonzero @ spec.lambdas - p) <= 1e-8 * p
+        assert (spec.lambdas > 0).all()
+        assert len(spec.lambdas) == len(d) or spec.mu > 0
+        if p == len(d):
+            np.testing.assert_allclose(spec.lambdas * nonzero, 1.0, rtol=1e-9)
 
 
 class TestCompressionCore:
