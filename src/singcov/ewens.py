@@ -200,17 +200,10 @@ def ewens_estimator_bruteforce(k, theta: float) -> np.ndarray:
     require_theta(theta)
     if m > MAX_BRUTE_M:
         raise ValueError(f"brute force capped at m <= {MAX_BRUTE_M}")
-    # the weights of ewens_probability, vectorized over the m! permutations
-    table = list(itertools.permutations(range(m)))
-    perms = np.array(table, dtype=np.int64)
-    cycles = np.array([cycle_count(s) for s in table], dtype=np.int64)
-    weights = np.exp(cycles * math.log(theta) - _log_rising(theta, 0, m))
     out = np.zeros((m, m), dtype=np.complex128)
-    step = 50_000
-    for lo in range(0, len(perms), step):
-        chunk = perms[lo : lo + step]
-        gathered = k[chunk[:, :, None], chunk[:, None, :]]
-        out += np.einsum("s,sij->ij", weights[lo : lo + step], gathered)
+    # the permutations are the injections at p = m, with the same masses
+    for _, blocks, weights in _enumerated_blocks(k, theta, m):
+        out += np.einsum("s,sij->ij", weights, blocks)
     return out
 
 
@@ -239,9 +232,13 @@ def injection_probability(images, theta: float, m: int) -> float:
     """
     images = Injection(m, tuple(images)).images
     require_theta(theta)
-    p = len(images)
-    logp = cycle_count(images) * math.log(theta) - _log_rising(theta, m - p, m)
-    return math.exp(logp)
+    return math.exp(_log_injection_mass(cycle_count(images), theta, m, len(images)))
+
+
+def _log_injection_mass(closed, theta: float, m: int, p: int):
+    """``log(theta^c / ((theta+m-p) ... (theta+m-1)))`` for a closed-cycle
+    count c, or for each of an array of them."""
+    return closed * math.log(theta) - _log_rising(theta, m - p, m)
 
 
 def injection_probability_enumerated(images, theta: float, m: int) -> float:
@@ -299,19 +296,53 @@ def hybrid_estimator(k, theta: float, p: int) -> np.ndarray:
     return _hybrid_weights(m, p, theta) * k
 
 
-def _injection_sum(k, theta: float, p: int, block_map) -> np.ndarray:
-    # sum over all injections s of mu(s) V_s^T block_map(V_s K V_s^T) V_s
+def _terms_per_chunk(p: int) -> int:
+    """Injections enumerated per chunk: one term holds what one draw of
+    :func:`hybrid_inverse_mc` holds, with its p images for a frame."""
+    return haar._chunk_draws(frame=p, block=p * p, lift=p * p)
+
+
+def _enumerated_blocks(k, theta: float, p: int):
+    """The injections of 0..p-1 into the indices of ``k``, chunk by chunk.
+
+    Yields ``(idx, blocks, weights)``: the images of each injection s of the
+    chunk, its selected block ``V_s K V_s^T`` and its mass. A mass depends
+    only on the closed-cycle count, so it is taken from a table over
+    0..p cycles.
+    """
     m = k.shape[0]
-    out = np.zeros((m, m), dtype=np.complex128)
-    for images in enumerate_injections(p, m):
-        idx = np.ix_(images, images)
-        out[idx] += injection_probability(images, theta, m) * block_map(k[idx])
-    return out
+    terms = enumerate_injections(p, m)
+    require_theta(theta)
+    mass = np.exp(_log_injection_mass(np.arange(p + 1), theta, m, p))
+    size = _terms_per_chunk(p)
+    while chunk := list(itertools.islice(terms, size)):
+        idx = np.array(chunk, dtype=np.int64)
+        cycles = np.fromiter(map(cycle_count, chunk), dtype=np.int64, count=len(chunk))
+        yield idx, k[idx[:, :, None], idx[:, None, :]], mass[cycles]
+
+
+def _injection_sum(k, theta: float, p: int, block_map) -> np.ndarray:
+    """``sum_s mu(s) V_s^T block_map(V_s K V_s^T) V_s`` over all injections s.
+
+    ``block_map`` maps a stack of selected blocks to a stack of blocks. The
+    weighted blocks of a chunk are scatter-added into the m x m sum over flat
+    indices ``i*m + j``, as in :func:`_fold_blocks`.
+    """
+    m = k.shape[0]
+    size = m * m
+    re = np.zeros(size)
+    im = np.zeros(size)
+    for idx, blocks, weights in _enumerated_blocks(k, theta, p):
+        values = (block_map(blocks) * weights[:, None, None]).ravel()
+        flat = (idx[:, :, None] * m + idx[:, None, :]).ravel()
+        re += np.bincount(flat, values.real, size)
+        im += np.bincount(flat, values.imag, size)
+    return (re + 1j * im).reshape(m, m)
 
 
 def hybrid_estimator_bruteforce(k, theta: float, p: int) -> np.ndarray:
     """Definitional sum over all m!/(m-p)! injections; oracle for the closed form."""
-    return _injection_sum(require_hermitian(k, name="k"), theta, p, lambda b: b)
+    return _injection_sum(require_hermitian(k, name="k"), theta, p, lambda blocks: blocks)
 
 
 def hybrid_inverse_diagonal(d, theta: float, p: int) -> np.ndarray:
@@ -351,9 +382,7 @@ def hybrid_inverse_diagonal(d, theta: float, p: int) -> np.ndarray:
 def hybrid_inverse_bruteforce(k, theta: float, p: int) -> np.ndarray:
     """Definitional inverse-side sum ``sum_s mu(s) V_s^T (V_s K V_s^T)^+ V_s``."""
     k = require_hermitian(k, name="k")
-    return hermitize(
-        _injection_sum(k, theta, p, lambda block: _pinv_batch_hermitian(block[None])[0])
-    )
+    return hermitize(_injection_sum(k, theta, p, _pinv_batch_hermitian))
 
 
 def _fold_blocks(blocks: np.ndarray, idx: np.ndarray, m: int):

@@ -33,6 +33,7 @@ from .linalg import (
     RandomSource,
     WelfordAccumulator,
     _inv_batch_hermitian,
+    _squared_frobenius,
     eig_hermitian,
     hermitize,
     numeric_rank,
@@ -259,9 +260,7 @@ def _invcov_diagonal_mc(d, p: int, samples: int, rng: RandomSource) -> MonteCarl
         zh = np.swapaxes(np.conjugate(z, out=zc), 1, 2)
         w = zh @ np.multiply(z, d[:, None], out=zd)
         w_inv, cond = _inv_batch_hermitian(w)
-        zf = z.view(np.float64).reshape(b, -1)
-        wf = w_inv.view(np.float64).reshape(b, -1)
-        screen = top_sq * np.einsum("bk,bk->b", wf, wf) * np.einsum("bk,bk->b", zf, zf) ** 2
+        screen = top_sq * _squared_frobenius(w_inv) * _squared_frobenius(z) ** 2
         good = np.isfinite(cond)
         flagged = np.flatnonzero(good & (screen > limit_sq))
         if len(flagged):
@@ -293,6 +292,15 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
     ``MAX_REJECT_FRACTION`` of the requested sample count the run aborts,
     since that signals p exceeding the numerically effective rank.
 
+    For a singular K of rank r < m, the lift on the kernel of K averages
+    ``tr((Z_r* D_r Z_r)^{-1})`` over an r x p complex Gaussian ``Z_r``,
+    where ``D_r`` holds the nonzero eigenvalues: within constant factors,
+    the trace of a complex inverse Wishart matrix. Its mean is infinite at
+    ``p = r``, so the estimate is then a truncated, seed-dependent average
+    of a divergent expectation, and no rejected draw signals it. At
+    ``p = r - 1`` the mean is finite but the second moment is not, so
+    ``stderr`` is no valid error bar.
+
     Returns
     -------
     MonteCarloEstimate
@@ -318,6 +326,12 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     :func:`_invcov_diagonal_mc`). Draws are rejected, and the run aborted,
     as in :func:`invcov_p_mc`; the result reports the standard errors,
     the accepted draws and the rejected ones.
+
+    For a singular K of rank r < m, the exact ``mu`` is infinite at
+    ``p = r``, while the Monte Carlo value is finite, depends on the seed
+    and comes with no rejected draw. At ``p = r - 1`` the exact ``mu`` is
+    finite, but the second moment is not, so ``stderr`` is no valid error
+    bar (see :func:`invcov_p_mc`).
     """
     dec = eig_hermitian(k)
     m = len(dec.eigenvalues)

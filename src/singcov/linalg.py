@@ -178,7 +178,20 @@ def _pinv_batch_hermitian(w_batch):
     lam, u = np.linalg.eigh(w_batch)
     cut = default_rank_tol(lam, m)
     inv = np.where(np.abs(lam) > cut, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
-    return np.einsum("...ik,...k,...jk->...ij", u, inv, u.conj(), optimize=True)
+    return _spectral_product(u, inv)
+
+
+def _spectral_product(u, x):
+    """``U diag(x) U*`` for each matrix U of the stack ``u`` and the matching
+    real vector x of ``x``."""
+    return (u * x[..., None, :]) @ _adjoint(u)
+
+
+def _squared_frobenius(a):
+    """``||A||_F^2`` of each matrix in a complex stack, as a real dot of each
+    matrix's float64 view with itself."""
+    f = np.ascontiguousarray(a).view(np.float64).reshape(a.shape[:-2] + (-1,))
+    return np.einsum("...k,...k->...", f, f)
 
 
 def _inv_batch_hermitian(w_batch):
@@ -197,11 +210,9 @@ def _inv_batch_hermitian(w_batch):
         lam, u = np.linalg.eigh(w_batch)
         zero = lam == 0
         inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, lam))
-        inv = np.einsum("...ik,...k,...jk->...ij", u, inv_lam, u.conj(), optimize=True)
         cond = np.linalg.norm(lam, axis=-1) * np.linalg.norm(inv_lam, axis=-1)
-        return inv, np.where(zero.any(axis=-1), np.inf, cond)
-    cond = np.linalg.norm(w_batch, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
-    return inv, cond
+        return _spectral_product(u, inv_lam), np.where(zero.any(axis=-1), np.inf, cond)
+    return inv, np.sqrt(_squared_frobenius(w_batch) * _squared_frobenius(inv))
 
 
 def block_pinv_correction(a_block, a_col):

@@ -2,12 +2,14 @@
 
 import math
 import re
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 from conftest import random_hermitian, random_psd
 
+from singcov import ewens
 from singcov.ewens import (
     Injection,
     Permutation,
@@ -26,6 +28,7 @@ from singcov.ewens import (
     injection_probability_enumerated,
     sample_ewens_batch,
 )
+from singcov.haar import _CHUNK_BYTES
 from singcov.linalg import RandomSource, WelfordAccumulator
 
 
@@ -298,6 +301,60 @@ class TestHybridInverse:
         direct = hybrid_inverse_bruteforce(k, theta, 3)
         resid = np.abs(step.estimate - direct)
         assert (resid <= 6 * np.maximum(step.stderr, 1e-12)).all()
+
+
+class TestBatchedEnumeration:
+    # 8!/2! = 20160 injections of 6 indices into 8, more than one chunk holds
+    M, P = 8, 6
+
+    def test_hybrid_bruteforce_across_chunks(self):
+        assert math.perm(self.M, self.P) > ewens._terms_per_chunk(self.P)
+        k = random_hermitian(self.M, 90)
+        for theta in (0.7, 3.0):
+            ref = hybrid_estimator_bruteforce(k, theta, self.P)
+            assert np.abs(ref - hybrid_estimator(k, theta, self.P)).max() <= 1e-12
+
+    def test_inverse_bruteforce_across_chunks_pseudo_inverts(self):
+        # rank 5 < p, so every selected block is singular
+        d = np.array([1.9, 0.8, 1.4, 0.6, 1.1, 0.0, 0.0, 0.0])
+        for theta in (0.8, 2.5):
+            ref = hybrid_inverse_bruteforce(np.diag(d), theta, self.P)
+            assert np.abs(ref - hybrid_inverse_diagonal(d, theta, self.P)).max() <= 1e-12
+
+    def test_inverse_bruteforce_factors_each_chunk_once(self, monkeypatch):
+        sizes = []
+        pinv = ewens._pinv_batch_hermitian
+
+        def counting(blocks):
+            sizes.append(len(blocks))
+            return pinv(blocks)
+
+        monkeypatch.setattr(ewens, "_pinv_batch_hermitian", counting)
+        hybrid_inverse_bruteforce(random_psd(self.M, self.M, 91), 1.2, self.P)
+        per_chunk = ewens._terms_per_chunk(self.P)
+        assert len(sizes) == math.ceil(math.perm(self.M, self.P) / per_chunk)
+        assert sum(sizes) == math.perm(self.M, self.P)
+        assert max(sizes) == per_chunk
+
+    def test_chunk_masses_match_injection_probability(self):
+        m, p, theta = 5, 3, 1.7
+        k = random_hermitian(m, 92)
+        for idx, blocks, weights in ewens._enumerated_blocks(k, theta, p):
+            want = [injection_probability(s, theta, m) for s in idx]
+            np.testing.assert_allclose(weights, want, rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(blocks, [k[np.ix_(s, s)] for s in idx])
+
+    def test_ewens_bruteforce_memory_is_bounded_per_chunk(self):
+        # all 8! permutations' 8 x 8 blocks at once would hold 41 MB
+        k = random_hermitian(self.M, 93)
+        tracemalloc.start()
+        try:
+            ref = ewens_estimator_bruteforce(k, 1.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * _CHUNK_BYTES, f"peak {peak / 2**20:.0f} MiB"
+        assert np.abs(ref - ewens_estimator(k, 1.4)).max() <= 1e-12
 
 
 class TestWrappers:

@@ -88,6 +88,15 @@ class TestBlockInverse:
         want = [np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) for a in w]
         np.testing.assert_allclose(cond, want, rtol=1e-12)
 
+    def test_frobenius_condition_of_strided_stack(self):
+        # the conjugate transposes of a stack are a view with swapped strides
+        w = np.stack([random_hermitian(4, 15 + i) + 5 * np.eye(4) for i in range(3)])
+        w = np.swapaxes(w.conj(), 1, 2)
+        assert not w.flags.c_contiguous
+        _, cond = _inv_batch_hermitian(w)
+        want = [np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) for a in w]
+        np.testing.assert_allclose(cond, want, rtol=1e-12)
+
     def test_exactly_singular_block_falls_back_to_eigendecomposition(self):
         w = np.stack([np.diag([2.0, 0.0, 1.0]), random_psd(3, 3, 14) + np.eye(3)])
         inv, cond = _inv_batch_hermitian(w)
