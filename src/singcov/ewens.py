@@ -27,8 +27,6 @@ from .linalg import (
     RandomSource,
     _inv_batch_hermitian,
     _pinv_batch_hermitian,
-    _psd_root,
-    block_pinv_correction,
     hermitize,
     require_finite,
     require_hermitian,
@@ -52,12 +50,9 @@ __all__ = [
     "hybrid_inverse_diagonal",
     "hybrid_inverse_bruteforce",
     "hybrid_inverse_mc",
-    "hybrid_inverse_inductive_step",
 ]
 
-# enumeration budgets: full group at m <= 9, injection families capped
-# by term count
-MAX_BRUTE_M = 9
+# enumeration budget in terms: it caps the full group at m <= 9 (9! = 362,880)
 MAX_INJECTION_TERMS = 500_000
 MAX_COMPLETION_DEGREE = 8
 
@@ -103,18 +98,28 @@ class Injection:
 def cycle_count(images) -> int:
     """Number of closed cycles of the map ``i -> images[i]`` on 0..p-1: all
     cycles of a permutation; an injection's paths that leave 0..p-1 stay open."""
-    p = len(images)
-    seen = [False] * p
-    closed = 0
-    for start in range(p):
-        if seen[start]:
-            continue
-        j = start
-        while j < p and not seen[j]:
-            seen[j] = True
-            j = images[j]
-        closed += j == start
-    return closed
+    return int(_closed_cycles(np.array([images], dtype=np.int64))[0])
+
+
+def _closed_cycles(rows: np.ndarray) -> np.ndarray:
+    """:func:`cycle_count` of each row of a ``(b, p)`` image array.
+
+    All p walks of a row advance together, one flat gather per round for p
+    rounds. Images outside 0..p-1 lead to a sink column p that leads to
+    itself, so after p rounds every open path sits in the sink and every
+    walk on a closed cycle has been round it. A cycle is counted once, at
+    its least element: the start that no step of its walk went below.
+    """
+    b, p = rows.shape
+    width = p + 1
+    base = np.arange(0, b * width, width)[:, None]  # flat offset of each row
+    step = (np.concatenate([np.minimum(rows, p), np.full((b, 1), p)], axis=1) + base).ravel()
+    start = base + np.arange(p)
+    walk = low = start
+    for _ in range(p):
+        walk = step[walk]
+        low = np.minimum(low, walk)
+    return ((walk - base < p) & (low == start)).sum(axis=1)
 
 
 def _log_rising(theta: float, start: int, stop: int) -> float:
@@ -198,8 +203,6 @@ def ewens_estimator_bruteforce(k, theta: float) -> np.ndarray:
     k = require_hermitian(k, name="k")
     m = k.shape[0]
     require_theta(theta)
-    if m > MAX_BRUTE_M:
-        raise ValueError(f"brute force capped at m <= {MAX_BRUTE_M}")
     out = np.zeros((m, m), dtype=np.complex128)
     # the permutations are the injections at p = m, with the same masses
     for _, blocks, weights in _enumerated_blocks(k, theta, m):
@@ -317,8 +320,7 @@ def _enumerated_blocks(k, theta: float, p: int):
     size = _terms_per_chunk(p)
     while chunk := list(itertools.islice(terms, size)):
         idx = np.array(chunk, dtype=np.int64)
-        cycles = np.fromiter(map(cycle_count, chunk), dtype=np.int64, count=len(chunk))
-        yield idx, k[idx[:, :, None], idx[:, None, :]], mass[cycles]
+        yield idx, k[idx[:, :, None], idx[:, None, :]], mass[_closed_cycles(idx)]
 
 
 def _injection_sum(k, theta: float, p: int, block_map) -> np.ndarray:
@@ -435,45 +437,3 @@ def hybrid_inverse_mc(
 
     return haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=p * p)
 
-
-def hybrid_inverse_inductive_step(
-    k,
-    theta: float,
-    p: int,
-    samples: int,
-    rng: RandomSource,
-    base: MonteCarloEstimate | None = None,
-) -> MonteCarloEstimate:
-    """Inverse injection average built by the bordered-pseudoinverse recursion.
-
-    The selected block for p columns is the Gram matrix of the block for
-    p - 1 columns extended by one column, so its pseudoinverse is the
-    zero-padded smaller pseudoinverse plus the rank-one-or-two
-    correction of :func:`~singcov.linalg.block_pinv_correction`. The
-    estimate is therefore the p - 1 average (``base``, estimated fresh
-    when not supplied) plus the Monte Carlo average of the scattered
-    corrections. The restriction consistency this relies on (dropping
-    the last column of a p-injection gives the (p-1)-injection law) is
-    exercised by the tests rather than assumed silently.
-    """
-    # factor K = R* R so each selected block is a Gram matrix of columns of R
-    u, s = _psd_root(k, "k")
-    root = np.diag(s) @ u.conj().T
-    m = len(s)
-    require_p(p, m)
-    if p < 2:
-        raise ValueError("the inductive step needs p >= 2")
-    if base is None:
-        base = hybrid_inverse_mc(k, theta, p - 1, samples, rng.substream(0))
-        rng = rng.substream(1)
-
-    def chunk(b, rng):
-        idx = sample_ewens_batch(m, theta, b, rng)[:, :p]
-        cols = np.moveaxis(root[:, idx], 0, 1)  # (b, m, p): the selected columns
-        corr = block_pinv_correction(cols[..., : p - 1], cols[..., p - 1])
-        return _fold_blocks(corr, idx, m), 0
-
-    step = haar._monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=p * p)
-    est = base.estimate + step.estimate
-    stderr = np.sqrt(np.asarray(base.stderr) ** 2 + np.asarray(step.stderr) ** 2)
-    return MonteCarloEstimate(hermitize(est), stderr, min(base.samples, step.samples))

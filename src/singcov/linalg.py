@@ -65,16 +65,6 @@ def require_hermitian(a, name="matrix"):
     return a
 
 
-def _psd_root(a, name):
-    """``(u, s)`` with ``u diag(s**2) u* = a`` for a PSD matrix ``a``; eigenvalues
-    within ``HERMITIAN_TOL`` below zero are clipped to zero."""
-    a = require_hermitian(a, name=name)
-    w, u = np.linalg.eigh(a)
-    if w.size and w.min() < -HERMITIAN_TOL * max(1.0, float(np.abs(w).max())):
-        raise ValueError(f"{name} must be positive semidefinite")
-    return u, np.sqrt(np.clip(w, 0.0, None))
-
-
 def require_p(p: int, m: int):
     """A compression or injection size p must lie in [1, m]."""
     if not (1 <= p <= m):
@@ -358,11 +348,15 @@ def sample_gaussian_covariance(sigma, n: int, rng: RandomSource) -> np.ndarray:
     ``E K = sigma``. For ``n < m`` the result is singular of rank at
     most n.
     """
-    u, s = _psd_root(sigma, "sigma")
+    sigma = require_hermitian(sigma, name="sigma")
+    w, u = np.linalg.eigh(sigma)
+    # eigenvalues within HERMITIAN_TOL below zero are clipped to zero
+    if w.size and w.min() < -HERMITIAN_TOL * max(1.0, float(np.abs(w).max())):
+        raise ValueError("sigma must be positive semidefinite")
     if n < 1:
         raise ValueError("n must be >= 1")
-    root = u @ np.diag(s) @ u.conj().T
-    m = len(s)
+    root = u @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    m = len(w)
     g = rng.generator.standard_normal((m, n)) + 1j * rng.generator.standard_normal((m, n))
     obs = root @ (g / np.sqrt(2.0))
     return hermitize(obs @ obs.conj().T / n)

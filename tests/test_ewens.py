@@ -22,7 +22,6 @@ from singcov.ewens import (
     hybrid_estimator_bruteforce,
     hybrid_inverse_bruteforce,
     hybrid_inverse_diagonal,
-    hybrid_inverse_inductive_step,
     hybrid_inverse_mc,
     injection_probability,
     injection_probability_enumerated,
@@ -46,6 +45,28 @@ class TestCycleCount:
         # 0 -> 1 -> 0 closes; 2 -> 4 and 3 -> 2 -> 4 leave 0..3
         assert cycle_count((1, 0, 4, 2)) == 1
         assert cycle_count((3, 4, 0, 5)) == 0
+
+    def test_chunk_count_matches_scalar_walk(self):
+        def walk(images):
+            # the reference: mark each path once, count the walks that close
+            p = len(images)
+            seen = [False] * p
+            closed = 0
+            for start in range(p):
+                if seen[start]:
+                    continue
+                j = start
+                while j < p and not seen[j]:
+                    seen[j] = True
+                    j = images[j]
+                closed += j == start
+            return closed
+
+        for m in range(1, 8):
+            for p in range(1, m + 1):
+                rows = np.array(list(permutations(range(m), p)), dtype=np.int64)
+                want = [walk(tuple(row)) for row in rows]
+                assert ewens._closed_cycles(rows).tolist() == want
 
 
 class TestEwensMeasure:
@@ -118,6 +139,11 @@ class TestEwensEstimator:
         k[1, 1] = np.nan
         with pytest.raises(ValueError, match="k contains non-finite entries"):
             ewens_estimator(k, 2.0)
+
+    def test_bruteforce_stops_at_the_enumeration_budget(self):
+        # 10! = 3,628,800 permutations exceed the 500,000-term budget
+        with pytest.raises(ValueError, match="enumeration budget"):
+            ewens_estimator_bruteforce(np.eye(10), 1.0)
 
     def test_mc_average_converges_to_closed_form(self):
         # direct check that the closed form is the measure average
@@ -246,14 +272,6 @@ class TestHybridInverse:
         with pytest.raises(ValueError, match="d contains non-finite entries"):
             hybrid_inverse_diagonal([bad, 1.0], 1.0, 1)
 
-    def test_inductive_step_names_p_range(self):
-        with pytest.raises(ValueError, match=re.escape("p=5 must lie in [1, 3]")):
-            hybrid_inverse_inductive_step(np.eye(3), 1.0, 5, 10, RandomSource(0))
-
-    def test_inductive_step_rejects_indefinite_k(self):
-        with pytest.raises(ValueError, match="k must be positive semidefinite"):
-            hybrid_inverse_inductive_step(-np.eye(3), 1.0, 2, 10, RandomSource(0))
-
     def test_diagonal_rejects_interleaved_zeros(self):
         with pytest.raises(ValueError):
             hybrid_inverse_diagonal(np.array([1.0, 0.0, 2.0]), 1.0, 1)
@@ -291,16 +309,6 @@ class TestHybridInverse:
         mc = hybrid_inverse_mc(k, theta, p, 40000, RandomSource(12))
         resid = np.abs(mc.estimate - ref)
         assert (resid <= 5 * np.maximum(mc.stderr, 1e-12)).all()
-
-    def test_inductive_step_matches_direct(self):
-        # growing p by one column agrees with the direct estimate
-        k = random_psd(4, 4, 82)
-        theta = 2.0
-        base = hybrid_inverse_mc(k, theta, 2, 50000, RandomSource(9))
-        step = hybrid_inverse_inductive_step(k, theta, 3, 50000, RandomSource(10), base=base)
-        direct = hybrid_inverse_bruteforce(k, theta, 3)
-        resid = np.abs(step.estimate - direct)
-        assert (resid <= 6 * np.maximum(step.stderr, 1e-12)).all()
 
 
 class TestBatchedEnumeration:
