@@ -210,15 +210,39 @@ def ewens_estimator_bruteforce(k, theta: float) -> np.ndarray:
     return out
 
 
-def enumerate_injections(p: int, m: int):
-    """All images of injective maps 0..p-1 -> 0..m-1, budget checked."""
+def _injection_count(p: int, m: int) -> int:
+    """Number of injections 0..p-1 -> 0..m-1, checked against the budget."""
     require_p(p, m)
     terms = math.perm(m, p)
     if terms > MAX_INJECTION_TERMS:
         raise ValueError(
             f"{terms} injections exceed the enumeration budget {MAX_INJECTION_TERMS}"
         )
+    return terms
+
+
+def enumerate_injections(p: int, m: int):
+    """All images of injective maps 0..p-1 -> 0..m-1, budget checked."""
+    _injection_count(p, m)
     return itertools.permutations(range(m), p)
+
+
+def _injection_rows(m: int, p: int, start: int, stop: int) -> np.ndarray:
+    """Images of the injections 0..p-1 -> 0..m-1 of lexicographic ranks
+    ``start..stop-1``, the order of :func:`enumerate_injections`.
+
+    The digits of a rank in the mixed radix ``(m, m-1, ..., m-p+1)`` say
+    which of the still free values each image takes. Decoded from the last
+    image back, each image moves the later images at or above it up by one.
+    """
+    rank = np.arange(start, stop, dtype=np.int64)
+    rows = np.empty((len(rank), p), dtype=np.int64)
+    for j in range(p - 1, -1, -1):
+        rank, rows[:, j] = np.divmod(rank, m - j)
+    for j in range(p - 2, -1, -1):
+        later = rows[:, j + 1 :]
+        later += later >= rows[:, j : j + 1]
+    return rows
 
 
 def injection_probability(images, theta: float, m: int) -> float:
@@ -306,7 +330,9 @@ def _terms_per_chunk(p: int) -> int:
 
 
 def _enumerated_blocks(k, theta: float, p: int):
-    """The injections of 0..p-1 into the indices of ``k``, chunk by chunk.
+    """The injections of 0..p-1 into the indices of ``k``, chunk by chunk,
+    in lexicographic order: each chunk's images are unranked at once by
+    :func:`_injection_rows`.
 
     Yields ``(idx, blocks, weights)``: the images of each injection s of the
     chunk, its selected block ``V_s K V_s^T`` and its mass. A mass depends
@@ -314,12 +340,12 @@ def _enumerated_blocks(k, theta: float, p: int):
     0..p cycles.
     """
     m = k.shape[0]
-    terms = enumerate_injections(p, m)
+    terms = _injection_count(p, m)
     require_theta(theta)
     mass = np.exp(_log_injection_mass(np.arange(p + 1), theta, m, p))
     size = _terms_per_chunk(p)
-    while chunk := list(itertools.islice(terms, size)):
-        idx = np.array(chunk, dtype=np.int64)
+    for start in range(0, terms, size):
+        idx = _injection_rows(m, p, start, min(start + size, terms))
         yield idx, k[idx[:, :, None], idx[:, None, :]], mass[_closed_cycles(idx)]
 
 

@@ -39,6 +39,7 @@ from .linalg import (
     numeric_rank,
     require_hermitian,
     require_p,
+    require_psd,
     sample_complex_gaussian,
     sample_haar_stiefel_batch,
 )
@@ -137,8 +138,10 @@ class InvcovSpectrum:
     The average preserves the eigenvectors of ``K``; nonzero eigenvalues
     ``d_i`` map to ``lambdas[i]`` and the zero eigenvalues map to the
     common constant ``mu``. ``stderr`` holds the Monte Carlo standard error
-    of each of ``lambdas``, ``samples`` the accepted draws and ``rejected``
-    the ill-conditioned draws that were redrawn.
+    of each of ``lambdas`` and ``mu_stderr`` that of ``mu``; both ``mu``
+    and ``mu_stderr`` are NaN when K has full rank. ``samples`` counts the
+    accepted draws and ``rejected`` the ill-conditioned draws that were
+    redrawn.
     """
 
     lambdas: np.ndarray
@@ -147,6 +150,7 @@ class InvcovSpectrum:
     stderr: np.ndarray | None = None
     samples: int = 0
     rejected: int = 0
+    mu_stderr: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -218,61 +222,103 @@ def _trace_square(a):
     return np.einsum("bij,bji->b", a, a).real
 
 
-def _invcov_diagonal_mc(d, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
+def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
     """Monte Carlo mean of the diagonal of ``Phi* (Phi D Phi*)^{-1} Phi``, for
-    the diagonal matrix D of a real nonnegative vector ``d``, without QR.
+    ``D = diag(d, 0, ..., 0)`` of size m and the r positive entries ``d``,
+    without QR. The mean holds the r range values and, when r < m, their
+    common kernel value last.
 
     The lift depends on Phi only through its row span: for any m x p basis
-    Z of that span it is ``Z W^{-1} Z*`` with ``W = Z* D Z``, whose diagonal
-    is ``Re(z_i W^{-1} z_i*)`` over the rows z_i of Z. For ``2p <= m``, Z is
-    the complex Gaussian matrix that
-    :func:`~singcov.linalg.sample_haar_stiefel_batch` would orthonormalize,
-    drawn from the same stream, so a chunk holds the frames that a sampler
-    chunk of its size would. For ``2p > m`` that Gaussian is too
-    ill-conditioned for its Gram matrix ``G = Z* Z``, and Z is the
-    orthonormal Haar frame itself, with ``G = I``.
+    Z of that span it is ``Z W^{-1} Z*`` with ``W = Z* D Z = Z_r* D_r Z_r``,
+    which holds only the r range rows ``Z_r`` of Z. Its diagonal is
+    ``Re(z_i W^{-1} z_i*)`` over the rows z_i of Z, and its kernel value
+    ``tr(W^{-1} G_k) / (m - r)`` with the kernel Gram matrix
+    ``G_k = Z_k* Z_k`` of the kernel rows ``Z_k``.
+
+    For ``2p <= m``, Z is complex Gaussian, and a chunk of b draws takes from
+    ``rng``, in this order: ``Z_r`` through
+    :func:`~singcov.linalg.sample_complex_gaussian` at shape (b, r, p); if
+    r < m, the radii ``t = ||Z_k||_F^2``, b standard Gamma variates of shape
+    ``(m - r) p``; then, for the flagged draws below in ascending order, the
+    complex Gaussians U of shape (flagged, m - r, p) that give
+    ``Z_k = sqrt(t) U / ||U||_F``, the law of Z_k given t. Given t, the mean
+    of ``G_k`` is ``(t / p) I``, so an unflagged draw, accepted whatever
+    Z_k's direction, counts its conditional kernel value
+    ``t tr(W^{-1}) / (p (m - r))``; a flagged draw counts its explicit one.
+    At full rank a chunk holds the frames that a sampler chunk of its size
+    would. For ``2p > m`` that Gaussian is too ill-conditioned for its Gram
+    matrix ``G = Z* Z``, and Z is the orthonormal Haar frame itself, with
+    ``G = I`` and ``G_k = I - Z_r* Z_r``.
 
     Draws are rejected exactly as in :func:`invcov_p_mc`. ``Phi D Phi*`` is
     similar to ``G^{-1} W``, so the square of its Frobenius condition
     number is ``tr((G^{-1} W)^2) tr((W^{-1} G)^2)``. A screen bounds it by
     ``s ||W^{-1}||_F^2 ||Z||_F^4``, where s sums the p largest ``d_k^2``
     (Poincare separation: the eigenvalues of a compression of D lie below
-    those of D) and ``||Z||_F^2 >= ||G||_2``. Only the draws whose screen
-    exceeds ``COND_LIMIT`` pay for G and the exact value.
+    those of D), ``||Z||_F^2 = ||Z_r||_F^2 + t >= ||G||_2``. Only the draws
+    whose screen exceeds ``COND_LIMIT`` pay for G and the exact value.
     """
-    m = len(d)
+    r = len(d)
+    kernel = m - r
     orthonormal = 2 * p > m
-    top_sq = float(np.sort(d * d)[m - p :].sum())
+    rows = m if orthonormal else r
+    top_sq = float(np.sort(d * d)[max(r - p, 0) :].sum())
     limit_sq = COND_LIMIT**2
-    # Z, its conjugate and D Z, made at the first chunk's size (no later chunk
-    # is larger) and reused: allocated afresh, their pages were faulted in
-    # again every chunk, which took a sixth of the run at m=200, p=45.
+    # Z, the conjugate and D times its range rows, made at the first chunk's
+    # size (no later chunk is larger) and reused: allocated afresh, their
+    # pages were faulted in again every chunk, which took a sixth of the run
+    # at m=200, p=45.
     frames = []
 
     def chunk(b, rng):
         if not frames:
-            frames.extend(np.empty((b, m, p), dtype=np.complex128) for _ in range(3))
-        z, zc, zd = (f[:b] for f in frames)
+            frames.extend(np.empty((b, n, p), dtype=np.complex128) for n in (rows, r, r))
+        full, zc, zd = (f[:b] for f in frames)
+        t = 0.0
         if orthonormal:
-            np.conjugate(np.swapaxes(sample_haar_stiefel_batch(p, m, b, rng), 1, 2), out=z)
+            np.conjugate(np.swapaxes(sample_haar_stiefel_batch(p, m, b, rng), 1, 2), out=full)
+            norm_sq = _squared_frobenius(full)
         else:
-            sample_complex_gaussian((b, m, p), rng, out=z)
+            sample_complex_gaussian((b, r, p), rng, out=full)
+            if kernel:
+                t = rng.generator.standard_gamma(kernel * p, b)
+            norm_sq = _squared_frobenius(full) + t
+        z = full[:, :r]
         zh = np.swapaxes(np.conjugate(z, out=zc), 1, 2)
         w = zh @ np.multiply(z, d[:, None], out=zd)
         w_inv, cond = _inv_batch_hermitian(w)
-        screen = top_sq * _squared_frobenius(w_inv) * _squared_frobenius(z) ** 2
+        screen = top_sq * _squared_frobenius(w_inv) * norm_sq**2
         good = np.isfinite(cond)
         flagged = np.flatnonzero(good & (screen > limit_sq))
+        tr_inv = np.einsum("bii->b", w_inv).real
+        # each draw's tr(W^-1 G_k), for an unflagged draw its mean given t
+        kernel_trace = tr_inv * t / p
         if len(flagged):
-            g = zh[flagged] @ z[flagged]
+            if orthonormal:
+                g = np.swapaxes(np.conjugate(full), 1, 2)[flagged] @ full[flagged]
+            else:
+                g = zh[flagged] @ z[flagged]
+                if kernel:
+                    u = sample_complex_gaussian((len(flagged), kernel, p), rng)
+                    u *= np.sqrt(t[flagged] / _squared_frobenius(u))[:, None, None]
+                    g_k = np.swapaxes(u.conj(), 1, 2) @ u
+                    g += g_k
+                    kernel_trace[flagged] = np.einsum("bij,bji->b", w_inv[flagged], g_k).real
             w_norm_sq = _trace_square(np.linalg.solve(g, w[flagged]))
             good[flagged] = w_norm_sq * _trace_square(w_inv[flagged] @ g) <= limit_sq
         # Re(z_i W^-1 z_i*): a real dot of each row of Z W^-1 with that row of Z
         lift = np.matmul(z, w_inv, out=zd).view(np.float64)
-        values = np.einsum("bij,bij->bi", lift, z.view(np.float64))[good]
+        values = np.einsum("bij,bij->bi", lift, z.view(np.float64))
+        if kernel:
+            if orthonormal:
+                # tr(W^-1 (I - Z_r* Z_r)): the range values sum to tr(W^-1 Z_r* Z_r)
+                kernel_trace = tr_inv - values.sum(axis=1)
+            values = np.column_stack([values, kernel_trace / kernel])
+        values = values[good]
         return (lambda acc: acc.add_batch(values)), b - len(values)
 
-    return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m)
+    lift = r + (kernel > 0)
+    return _monte_carlo(samples, rng, chunk, frame=rows * p, block=p * p, lift=lift)
 
 
 def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
@@ -285,7 +331,9 @@ def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
 def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
     """Monte Carlo estimate of ``E(Phi* (Phi K Phi*)^{-1} Phi)``.
 
-    Requires ``p <= rank(K)`` so the compressed matrix is almost surely
+    Requires a positive semidefinite K, whose least eigenvalue may lie
+    below zero only by the roundoff of :func:`~singcov.linalg.require_psd`,
+    and ``p <= rank(K)`` so the compressed matrix is almost surely
     invertible. Draws whose compressed matrix ``W`` has a Frobenius
     condition number ``||W||_F ||W^-1||_F`` above ``COND_LIMIT`` are
     rejected and redrawn; once rejections exceed
@@ -309,6 +357,7 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
         discarded draws.
     """
     k = require_hermitian(k, name="k")
+    require_psd(np.linalg.eigvalsh(k), "k")
     require_p(p, k.shape[0])
     return _compression_mc(k, p, -1, samples, rng)
 
@@ -316,35 +365,46 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
 def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectrum:
     """Eigenvalue map of the inverse-compression average of ``K``.
 
-    Diagonalizes K and runs the Monte Carlo average on the diagonal of
+    Diagonalizes K, which must be positive semidefinite as in
+    :func:`invcov_p_mc`, and runs the Monte Carlo average on the diagonal of
     eigenvalues (the average commutes with conjugation, so this loses
     nothing). For diagonal input the average is exactly diagonal, so
     only the lifted diagonal is accumulated; that trims the per-draw
     cost from m^2 p to m p^2 and makes large m practical. For ``2p <= m``
-    the draws skip QR: each averages ``Z (Z* D Z)^{-1} Z*`` over the
-    Gaussian basis Z of the frame's row span (see
-    :func:`_invcov_diagonal_mc`). Draws are rejected, and the run aborted,
-    as in :func:`invcov_p_mc`; the result reports the standard errors,
-    the accepted draws and the rejected ones.
+    the draws skip QR: each averages ``Z (Z* D Z)^{-1} Z*`` over a
+    Gaussian basis Z of the frame's row span, of which only the r rows on
+    the range of K are drawn; the kernel rows enter through one Gamma
+    radius per draw, and their explicit directions only where the
+    rejection rule needs them (see :func:`_invcov_diagonal_mc`). Each
+    draw's ``mu`` value is its lift's mean over the kernel given that
+    radius, which leaves the mean of ``mu`` as it is and lowers its
+    variance. Draws are rejected, and the run aborted, as in
+    :func:`invcov_p_mc`; the result reports the standard errors of
+    ``lambdas`` and ``mu``, the accepted draws and the rejected ones.
 
     For a singular K of rank r < m, the exact ``mu`` is infinite at
     ``p = r``, while the Monte Carlo value is finite, depends on the seed
     and comes with no rejected draw. At ``p = r - 1`` the exact ``mu`` is
-    finite, but the second moment is not, so ``stderr`` is no valid error
-    bar (see :func:`invcov_p_mc`).
+    finite, but the second moment is not, so neither ``stderr`` nor
+    ``mu_stderr`` is a valid error bar (see :func:`invcov_p_mc`).
     """
     dec = eig_hermitian(k)
+    require_psd(dec.eigenvalues, "k")
     m = len(dec.eigenvalues)
     require_p(p, m)
     # the eigenvalues descend, so those above the rank cutoff come first
     rank = numeric_rank(dec.eigenvalues)
-    d = dec.eigenvalues.copy()
-    d[rank:] = 0.0
-    mc = _invcov_diagonal_mc(d, p, samples, rng)
-    diag = mc.estimate.real
-    mu = float(diag[rank:].mean()) if rank < m else float("nan")
+    mc = _invcov_diagonal_mc(dec.eigenvalues[:rank].copy(), m, p, samples, rng)
+    values = mc.estimate.real
+    mu, mu_stderr = (values[rank], mc.stderr[rank]) if rank < m else (np.nan, np.nan)
     return InvcovSpectrum(
-        diag[:rank].copy(), mu, p, mc.stderr[:rank].copy(), mc.samples, mc.rejected
+        values[:rank].copy(),
+        float(mu),
+        p,
+        mc.stderr[:rank].copy(),
+        mc.samples,
+        mc.rejected,
+        float(mu_stderr),
     )
 
 

@@ -65,6 +65,15 @@ def require_hermitian(a, name="matrix"):
     return a
 
 
+def require_psd(eigenvalues, name):
+    """Reject the eigenvalues of a Hermitian matrix that is not positive
+    semidefinite: its least eigenvalue may lie below zero by at most
+    ``HERMITIAN_TOL * max(1, max|eigenvalue|)``, which is roundoff."""
+    w = np.asarray(eigenvalues)
+    if w.size and w.min() < -HERMITIAN_TOL * max(1.0, float(np.abs(w).max())):
+        raise ValueError(f"{name} must be positive semidefinite")
+
+
 def require_p(p: int, m: int):
     """A compression or injection size p must lie in [1, m]."""
     if not (1 <= p <= m):
@@ -350,9 +359,8 @@ def sample_gaussian_covariance(sigma, n: int, rng: RandomSource) -> np.ndarray:
     """
     sigma = require_hermitian(sigma, name="sigma")
     w, u = np.linalg.eigh(sigma)
-    # eigenvalues within HERMITIAN_TOL below zero are clipped to zero
-    if w.size and w.min() < -HERMITIAN_TOL * max(1.0, float(np.abs(w).max())):
-        raise ValueError("sigma must be positive semidefinite")
+    # eigenvalues within the roundoff of require_psd are clipped to zero
+    require_psd(w, "sigma")
     if n < 1:
         raise ValueError("n must be >= 1")
     root = u @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T

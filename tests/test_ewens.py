@@ -162,6 +162,15 @@ class TestInjections:
         assert len(list(enumerate_injections(2, 4))) == 12
         assert len(list(enumerate_injections(4, 4))) == 24
 
+    def test_unranked_rows_follow_enumeration_order(self):
+        # chunks of 5 ranks, so most chunks start inside a block of equal heads
+        for m in range(1, 8):
+            for p in range(1, m + 1):
+                want = np.array(list(permutations(range(m), p)), dtype=np.int64)
+                n = len(want)
+                got = [ewens._injection_rows(m, p, s, min(s + 5, n)) for s in range(0, n, 5)]
+                assert np.array_equal(np.concatenate(got), want)
+
     def test_probability_normalizes(self):
         for m, p in ((4, 2), (5, 3), (5, 5)):
             for theta in (0.6, 1.0, 3.5):

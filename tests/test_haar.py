@@ -99,6 +99,14 @@ class TestInvcov:
         want = np.sort(spec.lambdas)
         assert np.abs(got - want).max() <= 6 * float(np.max(mc.stderr))
 
+    @pytest.mark.parametrize("call", [invcov_p_mc, invcov_spectrum], ids=["full", "spectrum"])
+    def test_rejects_indefinite_k(self, call):
+        with pytest.raises(ValueError, match="k must be positive semidefinite"):
+            call(np.diag([2.0, 1.0, 0.5, -1.0]), 2, 200, RandomSource(15))
+        # a negative eigenvalue at roundoff level is a zero one
+        got = call(np.diag([2.0, 1.0, 0.5, -1e-13]), 2, 200, RandomSource(15))
+        assert got.samples == 200
+
     def test_zero_block_is_flat(self, rng):
         d = np.diag([2.0, 1.0, 0.5, 0.0, 0.0])
         spec = invcov_spectrum(d, 2, 30000, rng)
@@ -107,19 +115,82 @@ class TestInvcov:
         assert np.isfinite(spec.lambdas).all()
 
 
+def _range_draws(d_r, m, p, b, rng):
+    """One Gaussian-branch chunk of b draws, in its documented order: the
+    range rows Z_r, then the radii t = ||Z_k||_F^2 of the kernel rows."""
+    z_r = sample_complex_gaussian((b, len(d_r), p), rng)
+    return z_r, rng.generator.standard_gamma((m - len(d_r)) * p, b)
+
+
+def _screen(d_r, p, z_r, t):
+    """The rejection screen s ||W^-1||_F^2 ||Z||_F^4 with ||Z||_F^2 = ||Z_r||_F^2 + t."""
+    w_inv = np.linalg.inv(np.swapaxes(z_r, 1, 2).conj() @ (z_r * d_r[:, None]))
+    norm_sq = (np.abs(z_r) ** 2).sum(axis=(1, 2)) + t
+    return np.sort(d_r**2)[-p:].sum() * (np.abs(w_inv) ** 2).sum(axis=(1, 2)) * norm_sq**2
+
+
+def _with_kernel_rows(z_r, t, u):
+    """Gaussian bases [Z_r; sqrt(t) U / ||U||_F]."""
+    scale = np.sqrt(t / (np.abs(u) ** 2).sum(axis=(1, 2)))
+    return np.concatenate([z_r, scale[:, None, None] * u], axis=1)
+
+
+def _frame_lift(d, z):
+    """Definitional diagonal lift diag(Phi* (Phi D Phi*)^-1 Phi) and kappa_F of
+    Phi D Phi* for the orthonormalized frames Phi* = QR(Z) of each basis Z."""
+    q = np.linalg.qr(z)[0]
+    w = np.swapaxes(q, 1, 2).conj() @ (q * d[:, None])
+    w_inv = np.linalg.inv(w)
+    lift = np.einsum("bip,bpq,biq->bi", q, w_inv, q.conj()).real
+    kappa = np.linalg.norm(w, axis=(1, 2)) * np.linalg.norm(w_inv, axis=(1, 2))
+    return lift, kappa
+
+
 class TestInvcovSpectrumChunk:
     def test_gaussian_basis_matches_frames_on_same_draws(self):
         # m = 40 >= 2p takes the QR-free path; 150 draws fit one chunk of
-        # either path, so both average the same frames
-        d = np.concatenate([np.linspace(3.0, 0.1, 30), np.zeros(10)])
+        # either path, so both average the same frames at full rank
+        d = np.linspace(3.0, 0.1, 40)
         spec = invcov_spectrum(np.diag(d), 10, 150, RandomSource(44))
         full = invcov_p_mc(np.diag(d), 10, 150, RandomSource(44))
-        diag = np.diag(full.estimate).real
-        np.testing.assert_allclose(spec.lambdas, diag[:30], rtol=1e-12)
-        np.testing.assert_allclose(spec.mu, diag[30:].mean(), rtol=1e-12)
+        np.testing.assert_allclose(spec.lambdas, np.diag(full.estimate).real, rtol=1e-12)
         # the run's noise and draw counts are reported too
-        np.testing.assert_allclose(spec.stderr, np.diag(full.stderr)[:30], rtol=1e-9)
+        np.testing.assert_allclose(spec.stderr, np.diag(full.stderr), rtol=1e-9)
         assert (spec.samples, spec.rejected) == (full.samples, full.rejected) == (150, 0)
+        assert math.isnan(spec.mu) and math.isnan(spec.mu_stderr)
+
+    def test_singular_range_rows_lift_their_frames(self):
+        # only the range rows and one radius per draw come from the stream;
+        # the range lift of the frame is the same whatever the kernel direction
+        m, r, p, samples, seed = 40, 30, 10, 150, 44
+        d = np.concatenate([np.linspace(3.0, 0.1, r), np.zeros(m - r)])
+        spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(seed))
+        z_r, t = _range_draws(d[:r], m, p, samples, RandomSource(seed))
+        # no draw is flagged, so no kernel direction is drawn and none rejected
+        assert (_screen(d[:r], p, z_r, t) <= haar.COND_LIMIT**2).all()
+        u = sample_complex_gaussian((samples, m - r, p), RandomSource(seed + 1))
+        lift = _frame_lift(d, _with_kernel_rows(z_r, t, u))[0][:, :r]
+        np.testing.assert_allclose(spec.lambdas, lift.mean(axis=0), rtol=1e-12)
+        want_stderr = lift.std(axis=0, ddof=1) / math.sqrt(samples)
+        np.testing.assert_allclose(spec.stderr, want_stderr, rtol=1e-9)
+        assert (spec.samples, spec.rejected) == (samples, 0)
+
+    @pytest.mark.parametrize(
+        ("m", "r", "p", "samples"),
+        [(40, 30, 10, 4000), (8, 4, 2, 20000), (8, 4, 3, 20000), (7, 5, 4, 20000)],
+    )
+    def test_singular_spectrum_matches_full_lift(self, m, r, p, samples):
+        # (7, 5, 4) takes the orthonormal frames; the others the range rows
+        d = np.concatenate([np.linspace(3.0, 0.2, r), np.zeros(m - r)])
+        spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(50))
+        full = invcov_p_mc(np.diag(d), p, samples, RandomSource(51))
+        diag, se = np.diag(full.estimate).real, np.diag(full.stderr)
+        assert abs(d[:r] @ spec.lambdas - p) <= 1e-8 * p
+        assert np.isfinite(spec.mu_stderr) and spec.mu_stderr > 0
+        gap = np.abs(spec.lambdas - diag[:r])
+        assert (gap <= 5 * np.hypot(spec.stderr, se[:r])).all()
+        # the mean of the kernel entries' stderrs bounds the stderr of their mean
+        assert abs(spec.mu - diag[r:].mean()) <= 5 * math.hypot(spec.mu_stderr, se[r:].mean())
 
     def test_rejections_match_frame_condition_numbers(self, monkeypatch):
         m, p, samples, seed = 12, 4, 300, 45
@@ -152,6 +223,47 @@ class TestInvcovSpectrumChunk:
         full = invcov_p_mc(np.diag(d), p, samples, RandomSource(seed))
         assert spec.rejected == full.rejected == 3
         np.testing.assert_allclose(spec.lambdas, np.diag(full.estimate).real, rtol=1e-12)
+
+    def test_singular_rejections_match_frame_condition_numbers(self, monkeypatch):
+        # each kernel direction is drawn only for a flagged draw; whether a
+        # draw is kept must still follow the kappa_F of its whole frame
+        m, r, p, samples, seed, limit = 12, 9, 4, 1000, 47, 500.0
+        d = np.concatenate([np.logspace(0, -3, r), np.zeros(m - r)])
+        rng = RandomSource(seed)
+        lambdas, kernel, flags, rejected = [], [], [], 0
+        while len(lambdas) < samples:
+            b = samples - len(lambdas)
+            z_r, t = _range_draws(d[:r], m, p, b, rng)
+            flagged = _screen(d[:r], p, z_r, t) > limit**2
+            u = sample_complex_gaussian((int(flagged.sum()), m - r, p), rng)
+            z = _with_kernel_rows(z_r[flagged], t[flagged], u)
+            lift, kappa = _frame_lift(d, z)
+            keep = kappa <= limit
+            # an unflagged draw stays under the limit whatever its kernel
+            # direction, which leaves its range lift as it is
+            for other in range(3):
+                v = sample_complex_gaussian((b, m - r, p), RandomSource(100 + other))
+                free, free_kappa = _frame_lift(d, _with_kernel_rows(z_r, t, v))
+                assert (free_kappa[~flagged] <= limit).all()
+            # an unflagged draw's kernel value is its mean given t
+            w_inv = np.linalg.inv(np.swapaxes(z_r, 1, 2).conj() @ (z_r * d[:r, None]))
+            mu = np.einsum("bii->b", w_inv).real * t / (p * (m - r))
+            mu[flagged] = lift[:, r:].mean(axis=1)
+            free[flagged] = lift
+            accepted = ~flagged
+            accepted[flagged] = keep
+            lambdas.extend(free[accepted, :r])
+            kernel.extend(mu[accepted])
+            flags.append((int(flagged.sum()), int(keep.sum())))
+            rejected += b - int(accepted.sum())
+        # the first chunk has unflagged draws, flagged ones kept and one rejected
+        assert flags[0][0] < samples - 100 and flags[0][1] > 100 and rejected >= 1
+
+        monkeypatch.setattr(haar, "COND_LIMIT", limit)
+        spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(seed))
+        assert (spec.samples, spec.rejected) == (samples, rejected)
+        np.testing.assert_allclose(spec.lambdas, np.mean(lambdas, axis=0), rtol=1e-10)
+        np.testing.assert_allclose(spec.mu, np.mean(kernel), rtol=1e-10)
 
     def test_full_frame_inverts_ill_conditioned_diagonal(self):
         # p = m takes the orthonormal frame; the average is then D^-1 itself
