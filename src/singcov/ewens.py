@@ -413,25 +413,47 @@ def hybrid_inverse_bruteforce(k, theta: float, p: int) -> np.ndarray:
     return hermitize(_injection_sum(k, theta, p, _pinv_batch_hermitian))
 
 
-def _fold_blocks(blocks: np.ndarray, idx: np.ndarray, m: int):
+def _fold_blocks(blocks: np.ndarray, flat: np.ndarray, m: int):
     """The fold, into a :class:`~singcov.linalg.WelfordAccumulator`, of the
-    draws whose ``m x m`` value is zero but for the ``p x p`` block
-    ``blocks[b]`` at rows and columns ``idx[b]``.
+    draws whose ``m x m`` value is zero but for the Hermitian ``p x p`` block
+    ``blocks[b]``, whose entries sit at the flat indices ``flat[b]``
+    (``i*m + j``, in the block's row-major order).
 
-    The blocks are scatter-added into per-entry sums over flat indices
-    ``i*m + j``, so no ``m x m`` matrix is built per draw. The batch's sum of
+    Only the entries ``a <= c`` of each block are scatter-added, into
+    per-entry sums, hit counts and sums of squared deviations, so no
+    ``m x m`` matrix is built per draw. An entry below a block's diagonal is
+    the conjugate of its mirror above it, with the same squared deviation
+    from the Hermitian mean, so the half sums are mirrored once per chunk:
+    an off-diagonal entry of the ``m x m`` sum adds the conjugate of its
+    transpose, and a diagonal entry is counted once. The batch's sum of
     squared deviations adds those of the draws that hit an entry to the
     ``|mean|^2`` that each of the others, a zero there, contributes.
     """
-    b = len(blocks)
-    flat = (idx[:, :, None] * m + idx[:, None, :]).ravel()
-    values = blocks.ravel()
+    b, p = blocks.shape[:2]
+    upper = np.flatnonzero(np.triu(np.ones((p, p), dtype=bool)))
+    flat = flat.reshape(b, p * p)[:, upper].ravel()
+    re = blocks.real.reshape(b, p * p)[:, upper].ravel()
+    im = blocks.imag.reshape(b, p * p)[:, upper].ravel()
     size = m * m
-    hits = np.bincount(flat, minlength=size)
-    mean = (np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)) / b
-    dev = values - mean[flat]
-    m2 = np.bincount(flat, dev.real**2 + dev.imag**2, size) + (b - hits) * np.abs(mean) ** 2
-    return lambda acc: acc.add_moments(b, mean.reshape(m, m), m2.reshape(m, m))
+
+    def mirror(half):
+        # a diagonal entry keeps its real part, as the mean is Hermitian
+        half = half.reshape(m, m)
+        return half + half.conj().T - np.diag(half.diagonal().real)
+
+    hits = mirror(np.bincount(flat, minlength=size))
+    mean = mirror(np.bincount(flat, re, size) + 1j * np.bincount(flat, im, size)) / b
+    # the deviations and their squares overwrite the gathered parts
+    re -= mean.real.ravel()[flat]
+    im -= mean.imag.ravel()[flat]
+    re *= re
+    im *= im
+    re += im
+    m2 = mirror(np.bincount(flat, re, size)) + (b - hits) * np.abs(mean) ** 2
+    # Holding the blocks keeps them alive until the next chunk is made (see
+    # haar._monte_carlo), so the allocator reuses their pages; freed with the
+    # chunk, they would go back to the system and be faulted in again.
+    return lambda acc, _held=blocks: acc.add_moments(b, mean, m2)
 
 
 def hybrid_inverse_mc(
@@ -443,8 +465,12 @@ def hybrid_inverse_mc(
     (that restriction is exactly the injection law), inverts the selected
     block of K and scatters it back. A block whose Frobenius condition
     number exceeds ``haar.COND_LIMIT`` is pseudo-inverted instead, as in
-    :func:`~singcov.linalg.pseudoinverse`. Welford accumulation provides
-    per-entry standard errors.
+    :func:`~singcov.linalg.pseudoinverse`. So is every block when p exceeds
+    the rank of K: the average is then one of pseudoinverses, and each draw
+    ``E_s`` gives ``Tr(K E_s) = rank(V_s K V_s^T)``, which on a generic K is
+    p for p up to the rank of K and the rank above it. ``singcov estimate``
+    and ``singcov experiment`` refuse a p above the rank; this function
+    does not. Welford accumulation provides per-entry standard errors.
     """
     k = require_hermitian(k, name="k")
     m = k.shape[0]
@@ -452,14 +478,15 @@ def hybrid_inverse_mc(
 
     def chunk(b, rng):
         idx = sample_ewens_batch(m, theta, b, rng)[:, :p]
-        blocks = k[idx[:, :, None], idx[:, None, :]]
+        flat = idx[:, :, None] * m + idx[:, None, :]
+        blocks = k.ravel()[flat]
         inv, cond = _inv_batch_hermitian(blocks)
         # kappa_2 <= kappa_F, so every block the pseudoinverse would
         # truncate is among these
         bad = ~(cond <= haar.COND_LIMIT)
         if bad.any():
             inv[bad] = _pinv_batch_hermitian(blocks[bad])
-        return _fold_blocks(inv, idx, m), 0
+        return _fold_blocks(inv, flat, m), 0
 
     return haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=p * p)
 

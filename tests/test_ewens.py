@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import random_hermitian, random_psd
 
-from singcov import ewens
+from singcov import ewens, haar
 from singcov.ewens import (
     Injection,
     Permutation,
@@ -294,21 +294,46 @@ class TestHybridInverse:
         assert (resid <= 5 * np.maximum(mc.stderr, 1e-12)).all()
 
     def test_mc_matches_dense_welford_on_same_draws(self):
-        # 2000 draws at m=6, p=3 fit one chunk, so the oracle redraws them all
-        # at once and accumulates the scattered m x m stack entry by entry
-        k = random_psd(6, 6, 83)
-        theta, p, n = 1.3, 3, 2000
-        mc = hybrid_inverse_mc(k, theta, p, n, RandomSource(11))
-        idx = sample_ewens_batch(6, theta, n, RandomSource(11))[:, :p]
-        blocks = np.linalg.inv(k[idx[:, :, None], idx[:, None, :]])
-        dense = np.zeros((n, 6, 6), dtype=complex)
-        dense[np.arange(n)[:, None, None], idx[:, :, None], idx[:, None, :]] = blocks
-        acc = WelfordAccumulator()
-        acc.add_batch(dense)
-        want = (acc.mean + acc.mean.conj().T) / 2
-        assert mc.samples == n
-        assert np.abs(mc.estimate - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.abs(mc.stderr - acc.stderr()).max() <= 1e-12 * acc.stderr().max()
+        # The oracle replays the run's draws chunk by chunk, in the chunk
+        # sizes of its plan, and accumulates the scattered m x m stack entry
+        # by entry. 2000 draws at m=6, p=3 fit one chunk; the draws at m=8,
+        # p=4 span three.
+        size = haar._chunk_draws(frame=8, block=16, lift=16)
+        cases = [
+            (random_psd(6, 6, 83), 1.3, 3, [2000], 11),
+            (random_psd(8, 8, 84), 0.8, 4, [size, size, size // 2], 13),
+        ]
+        for k, theta, p, sizes, seed in cases:
+            m, n = k.shape[0], sum(sizes)
+            mc = hybrid_inverse_mc(k, theta, p, n, RandomSource(seed))
+            rng = RandomSource(seed)
+            idx = np.concatenate([sample_ewens_batch(m, theta, b, rng)[:, :p] for b in sizes])
+            blocks = np.linalg.inv(k[idx[:, :, None], idx[:, None, :]])
+            dense = np.zeros((n, m, m), dtype=complex)
+            dense[np.arange(n)[:, None, None], idx[:, :, None], idx[:, None, :]] = blocks
+            acc = WelfordAccumulator()
+            acc.add_batch(dense)
+            want = (acc.mean + acc.mean.conj().T) / 2
+            assert mc.samples == n
+            assert np.abs(mc.estimate - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(mc.stderr - acc.stderr()).max() <= 1e-12 * acc.stderr().max()
+
+    def test_mc_at_p_equal_m_returns_the_inverse(self):
+        # each draw's block is a permutation of K, so its scattered inverse is
+        # K^-1 itself: every entry of the fold is hit by every draw, and an
+        # entry below the diagonal comes from a mirrored one above it
+        k = random_psd(6, 6, 86)
+        mc = hybrid_inverse_mc(k, 0.9, 6, 3000, RandomSource(14))
+        inv = np.linalg.inv(k)
+        assert np.abs(mc.estimate - inv).max() <= 1e-12 * np.abs(inv).max()
+        assert mc.stderr.max() <= 1e-12 * np.abs(inv).max()
+
+    def test_mc_above_rank_keeps_the_trace_at_the_rank(self):
+        # a 6 x 6 block of a rank-4 K has rank 4 and is pseudo-inverted, so
+        # each draw gives Tr(K E_s) = rank(V_s K V_s^T) = 4
+        k = random_psd(7, 4, 87)
+        mc = hybrid_inverse_mc(k, 1.4, 6, 2000, RandomSource(15))
+        assert abs(np.trace(k @ mc.estimate) - 4) <= 1e-10
 
     def test_mc_pseudo_inverts_exactly_singular_blocks(self):
         # blocks that select a zero diagonal entry are exactly singular
