@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -72,9 +71,6 @@ class HookShape:
         if not (0 <= self.leg <= self.weight - 1):
             raise ValueError(f"leg must lie in [0, {self.weight - 1}]")
 
-    def to_partition(self) -> Partition:
-        return Partition((self.weight - self.leg,) + (1,) * self.leg)
-
 
 @dataclass(frozen=True)
 class CycleType:
@@ -132,38 +128,25 @@ def hook_lengths(partition: Partition) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _character(shape: tuple, cycles: tuple) -> int:
-    # Recursive border-strip removal in beta-number (first-column hook
-    # length) coordinates: removing a strip of size t means replacing a
-    # beta by beta - t when that slot is free; the sign is the number of
-    # occupied slots jumped over.
-    if not cycles:
-        return 1 if not shape else 0
-    t, rest = cycles[0], cycles[1:]
-    depth = len(shape)
-    betas = [shape[i] + (depth - 1 - i) for i in range(depth)]
-    occupied = set(betas)
-    total = 0
-    for b in betas:
-        nb = b - t
-        if nb < 0 or nb in occupied:
-            continue
-        height = sum(1 for c in betas if nb < c < b)
-        new = sorted((c for c in betas if c != b), reverse=True)
-        new.append(nb)
-        new.sort(reverse=True)
-        lam = tuple(new[k] - (depth - 1 - k) for k in range(depth))
-        lam = tuple(x for x in lam if x > 0)
-        total += (-1) ** height * _character(lam, rest)
-    return total
-
-
 def hook_character(shape: HookShape, rho: CycleType) -> int:
-    """Irreducible symmetric-group character of a hook shape at cycle type rho."""
+    """Irreducible symmetric-group character of a hook shape at cycle type rho.
+
+    The character of ``(N - j, 1^j)`` is the coefficient of ``t^j`` in
+    ``prod_l (1 - (-t)^{rho_l}) / (1 + t)``, the hook case of the
+    Murnaghan-Nakayama rule, computed in exact integers.
+    """
     if shape.weight != rho.weight:
         raise ValueError("shape and cycle type must have the same weight")
-    return _character(shape.to_partition().parts, rho.parts)
+    c = [1]
+    for length in rho.parts:
+        # times 1 - (-1)^l t^l
+        sign = (-1) ** length
+        c = [a - sign * b for a, b in zip(c + [0] * length, [0] * length + c)]
+    # divide by 1 + t: q_j = c_j - q_{j-1}
+    q = 0
+    for cj in c[: shape.leg + 1]:
+        q = cj - q
+    return q
 
 
 def power_sums(values, max_order: int) -> list:

@@ -35,7 +35,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "Permutation",
     "Injection",
     "cycle_count",
     "ewens_probability",
@@ -55,23 +54,6 @@ __all__ = [
 # enumeration budget in terms: it caps the full group at m <= 9 (9! = 362,880)
 MAX_INJECTION_TERMS = 500_000
 MAX_COMPLETION_DEGREE = 8
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Permutation of 0..m-1 stored as its image tuple."""
-
-    images: tuple
-
-    def __post_init__(self):
-        images = tuple(int(x) for x in self.images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError("images must be a permutation of 0..m-1")
-        object.__setattr__(self, "images", images)
-
-    @property
-    def m(self) -> int:
-        return len(self.images)
 
 
 @dataclass(frozen=True)

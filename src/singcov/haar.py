@@ -252,7 +252,9 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
 
     Draws are rejected exactly as in :func:`invcov_p_mc`. ``Phi D Phi*`` is
     similar to ``G^{-1} W``, so the square of its Frobenius condition
-    number is ``tr((G^{-1} W)^2) tr((W^{-1} G)^2)``. A screen bounds it by
+    number is ``tr((G^{-1} W)^2) tr((W^{-1} G)^2)``. On orthonormal frames
+    ``G = I``, and that number is W's own ``||W||_F ||W^{-1}||_F``, with no
+    screen. On Gaussian bases a screen bounds its square by
     ``s ||W^{-1}||_F^2 ||Z||_F^4``, where s sums the p largest ``d_k^2``
     (Poincare separation: the eigenvalues of a compression of D lie below
     those of D), ``||Z||_F^2 = ||Z_r||_F^2 + t >= ||G||_2``. Only the draws
@@ -274,29 +276,26 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
         if not frames:
             frames.extend(np.empty((b, n, p), dtype=np.complex128) for n in (rows, r, r))
         full, zc, zd = (f[:b] for f in frames)
-        t = 0.0
         if orthonormal:
             np.conjugate(np.swapaxes(sample_haar_stiefel_batch(p, m, b, rng), 1, 2), out=full)
-            norm_sq = _squared_frobenius(full)
         else:
             sample_complex_gaussian((b, r, p), rng, out=full)
-            if kernel:
-                t = rng.generator.standard_gamma(kernel * p, b)
-            norm_sq = _squared_frobenius(full) + t
+            t = rng.generator.standard_gamma(kernel * p, b) if kernel else 0.0
         z = full[:, :r]
         zh = np.swapaxes(np.conjugate(z, out=zc), 1, 2)
         w = zh @ np.multiply(z, d[:, None], out=zd)
         w_inv, cond = _inv_batch_hermitian(w)
-        screen = top_sq * _squared_frobenius(w_inv) * norm_sq**2
-        good = np.isfinite(cond)
-        flagged = np.flatnonzero(good & (screen > limit_sq))
         tr_inv = np.einsum("bii->b", w_inv).real
-        # each draw's tr(W^-1 G_k), for an unflagged draw its mean given t
-        kernel_trace = tr_inv * t / p
-        if len(flagged):
-            if orthonormal:
-                g = np.swapaxes(np.conjugate(full), 1, 2)[flagged] @ full[flagged]
-            else:
+        if orthonormal:
+            # G = I, so Phi D Phi* is similar to W and shares its condition number
+            good = cond <= COND_LIMIT
+        else:
+            # each draw's tr(W^-1 G_k), for an unflagged draw its mean given t
+            kernel_trace = tr_inv * t / p
+            screen = top_sq * _squared_frobenius(w_inv) * (_squared_frobenius(full) + t) ** 2
+            good = np.isfinite(cond)
+            flagged = np.flatnonzero(good & (screen > limit_sq))
+            if len(flagged):
                 g = zh[flagged] @ z[flagged]
                 if kernel:
                     u = sample_complex_gaussian((len(flagged), kernel, p), rng)
@@ -304,8 +303,8 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
                     g_k = np.swapaxes(u.conj(), 1, 2) @ u
                     g += g_k
                     kernel_trace[flagged] = np.einsum("bij,bji->b", w_inv[flagged], g_k).real
-            w_norm_sq = _trace_square(np.linalg.solve(g, w[flagged]))
-            good[flagged] = w_norm_sq * _trace_square(w_inv[flagged] @ g) <= limit_sq
+                w_norm_sq = _trace_square(np.linalg.solve(g, w[flagged]))
+                good[flagged] = w_norm_sq * _trace_square(w_inv[flagged] @ g) <= limit_sq
         # Re(z_i W^-1 z_i*): a real dot of each row of Z W^-1 with that row of Z
         lift = np.matmul(z, w_inv, out=zd).view(np.float64)
         values = np.einsum("bij,bij->bi", lift, z.view(np.float64))

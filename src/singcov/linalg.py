@@ -3,9 +3,9 @@ r"""Core linear algebra for the estimator modules.
 Everything downstream works with complex double precision Hermitian
 matrices. This module provides the shared plumbing: spectral
 decompositions, pseudoinverses (including the bordered Gram-matrix
-update used by the injection-average inverse estimators), empirical
-spectral distributions, the Levy-distance bound, Gaussian and unitary
-sampling, reproducible random streams, and the CSV exchange format.
+update for one appended column), empirical spectral distributions, the
+Levy-distance bound, Gaussian and unitary sampling, reproducible random
+streams, and the CSV exchange format.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ def _as_square(a, name="matrix"):
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError(f"{name} must be nonempty, got shape {a.shape}")
     require_finite(a, name)
     return a.astype(np.complex128, copy=False)
 
@@ -59,7 +61,7 @@ def _as_square(a, name="matrix"):
 def require_hermitian(a, name="matrix"):
     """Validate that ``a`` is square, finite and Hermitian within ``HERMITIAN_TOL``."""
     a = _as_square(a, name)
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
+    scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.conj().T).max()) > HERMITIAN_TOL * scale:
         raise ValueError(f"{name} is not Hermitian within tolerance {HERMITIAN_TOL}")
     return a
@@ -183,7 +185,7 @@ def _pinv_batch_hermitian(w_batch):
 def _spectral_product(u, x):
     """``U diag(x) U*`` for each matrix U of the stack ``u`` and the matching
     real vector x of ``x``."""
-    return (u * x[..., None, :]) @ _adjoint(u)
+    return (u * x[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
 
 
 def _squared_frobenius(a):
@@ -222,52 +224,40 @@ def block_pinv_correction(a_block, a_col):
     returned here. The two analytic branches split on
     ``s = ||a||^2 - a* A A^+ a``, the squared distance from ``a`` to
     range(A): ``s`` is treated as zero when
-    ``|s| <= 1e-10 * (1 + ||a||^2)``. A stack of blocks and columns is
-    corrected pair by pair, each taking its own branch.
+    ``|s| <= 1e-10 * (1 + ||a||^2)``.
 
     Parameters
     ----------
-    a_block : array_like, shape (..., m, n-1)
+    a_block : array_like, shape (m, n-1)
         Existing columns ``A``.
-    a_col : array_like, shape (..., m)
+    a_col : array_like, shape (m,)
         Appended column ``a``.
 
     Returns
     -------
-    numpy.ndarray, shape (..., n, n)
+    numpy.ndarray, shape (n, n)
         Hermitian correction ``E`` with
         ``(M* M)^+ = [[(A* A)^+, 0], [0, 0]] + E``.
     """
     a_block = np.asarray(a_block, dtype=np.complex128)
     a_col = np.asarray(a_col, dtype=np.complex128)
-    if a_block.ndim < 2 or a_col.size != math.prod(a_block.shape[:-1]):
+    if a_block.ndim != 2 or a_col.shape != a_block.shape[:1]:
         raise ValueError("a_block and a_col have incompatible shapes")
-    a_col = a_col.reshape(a_block.shape[:-1] + (1,))
     ap = np.linalg.pinv(a_block)
     x = ap @ a_col
-    norm_a2 = _squared_norm(a_col)
-    s = norm_a2 - np.real(_adjoint(a_col) @ (a_block @ x))
-    grows = np.abs(s) > 1e-10 * (1.0 + norm_a2)
+    norm_a2 = np.vdot(a_col, a_col).real
+    s = norm_a2 - np.vdot(a_col, a_block @ x).real
     # With v = [x; -1], E = v v*/s when a leaves range(A). Otherwise the
     # rank does not grow and E = |b|^2 v v* - (v w* + w v*), w = [y; 0].
-    b = _adjoint(ap) @ (x / (1.0 + _squared_norm(x)))
-    y = np.where(grows, 0.0, ap @ b)
-    minus_one = np.full(s.shape, -1.0)
-    v = np.concatenate([x, minus_one], axis=-2)
-    w = np.concatenate([y, np.zeros_like(minus_one)], axis=-2)
-    num = np.where(grows, 1.0, _squared_norm(b))
-    den = np.where(grows, s, 1.0)
-    e = (v @ _adjoint(v)) * num / den - (v @ _adjoint(w) + w @ _adjoint(v))
-    return (e + _adjoint(e)) / 2.0
-
-
-def _adjoint(a):
-    return np.swapaxes(a, -1, -2).conj()
-
-
-def _squared_norm(col):
-    # ||col||^2 of each column vector in a stack, kept as a 1 x 1 matrix
-    return np.sum(np.abs(col) ** 2, axis=(-2, -1), keepdims=True)
+    v = np.append(x, -1.0)
+    vv = np.outer(v, v.conj())
+    if abs(s) > 1e-10 * (1.0 + norm_a2):
+        e = vv / s
+    else:
+        b = ap.conj().T @ (x / (1.0 + np.vdot(x, x).real))
+        vw = np.outer(v, np.append(ap @ b, 0.0).conj())
+        e = np.vdot(b, b).real * vv - (vw + vw.conj().T)
+    return (e + e.conj().T) / 2.0
 
 
 def block_pinv_update(a_block, a_col):
@@ -364,9 +354,7 @@ def sample_gaussian_covariance(sigma, n: int, rng: RandomSource) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     root = u @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    m = len(w)
-    g = rng.generator.standard_normal((m, n)) + 1j * rng.generator.standard_normal((m, n))
-    obs = root @ (g / np.sqrt(2.0))
+    obs = root @ sample_complex_gaussian((len(w), n), rng)
     return hermitize(obs @ obs.conj().T / n)
 
 

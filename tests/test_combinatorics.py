@@ -79,17 +79,19 @@ def test_hook_character_table_s4():
 
 
 def test_character_orthogonality_weight_4():
-    # first orthogonality over hook rows of S4
-    shapes = list(_HOOK_BY_PARTS.values())
-    types = list(enumerate_cycle_types(4))
-    for a in shapes:
-        for b in shapes:
-            acc = Fraction(0)
-            for t in types:
-                acc += Fraction(
-                    hook_character(a, t) * hook_character(b, t), t.symmetrizer_order()
-                )
-            assert acc == (1 if a == b else 0)
+    # first orthogonality over the hook rows of S_N, at S4 and every other
+    # weight up to 9
+    for weight in range(1, 10):
+        shapes = [HookShape(weight, leg) for leg in range(weight)]
+        types = list(enumerate_cycle_types(weight))
+        for a in shapes:
+            for b in shapes:
+                acc = Fraction(0)
+                for t in types:
+                    acc += Fraction(
+                        hook_character(a, t) * hook_character(b, t), t.symmetrizer_order()
+                    )
+                assert acc == (1 if a == b else 0)
 
 
 class TestSchur:

@@ -12,7 +12,6 @@ from conftest import random_hermitian, random_psd
 from singcov import ewens, haar
 from singcov.ewens import (
     Injection,
-    Permutation,
     cycle_count,
     enumerate_injections,
     ewens_estimator,
@@ -400,13 +399,6 @@ class TestBatchedEnumeration:
 
 
 class TestWrappers:
-    def test_permutation_validation(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 1))
-        perm = Permutation((1, 0, 2))
-        assert perm.m == 3
-        assert cycle_count(perm.images) == 2
-
     def test_injection_validation(self):
         with pytest.raises(ValueError):
             Injection(4, (1, 1))

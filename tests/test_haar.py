@@ -265,6 +265,38 @@ class TestInvcovSpectrumChunk:
         np.testing.assert_allclose(spec.lambdas, np.mean(lambdas, axis=0), rtol=1e-10)
         np.testing.assert_allclose(spec.mu, np.mean(kernel), rtol=1e-10)
 
+    @pytest.mark.parametrize("rank", [12, 10])
+    def test_orthonormal_frame_rejections_match_frame_condition_numbers(
+        self, monkeypatch, rank
+    ):
+        # for 2p > m the bases are the orthonormal frames themselves, so G = I
+        # and a draw is kept by the kappa_F of its W alone
+        m, p, samples, seed = 12, 8, 300, 45
+        d = np.logspace(0, -3, m)
+        d[rank:] = 0.0
+        rng = RandomSource(seed)
+        frames = sample_haar_stiefel_batch(p, m, samples, rng)
+        redrawn = sample_haar_stiefel_batch(p, m, 3, rng)
+
+        def kappa(phi):
+            w = (phi * d) @ np.swapaxes(phi, 1, 2).conj()
+            w_inv = np.linalg.inv(w)
+            return np.linalg.norm(w, axis=(1, 2)) * np.linalg.norm(w_inv, axis=(1, 2))
+
+        cond = np.sort(kappa(frames))
+        limit = float(np.sqrt(cond[-4] * cond[-3]))
+        assert (kappa(redrawn) <= limit).all()
+
+        monkeypatch.setattr(haar, "COND_LIMIT", limit)
+        spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(seed))
+        full = invcov_p_mc(np.diag(d), p, samples, RandomSource(seed))
+        assert spec.rejected == full.rejected == 3
+        diag = np.diag(full.estimate).real
+        np.testing.assert_allclose(spec.lambdas, diag[:rank], rtol=1e-12)
+        if rank < m:
+            # mu is the mean of the kernel diagonal of each draw's lift
+            np.testing.assert_allclose(spec.mu, diag[rank:].mean(), rtol=1e-12)
+
     def test_full_frame_inverts_ill_conditioned_diagonal(self):
         # p = m takes the orthonormal frame; the average is then D^-1 itself
         d = np.logspace(0, -8, 12)

@@ -1,5 +1,7 @@
 """Unit tests for the shared linear algebra and sampling layer."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import random_hermitian, random_psd
@@ -169,25 +171,11 @@ class TestBlockPinv:
         full = np.hstack([a, np.zeros((5, 1))])
         np.testing.assert_allclose(got, np.linalg.pinv(full.conj().T @ full), atol=1e-10)
 
-
-    def test_stack_takes_each_pairs_branch(self):
-        # one stack mixing the independent, dependent and zero-column branches
-        g = RandomSource(7).generator
-        a = g.standard_normal((3, 6, 2)) + 1j * g.standard_normal((3, 6, 2))
-        fresh = g.standard_normal(6) + 1j * g.standard_normal(6)
-        cols = np.stack([fresh, a[1] @ [1.0, -2j], np.zeros(6)])
-        got = block_pinv_correction(a, cols)
-        assert got.shape == (3, 3, 3)
-        for i in range(3):
-            full = np.hstack([a[i], cols[i][:, None]])
-            want = np.linalg.pinv(full.conj().T @ full)
-            want[:2, :2] -= np.linalg.pinv(a[i].conj().T @ a[i])
-            np.testing.assert_allclose(got[i], want, atol=1e-10)
-            np.testing.assert_allclose(got[i], block_pinv_correction(a[i], cols[i]), atol=1e-14)
-
     def test_rejects_mismatched_column(self):
-        with pytest.raises(ValueError, match="incompatible shapes"):
-            block_pinv_correction(np.ones((4, 2)), np.ones(5))
+        # a stack of blocks is no single pair either, and must not broadcast
+        for block, col in [(np.ones((4, 2)), np.ones(5)), (np.ones((3, 6, 2)), np.ones((3, 6)))]:
+            with pytest.raises(ValueError, match="incompatible shapes"):
+                block_pinv_correction(block, col)
 
 
 class TestEsd:
@@ -367,6 +355,8 @@ def test_require_hermitian_rejects_drift():
     k = np.array([[1.0, 0.5], [0.6, 2.0]])
     with pytest.raises(ValueError):
         require_hermitian(k)
+    with pytest.raises(ValueError, match=re.escape("k must be nonempty, got shape (0, 0)")):
+        require_hermitian(np.zeros((0, 0)), "k")
     sym = np.array([[1.0, 0.5], [0.5, 2.0]])
     assert np.array_equal(require_hermitian(sym), sym)
 
