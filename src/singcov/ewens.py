@@ -438,28 +438,80 @@ def _fold_blocks(blocks: np.ndarray, flat: np.ndarray, m: int):
     return lambda acc, _held=blocks: acc.add_moments(b, mean, m2)
 
 
+def _image_set_law(m: int, p: int, theta: float) -> np.ndarray:
+    r"""Law of ``k = |S \ {0..p-1}|``, entry k for k = 0..min(p, m-p), where S is
+    the image set of 0..p-1 under the restriction of Ewens(theta).
+
+    The law ``P(k) = C(p,k) (theta+k)^(p-k rising) (m-p)!/(m-p-k)! /
+    (theta+m-p)^(p rising)`` is built up from ``P(0)`` by its term ratio
+    ``P(k+1)/P(k) = (p-k)(m-p-k) / ((k+1)(theta+k))``. The ratios are summed
+    in log space and the weights scaled by the largest before normalizing,
+    so no term overflows or underflows to a wrong law at any theta.
+    """
+    k = np.arange(min(p, m - p))
+    log_ratio = np.log(p - k) + np.log(m - p - k) - np.log(k + 1) - np.log(theta + k)
+    log_weight = np.concatenate([[0.0], np.cumsum(log_ratio)])
+    weight = np.exp(log_weight - log_weight.max())
+    return weight / weight.sum()
+
+
+def _image_set_sampler(m: int, p: int, theta: float):
+    r"""``draw(count, rng)``: the image sets of 0..p-1 of ``count`` injections
+    drawn from the restriction of Ewens(theta), as a ``(count, p)`` array of
+    rows of distinct indices in no particular order.
+
+    Given ``k = |S \ {0..p-1}|``, every set with that k is equally likely,
+    since ``P(S)`` depends on S only through k. So a draw takes k from
+    :func:`_image_set_law` by inverse CDF, then a uniform ``(p-k)``-subset of
+    0..p-1 and a uniform k-subset of p..m-1: the first entries of the
+    argsorts of uniform keys. From ``rng`` a call takes, in this order:
+    ``count`` uniforms for k, the head keys of shape ``(count, p)`` and the
+    tail keys of shape ``(count, m-p)``.
+    """
+    # P(0..j) for j < k_max: the count of these at or below u is k
+    cdf = np.cumsum(_image_set_law(m, p, theta))[:-1]
+    cols = np.arange(p)
+
+    def draw(count, rng):
+        g = rng.generator
+        k = np.searchsorted(cdf, g.random(count), side="right")[:, None]
+        head = np.argsort(g.random((count, p)), axis=1)
+        tail = np.argsort(g.random((count, m - p)), axis=1) + p
+        # column j < p-k takes head[j], and the k after it tail[j - (p-k)]
+        pos = cols + k * (cols >= p - k)
+        return np.take_along_axis(np.concatenate([head, tail], axis=1), pos, axis=1)
+
+    return draw
+
+
 def hybrid_inverse_mc(
     k, theta: float, p: int, samples: int, rng: RandomSource
 ) -> MonteCarloEstimate:
     """Monte Carlo inverse injection average.
 
-    Draws a full Ewens(theta) permutation, keeps the images of 0..p-1
-    (that restriction is exactly the injection law), inverts the selected
-    block of K and scatters it back. A block whose Frobenius condition
-    number exceeds ``haar.COND_LIMIT`` is pseudo-inverted instead, as in
-    :func:`~singcov.linalg.pseudoinverse`. So is every block when p exceeds
-    the rank of K: the average is then one of pseudoinverses, and each draw
-    ``E_s`` gives ``Tr(K E_s) = rank(V_s K V_s^T)``, which on a generic K is
-    p for p up to the rank of K and the rank above it. ``singcov estimate``
-    and ``singcov experiment`` refuse a p above the rank; this function
-    does not. Welford accumulation provides per-entry standard errors.
+    A draw's scattered block ``V_s^T (V_s K V_s^T)^{-1} V_s`` depends on the
+    injection s only through its image set S, whatever the order of S. So
+    each draw takes S from its exact law under the restriction of
+    Ewens(theta) (see :func:`_image_set_sampler`, which gives the order in
+    which a chunk's variates are taken from ``rng``), with no permutation
+    drawn, inverts the selected block of K and scatters it back. A block
+    whose Frobenius condition number exceeds ``haar.COND_LIMIT`` is
+    pseudo-inverted instead, as in :func:`~singcov.linalg.pseudoinverse`.
+    So is every block when p exceeds the rank of K: the average is then one
+    of pseudoinverses, and each draw ``E_s`` gives
+    ``Tr(K E_s) = rank(V_s K V_s^T)``, which on a generic K is p for p up to
+    the rank of K and the rank above it. ``singcov estimate`` and
+    ``singcov experiment`` refuse a p above the rank; this function does
+    not. Welford accumulation provides per-entry standard errors.
     """
     k = require_hermitian(k, name="k")
     m = k.shape[0]
     require_p(p, m)
+    require_theta(theta)
+    draw = _image_set_sampler(m, p, theta)
 
     def chunk(b, rng):
-        idx = sample_ewens_batch(m, theta, b, rng)[:, :p]
+        idx = draw(b, rng)
         flat = idx[:, :, None] * m + idx[:, None, :]
         blocks = k.ravel()[flat]
         inv, cond = _inv_batch_hermitian(blocks)
@@ -471,4 +523,3 @@ def hybrid_inverse_mc(
         return _fold_blocks(inv, flat, m), 0
 
     return haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=p * p)
-

@@ -187,20 +187,28 @@ def cov_p_closed(k, p: int) -> np.ndarray:
 def _compression_mc(
     k, p: int, degree: int, samples: int, rng: RandomSource
 ) -> MonteCarloEstimate:
-    """Monte Carlo mean of ``Phi* (Phi K Phi*)^degree Phi`` over Haar frames.
+    """Monte Carlo mean of ``Phi* (Phi K Phi*)^degree Phi`` over Haar frames,
+    lifted in full.
 
-    ``k`` is a validated Hermitian matrix, lifted in full. ``degree`` is a
-    positive power or -1, the inverse, which needs an invertible compressed
-    matrix: draws whose compressed matrix has a Frobenius condition number
-    above ``COND_LIMIT`` are rejected and redrawn.
+    ``degree`` is a positive power, with ``k`` a validated Hermitian matrix,
+    or -1, the inverse, with ``k`` an ``m x r`` factor F of a positive
+    semidefinite ``K = F F*``: the compressed matrix is then
+    ``W = (Phi F)(Phi F)*``, which costs ``p m r`` per draw rather than
+    ``p m^2``. The inverse needs an invertible W: draws whose W has a
+    Frobenius condition number above ``COND_LIMIT`` are rejected and
+    redrawn.
     """
     m = k.shape[0]
 
     def chunk(b, rng):
         phi = sample_haar_stiefel_batch(p, m, b, rng)
-        phik = np.einsum("bpi,ij->bpj", phi, k, optimize=True)
-        w = np.einsum("bpi,bqi->bpq", phik, phi.conj(), optimize=True)
-        del phik  # freed, like w below, so the chunk's peak holds neither
+        if degree < 0:
+            rows = (phi.reshape(b * p, m) @ k).reshape(b, p, -1)  # Phi F
+            w = rows @ np.swapaxes(rows, 1, 2).conj()
+        else:
+            rows = np.einsum("bpi,ij->bpj", phi, k, optimize=True)  # Phi K
+            w = np.einsum("bpi,bqi->bpq", rows, phi.conj(), optimize=True)
+        del rows  # freed, like w below, so the chunk's peak holds neither
         w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
         rejected = 0
         if degree < 0:
@@ -339,6 +347,13 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
     ``MAX_REJECT_FRACTION`` of the requested sample count the run aborts,
     since that signals p exceeding the numerically effective rank.
 
+    One eigendecomposition of K serves the PSD check and gives the rank
+    factor ``F = U_r sqrt(d_r)`` over the r eigenvalues above the cutoff of
+    :func:`~singcov.linalg.numeric_rank`, so ``K = F F*`` to roundoff. Each
+    draw's compressed matrix is ``W = (Phi F)(Phi F)* = Phi K Phi*``, at a
+    cost of ``p m r`` rather than ``p m^2``; its Haar frame, its full
+    ``m x m`` lift and its rejection rule are those of the definition.
+
     For a singular K of rank r < m, the lift on the kernel of K averages
     ``tr((Z_r* D_r Z_r)^{-1})`` over an r x p complex Gaussian ``Z_r``,
     where ``D_r`` holds the nonzero eigenvalues: within constant factors,
@@ -355,10 +370,13 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
         per-entry Monte Carlo standard errors, ``rejected`` counts
         discarded draws.
     """
-    k = require_hermitian(k, name="k")
-    require_psd(np.linalg.eigvalsh(k), "k")
-    require_p(p, k.shape[0])
-    return _compression_mc(k, p, -1, samples, rng)
+    dec = eig_hermitian(k)
+    require_psd(dec.eigenvalues, "k")
+    require_p(p, len(dec.eigenvalues))
+    # the eigenvalues descend, so those above the rank cutoff come first
+    rank = numeric_rank(dec.eigenvalues)
+    factor = dec.eigenvectors[:, :rank] * np.sqrt(dec.eigenvalues[:rank])
+    return _compression_mc(factor, p, -1, samples, rng)
 
 
 def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectrum:

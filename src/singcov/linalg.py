@@ -239,6 +239,12 @@ def block_pinv_correction(a_block, a_col):
         Hermitian correction ``E`` with
         ``(M* M)^+ = [[(A* A)^+, 0], [0, 0]] + E``.
     """
+    return _bordered_pinv(a_block, a_col)[1]
+
+
+def _bordered_pinv(a_block, a_col):
+    """``(A^+, E)``: the pseudoinverse of ``A`` and the correction ``E`` of
+    :func:`block_pinv_correction`, which is built from ``A^+``."""
     a_block = np.asarray(a_block, dtype=np.complex128)
     a_col = np.asarray(a_col, dtype=np.complex128)
     if a_block.ndim != 2 or a_col.shape != a_block.shape[:1]:
@@ -257,7 +263,7 @@ def block_pinv_correction(a_block, a_col):
         b = ap.conj().T @ (x / (1.0 + np.vdot(x, x).real))
         vw = np.outer(v, np.append(ap @ b, 0.0).conj())
         e = np.vdot(b, b).real * vv - (vw + vw.conj().T)
-    return (e + e.conj().T) / 2.0
+    return ap, (e + e.conj().T) / 2.0
 
 
 def block_pinv_update(a_block, a_col):
@@ -266,12 +272,11 @@ def block_pinv_update(a_block, a_col):
     Returns the full ``n x n`` pseudoinverse assembled as the padded
     ``(A* A)^+`` plus :func:`block_pinv_correction`.
     """
-    a_block = np.asarray(a_block, dtype=np.complex128)
-    ap = np.linalg.pinv(a_block)
-    n1 = a_block.shape[1]
+    ap, correction = _bordered_pinv(a_block, a_col)
+    n1 = ap.shape[0]
     out = np.zeros((n1 + 1, n1 + 1), dtype=np.complex128)
     out[:n1, :n1] = ap @ ap.conj().T  # (A* A)^+
-    return hermitize(out + block_pinv_correction(a_block, a_col))
+    return hermitize(out + correction)
 
 
 def frobenius_norm(a) -> float:

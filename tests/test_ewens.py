@@ -3,7 +3,7 @@
 import math
 import re
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -219,6 +219,44 @@ class TestInjections:
                     assert abs(got - ref) <= 1e-13
 
 
+class TestImageSets:
+    def test_law_matches_enumerated_injection_masses(self):
+        # the masses of all injections, grouped by how many images leave 0..p-1
+        for m in range(1, 7):
+            for p in range(1, m + 1):
+                for theta in (1e-8, 0.3, 2.0, 50.0, 1e12):
+                    want = np.zeros(min(p, m - p) + 1)
+                    for s in enumerate_injections(p, m):
+                        want[sum(x >= p for x in s)] += injection_probability(s, theta, m)
+                    got = ewens._image_set_law(m, p, theta)
+                    assert np.abs(got - want).max() <= 1e-13, (m, p, theta)
+
+    @pytest.mark.parametrize("m, p, theta", [(5, 3, 2.0), (6, 4, 0.5)])
+    def test_set_frequencies_match_set_law(self, m, p, theta):
+        # P(S) spreads P(k) evenly over the C(p, k) C(m-p, k) sets with that k
+        n = 100_000
+        draws = ewens._image_set_sampler(m, p, theta)(n, RandomSource(21))
+        assert all(len(set(row)) == p for row in draws.tolist())
+        law = ewens._image_set_law(m, p, theta)
+        counts = {}
+        for row in np.sort(draws, axis=1).tolist():
+            counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+        sets = list(combinations(range(m), p))
+        assert set(counts) <= set(sets)
+        for s in sets:
+            k = sum(x >= p for x in s)
+            prob = law[k] / (math.comb(p, k) * math.comb(m - p, k))
+            stderr = math.sqrt(prob * (1 - prob) / n)
+            assert abs(counts.get(s, 0) / n - prob) <= 5 * stderr, s
+
+    def test_p_equal_m_draws_every_index(self):
+        # the tail is empty, so k = 0 and S is all of 0..m-1
+        for theta in (1e-8, 1.0, 1e12):
+            assert np.array_equal(ewens._image_set_law(5, 5, theta), [1.0])
+            draws = ewens._image_set_sampler(5, 5, theta)(50, RandomSource(22))
+            assert np.array_equal(np.sort(draws, axis=1), np.tile(np.arange(5), (50, 1)))
+
+
 class TestHybridEstimator:
     def test_matches_bruteforce(self):
         for m in (2, 3, 4, 5):
@@ -306,7 +344,8 @@ class TestHybridInverse:
             m, n = k.shape[0], sum(sizes)
             mc = hybrid_inverse_mc(k, theta, p, n, RandomSource(seed))
             rng = RandomSource(seed)
-            idx = np.concatenate([sample_ewens_batch(m, theta, b, rng)[:, :p] for b in sizes])
+            draw = ewens._image_set_sampler(m, p, theta)
+            idx = np.concatenate([draw(b, rng) for b in sizes])
             blocks = np.linalg.inv(k[idx[:, :, None], idx[:, None, :]])
             dense = np.zeros((n, m, m), dtype=complex)
             dense[np.arange(n)[:, None, None], idx[:, :, None], idx[:, None, :]] = blocks

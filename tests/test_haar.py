@@ -26,6 +26,7 @@ from singcov.haar import (
 )
 from singcov.linalg import (
     RandomSource,
+    WelfordAccumulator,
     eig_hermitian,
     sample_complex_gaussian,
     sample_haar_stiefel_batch,
@@ -113,6 +114,58 @@ class TestInvcov:
         assert spec.mu > 0
         # lambdas for the kernel directions equal mu by construction
         assert np.isfinite(spec.lambdas).all()
+
+
+def _compressions(k, phi):
+    """Definitional Phi K Phi* of each frame, its inverse and its kappa_F."""
+    w = phi @ k @ np.swapaxes(phi, 1, 2).conj()
+    w_inv = np.linalg.inv(w)
+    return w_inv, np.linalg.norm(w, axis=(1, 2)) * np.linalg.norm(w_inv, axis=(1, 2))
+
+
+def _replay_invcov(k, p, samples, rng, limit):
+    """The Haar frames of invcov_p_mc, chunk by chunk in the sizes of its plan
+    with rejected draws redrawn, and the dense Welford fold of the definitional
+    lift Phi* (Phi K Phi*)^-1 Phi of each kept frame."""
+    m = k.shape[0]
+    size = _chunk_draws(m * p, p * p, m * m)
+    acc = WelfordAccumulator()
+    rejected = 0
+    while acc.count < samples:
+        phi = sample_haar_stiefel_batch(p, m, min(size, samples - acc.count), rng)
+        w_inv, kappa = _compressions(k, phi)
+        keep = kappa <= limit
+        rejected += int((~keep).sum())
+        acc.add_batch(np.swapaxes(phi[keep], 1, 2).conj() @ w_inv[keep] @ phi[keep])
+    return acc, rejected
+
+
+class TestInvcovRankFactor:
+    # 3000 draws span two chunks at each shape
+    @pytest.mark.parametrize(("m", "rank", "p"), [(10, 7, 4), (10, 7, 5), (8, 8, 3)])
+    def test_matches_definitional_lift_on_same_frames(self, m, rank, p):
+        k = random_psd(m, rank, 60 + p)
+        mc = invcov_p_mc(k, p, 3000, RandomSource(61))
+        acc, rejected = _replay_invcov(k, p, 3000, RandomSource(61), haar.COND_LIMIT)
+        want = (acc.mean + acc.mean.conj().T) / 2
+        assert (mc.samples, mc.rejected) == (3000, rejected) == (3000, 0)
+        assert np.abs(mc.estimate - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(mc.stderr - acc.stderr()).max() <= 1e-12 * acc.stderr().max()
+
+    def test_rejections_match_definitional_condition_numbers(self, monkeypatch):
+        m, rank, p, samples, seed = 10, 7, 5, 3000, 62
+        k = random_psd(m, rank, 63)
+        first = sample_haar_stiefel_batch(p, m, _chunk_draws(m * p, p * p, m * m), RandomSource(seed))
+        cond = np.sort(_compressions(k, first)[1])
+        limit = float(np.sqrt(cond[-4] * cond[-3]))
+        monkeypatch.setattr(haar, "COND_LIMIT", limit)
+        mc = invcov_p_mc(k, p, samples, RandomSource(seed))
+        acc, rejected = _replay_invcov(k, p, samples, RandomSource(seed), limit)
+        want = (acc.mean + acc.mean.conj().T) / 2
+        assert rejected >= 3
+        assert (mc.samples, mc.rejected) == (samples, rejected)
+        assert np.abs(mc.estimate - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(mc.stderr - acc.stderr()).max() <= 1e-12 * acc.stderr().max()
 
 
 def _range_draws(d_r, m, p, b, rng):
