@@ -75,24 +75,31 @@ class Estimator:
     ``x``; None marks the truth itself. ``metrics``: for each metric it
     reports, the matrix scored from the estimate ``e`` at ``x``, against
     the truth (``fro_direct``) or its inverse (``fro_inverse``).
-    ``p_within_rank``: rows with ``p`` above the rank of ``K`` are invalid.
+    ``rank_margin``: None, or how far ``p`` must stay below the numeric
+    rank r of a singular ``K``; rows with ``p > r - rank_margin`` are invalid.
     """
 
     params: tuple
     estimate: Callable | None
     metrics: dict
-    p_within_rank: bool = False
+    rank_margin: int | None = None
 
 
 def rank_error(spec: Estimator, x: Point, eigenvalues) -> str:
     """Why ``spec`` cannot estimate at ``x`` from a ``K`` with these
-    eigenvalues, or '' when it can: with ``p_within_rank``, ``p`` must not
-    exceed the numeric rank of ``K``. A ``p`` outside ``[1, m]`` raises."""
-    if not spec.p_within_rank:
+    eigenvalues, or '' when it can: with a ``rank_margin``, ``p`` must not
+    exceed ``r - rank_margin`` when the numeric rank r of ``K`` is below m.
+    A ``p`` outside ``[1, m]`` raises."""
+    if spec.rank_margin is None:
         return ""
-    require_p(x.p, len(eigenvalues))
+    m = len(eigenvalues)
+    require_p(x.p, m)
     rank = numeric_rank(eigenvalues)
-    return f"p={x.p} exceeds rank {rank} of K" if x.p > rank else ""
+    if rank == m or x.p <= rank - spec.rank_margin:
+        return ""
+    if x.p > rank:
+        return f"p={x.p} exceeds rank {rank} of K"
+    return f"p={x.p} reaches rank {rank} of the singular K, where the average is infinite"
 
 
 _DIRECT = {"fro_direct": lambda e, x: e}
@@ -111,10 +118,11 @@ ESTIMATORS = {
         ("theta", "p"),
         lambda k, x, *mc: ew.hybrid_inverse_mc(k, x.theta, x.p, *mc).estimate,
         {"fro_inverse": lambda e, x: e},
-        p_within_rank=True,
+        rank_margin=0,
     ),
     "covp": Estimator(("p",), lambda k, x, *_: haar.cov_p_closed(k, x.p), _DIRECT),
-    # the inverse-compression average estimates p/m times the inverse
+    # the inverse-compression average estimates p/m times the inverse, and
+    # on a singular K it is infinite on the kernel from p = rank on
     "invcovp": Estimator(
         ("p",),
         lambda k, x, *mc: haar.invcov_p_mc(k, x.p, *mc).estimate,
@@ -122,7 +130,7 @@ ESTIMATORS = {
             "fro_direct": lambda e, x: (x.p / e.shape[0]) * pseudoinverse(e),
             "fro_inverse": lambda e, x: (e.shape[0] / x.p) * e,
         },
-        p_within_rank=True,
+        rank_margin=1,
     ),
     "loading": Estimator(
         ("alpha", "beta"),

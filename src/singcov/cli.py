@@ -68,7 +68,7 @@ def _cmd_estimate(args) -> int:
         if getattr(args, name) is None:
             raise ValueError(f"--{name} is required for estimator {args.estimator!r}")
     point = bench.Point(**{name: getattr(args, name) for name in spec.params})
-    if spec.p_within_rank:  # only then are the eigenvalues needed
+    if spec.rank_margin is not None:  # only then are the eigenvalues needed
         reason = bench.rank_error(spec, point, np.linalg.eigvalsh(require_hermitian(k, "k")))
         if reason:
             raise ValueError(reason)

@@ -22,7 +22,6 @@ __all__ = [
     "CycleType",
     "enumerate_partitions",
     "enumerate_cycle_types",
-    "hook_lengths",
     "hook_character",
     "power_sums",
     "schur_hook_powersum",
@@ -51,13 +50,6 @@ class Partition:
 
     def __len__(self):
         return len(self.parts)
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        return Partition(
-            tuple(sum(1 for p in self.parts if p > i) for i in range(self.parts[0]))
-        )
 
 
 @dataclass(frozen=True)
@@ -115,17 +107,6 @@ def enumerate_partitions(n: int) -> list:
 
 def enumerate_cycle_types(n: int) -> list:
     return [CycleType(p.parts) for p in enumerate_partitions(n)]
-
-
-def hook_lengths(partition: Partition) -> list:
-    """Hook lengths in row-major box order."""
-    parts = partition.parts
-    conj = partition.conjugate().parts
-    out = []
-    for i, row in enumerate(parts):
-        for j in range(row):
-            out.append(row - j + conj[j] - i - 1)
-    return out
 
 
 def hook_character(shape: HookShape, rho: CycleType) -> int:

@@ -38,7 +38,6 @@ __all__ = [
     "Injection",
     "cycle_count",
     "ewens_probability",
-    "sample_ewens_batch",
     "ewens_estimator",
     "ewens_estimator_bruteforce",
     "enumerate_injections",
@@ -116,34 +115,6 @@ def ewens_probability(images, theta: float) -> float:
     injection mass of :func:`injection_probability` at p = m.
     """
     return injection_probability(images, theta, len(images))
-
-
-def sample_ewens_batch(m: int, theta: float, count: int, rng: RandomSource) -> np.ndarray:
-    """Exact Ewens(theta) permutation sampling, vectorized over draws.
-
-    Sequential insertion: element k starts a new cycle with probability
-    ``theta / (theta + k)`` and otherwise splices itself after a
-    uniformly chosen earlier element, which reproduces the Ewens weights
-    exactly (no Metropolis step, no burn-in).
-
-    Returns an integer array of shape (count, m) of image rows.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    require_theta(theta)
-    g = rng.generator
-    sigma = np.zeros((count, m), dtype=np.int64)
-    rows = np.arange(count)
-    for k in range(1, m):
-        fresh = g.random(count) < theta / (theta + k)
-        anchor = g.integers(0, k, size=count)
-        # splice k after its anchor: sigma[k] <- sigma[anchor], sigma[anchor] <- k
-        old = sigma[rows, anchor]
-        sigma[:, k] = np.where(fresh, k, old)
-        sigma[rows, anchor] = np.where(fresh, old, k)
-    return sigma
 
 
 def ewens_estimator(k, theta: float) -> np.ndarray:

@@ -217,9 +217,11 @@ def _compression_mc(
             if not good.all():
                 phi, w = phi[good], w[good]
                 rejected = b - len(phi)
+            # two matmuls, Phi* (W^-1 Phi): faster than the einsum at these shapes
+            lifted = np.swapaxes(phi, 1, 2).conj() @ (w @ phi)
         else:
             w = np.linalg.matrix_power(w, degree)
-        lifted = np.einsum("bpi,bpq,bqj->bij", phi.conj(), w, phi, optimize=True)
+            lifted = np.einsum("bpi,bpq,bqj->bij", phi.conj(), w, phi, optimize=True)
         return (lambda acc: acc.add_batch(lifted)), rejected
 
     return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
@@ -335,17 +337,34 @@ def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
     return _compression_mc(k, p, 1, samples, rng)
 
 
+def _require_p_below_singular_rank(p: int, rank: int, m: int):
+    """On a singular K the inverse-compression average is finite only below
+    its rank: from ``p = rank`` on, its kernel value ``mu`` is infinite."""
+    if rank < m and p >= rank:
+        raise ValueError(
+            f"p={p} must lie below rank {rank} of the singular K: from p = rank on, "
+            "the inverse-compression average is infinite on the kernel (mu = inf)"
+        )
+
+
 def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
     """Monte Carlo estimate of ``E(Phi* (Phi K Phi*)^{-1} Phi)``.
 
     Requires a positive semidefinite K, whose least eigenvalue may lie
-    below zero only by the roundoff of :func:`~singcov.linalg.require_psd`,
-    and ``p <= rank(K)`` so the compressed matrix is almost surely
-    invertible. Draws whose compressed matrix ``W`` has a Frobenius
-    condition number ``||W||_F ||W^-1||_F`` above ``COND_LIMIT`` are
-    rejected and redrawn; once rejections exceed
-    ``MAX_REJECT_FRACTION`` of the requested sample count the run aborts,
-    since that signals p exceeding the numerically effective rank.
+    below zero only by the roundoff of :func:`~singcov.linalg.require_psd`.
+    At full rank any ``p <= m`` is allowed, and ``p = m`` returns ``K^-1``.
+    For a singular K of numeric rank ``r < m``, ``p >= r`` raises
+    ``ValueError``: the lift on the kernel of K averages
+    ``tr((Z_r* D_r Z_r)^{-1})`` over an r x p complex Gaussian ``Z_r``,
+    where ``D_r`` holds the nonzero eigenvalues (within constant factors
+    the trace of a complex inverse Wishart matrix), and its mean is
+    infinite from ``p = r`` on. At ``p = r - 1`` the mean is finite but the
+    second moment is not, so ``stderr`` is no valid error bar. Draws whose
+    compressed matrix ``W`` has a Frobenius condition number
+    ``||W||_F ||W^-1||_F`` above ``COND_LIMIT`` are rejected and redrawn;
+    once rejections exceed ``MAX_REJECT_FRACTION`` of the requested sample
+    count the run aborts, since that signals p exceeding the numerically
+    effective rank.
 
     One eigendecomposition of K serves the PSD check and gives the rank
     factor ``F = U_r sqrt(d_r)`` over the r eigenvalues above the cutoff of
@@ -353,15 +372,6 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
     draw's compressed matrix is ``W = (Phi F)(Phi F)* = Phi K Phi*``, at a
     cost of ``p m r`` rather than ``p m^2``; its Haar frame, its full
     ``m x m`` lift and its rejection rule are those of the definition.
-
-    For a singular K of rank r < m, the lift on the kernel of K averages
-    ``tr((Z_r* D_r Z_r)^{-1})`` over an r x p complex Gaussian ``Z_r``,
-    where ``D_r`` holds the nonzero eigenvalues: within constant factors,
-    the trace of a complex inverse Wishart matrix. Its mean is infinite at
-    ``p = r``, so the estimate is then a truncated, seed-dependent average
-    of a divergent expectation, and no rejected draw signals it. At
-    ``p = r - 1`` the mean is finite but the second moment is not, so
-    ``stderr`` is no valid error bar.
 
     Returns
     -------
@@ -375,6 +385,7 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
     require_p(p, len(dec.eigenvalues))
     # the eigenvalues descend, so those above the rank cutoff come first
     rank = numeric_rank(dec.eigenvalues)
+    _require_p_below_singular_rank(p, rank, len(dec.eigenvalues))
     factor = dec.eigenvectors[:, :rank] * np.sqrt(dec.eigenvalues[:rank])
     return _compression_mc(factor, p, -1, samples, rng)
 
@@ -399,11 +410,11 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     :func:`invcov_p_mc`; the result reports the standard errors of
     ``lambdas`` and ``mu``, the accepted draws and the rejected ones.
 
-    For a singular K of rank r < m, the exact ``mu`` is infinite at
-    ``p = r``, while the Monte Carlo value is finite, depends on the seed
-    and comes with no rejected draw. At ``p = r - 1`` the exact ``mu`` is
-    finite, but the second moment is not, so neither ``stderr`` nor
-    ``mu_stderr`` is a valid error bar (see :func:`invcov_p_mc`).
+    For a singular K of numeric rank r < m, ``p >= r`` raises
+    ``ValueError``, since the exact ``mu`` is infinite from ``p = r`` on.
+    At ``p = r - 1`` the exact ``mu`` is finite, but the second moment is
+    not, so neither ``stderr`` nor ``mu_stderr`` is a valid error bar (see
+    :func:`invcov_p_mc`).
     """
     dec = eig_hermitian(k)
     require_psd(dec.eigenvalues, "k")
@@ -411,6 +422,7 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     require_p(p, m)
     # the eigenvalues descend, so those above the rank cutoff come first
     rank = numeric_rank(dec.eigenvalues)
+    _require_p_below_singular_rank(p, rank, m)
     mc = _invcov_diagonal_mc(dec.eigenvalues[:rank].copy(), m, p, samples, rng)
     values = mc.estimate.real
     mu, mu_stderr = (values[rank], mc.stderr[rank]) if rank < m else (np.nan, np.nan)

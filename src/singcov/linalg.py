@@ -3,16 +3,16 @@ r"""Core linear algebra for the estimator modules.
 Everything downstream works with complex double precision Hermitian
 matrices. This module provides the shared plumbing: spectral
 decompositions, pseudoinverses (including the bordered Gram-matrix
-update for one appended column), empirical spectral distributions, the
-Levy-distance bound, Gaussian and unitary sampling, reproducible random
-streams, and the CSV exchange format.
+update for one appended column), empirical spectral distributions,
+Gaussian and unitary sampling, reproducible random streams, and the CSV
+exchange format.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "block_pinv_update",
     "frobenius_norm",
     "esd",
-    "levy_bound",
     "sample_complex_gaussian",
     "sample_gaussian_covariance",
     "sample_haar_stiefel_batch",
@@ -313,17 +312,6 @@ def esd(k) -> EmpiricalSpectralDistribution:
     """Empirical spectral distribution of a Hermitian matrix."""
     dec = eig_hermitian(k)
     return EmpiricalSpectralDistribution(np.sort(dec.eigenvalues.real))
-
-
-def levy_bound(a, b) -> float:
-    """Upper bound ``((1/m) Tr((A-B)(A-B)*))^(1/3)`` on the Levy distance
-    between the empirical spectral distributions of Hermitian A and B."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError("matrices must share a shape")
-    m = a.shape[0]
-    return float((frobenius_norm(a - b) ** 2 / m) ** (1.0 / 3.0))
 
 
 def sample_complex_gaussian(shape, rng: RandomSource, out=None) -> np.ndarray:

@@ -194,6 +194,19 @@ class TestRunExperiment:
         assert not bad.valid
         assert bad.reason == "p=5 exceeds rank 3 of K"
 
+    def test_only_invcovp_rows_at_rank_are_invalid(self):
+        # K has rank 3: at p = 3 the Haar inverse average is infinite on the
+        # kernel of K, while an injection average is a finite sum
+        config = make_config(
+            n=3, estimators=["invcovp", "hybrid_inverse"], theta_grid=[2.0], p_grid=[3],
+            mc_samples=100,
+        )
+        report = bench.run_experiment(config)
+        bad = report.row("invcovp", "p=3", "fro_inverse")
+        assert not bad.valid
+        assert bad.reason == "p=3 reaches rank 3 of the singular K, where the average is infinite"
+        assert report.row("hybrid_inverse", "theta=2,p=3", "fro_inverse").valid
+
     def test_invcovp_estimates_once_per_trial_and_p(self, monkeypatch):
         estimates = []
         original = haar.invcov_p_mc
@@ -372,16 +385,19 @@ class TestCli:
         "name, flags", [("invcovp", []), ("hybrid_inverse", ["--theta", "2"])]
     )
     def test_estimate_rejects_p_above_rank(self, tmp_path, capsys, name, flags):
-        # a rank-3 sample covariance at m = 8: p = 3 runs, p = 5 is refused
+        # a rank-3 sample covariance at m = 8: p = 2 runs, p = 5 is refused, and
+        # p = 3 runs only on the injection path, whose average is a finite sum
         src = tmp_path / "k.csv"
         save_matrix_csv(src, random_psd(8, 3, 128))
-        for p, code in (("3", 0), ("5", 1)):
+        at_rank = int(name == "invcovp")
+        for p, code in (("2", 0), ("3", at_rank), ("5", 1)):
             out = tmp_path / f"{name}_{p}.csv"
             argv = ["estimate", "--estimator", name, "--p", p, "--samples", "50",
                     "--input", str(src), "--out", str(out)]
             assert cli.main(argv + flags) == code
             assert out.exists() == (code == 0)
-        assert capsys.readouterr().err == "error: p=5 exceeds rank 3 of K\n"
+        refused = "error: p=3 reaches rank 3 of the singular K, where the average is infinite\n"
+        assert capsys.readouterr().err == at_rank * refused + "error: p=5 exceeds rank 3 of K\n"
 
     def test_estimate_ewens_at_huge_theta_returns_input(self, tmp_path):
         k = random_psd(5, 5, 129)

@@ -24,7 +24,6 @@ from singcov.ewens import (
     hybrid_inverse_mc,
     injection_probability,
     injection_probability_enumerated,
-    sample_ewens_batch,
 )
 from singcov.haar import _CHUNK_BYTES
 from singcov.linalg import RandomSource, WelfordAccumulator
@@ -81,20 +80,6 @@ class TestEwensMeasure:
         sigma = (2, 0, 1, 3)
         assert abs(ewens_probability(sigma, 1.0) - 1 / 24) <= 1e-15
 
-    def test_sampler_mean_cycles(self):
-        # E[#cycles] = sum theta/(theta+i) over i = 0..m-1
-        m, theta, n = 8, 2.5, 40000
-        sigmas = sample_ewens_batch(m, theta, n, RandomSource(17))
-        counts = np.array([cycle_count(tuple(s)) for s in sigmas])
-        expected = sum(theta / (theta + i) for i in range(m))
-        se = counts.std(ddof=1) / math.sqrt(n)
-        assert abs(counts.mean() - expected) <= 5 * se
-
-    def test_sampler_yields_permutations(self):
-        sigmas = sample_ewens_batch(6, 0.7, 200, RandomSource(3))
-        assert sigmas.shape == (200, 6)
-        assert (np.sort(sigmas, axis=1) == np.arange(6)).all()
-
 
 class TestEwensEstimator:
     def test_matches_bruteforce(self):
@@ -143,17 +128,6 @@ class TestEwensEstimator:
         # 10! = 3,628,800 permutations exceed the 500,000-term budget
         with pytest.raises(ValueError, match="enumeration budget"):
             ewens_estimator_bruteforce(np.eye(10), 1.0)
-
-    def test_mc_average_converges_to_closed_form(self):
-        # direct check that the closed form is the measure average
-        m, theta, n = 5, 1.8, 60000
-        k = random_hermitian(m, 52)
-        sigmas = sample_ewens_batch(m, theta, n, RandomSource(19))
-        acc = np.zeros((m, m), dtype=complex)
-        for s in sigmas:
-            acc += k[np.ix_(s, s)]
-        mc = acc / n
-        assert np.abs(mc - ewens_estimator(k, theta)).max() <= 0.05
 
 
 class TestInjections:

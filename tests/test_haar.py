@@ -76,18 +76,31 @@ class TestInvcov:
 
     def test_rejects_rank_below_p(self, rng):
         k = random_psd(6, 2, 7)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="p=4 must lie below rank 2"):
             invcov_p_mc(k, 4, 2000, rng)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="p=4 must lie below rank 2"):
             invcov_spectrum(k, 4, 2000, rng)
 
     def test_accepts_p_at_rank_and_rejects_above(self):
+        # on a singular K the kernel value is infinite from p = rank on, so
+        # p = rank is rejected with the p above it, and p = rank - 1 runs
         k = random_psd(6, 3, 9)
-        mc = invcov_p_mc(k, 3, 2000, RandomSource(10))
+        mc = invcov_p_mc(k, 2, 2000, RandomSource(10))
         assert mc.samples == 2000
         assert mc.rejected <= 20
+        for p in (3, 4):
+            for call in (invcov_p_mc, invcov_spectrum):
+                with pytest.raises(ValueError, match=f"p={p} must lie below rank 3"):
+                    call(k, p, 2000, RandomSource(10))
+
+    @pytest.mark.parametrize("call", [invcov_p_mc, invcov_spectrum], ids=["full", "spectrum"])
+    def test_ill_conditioned_draws_exhaust_the_budget(self, call):
+        # numeric rank 5, p = 4: by Poincare separation W's largest eigenvalue
+        # is at least 1 and its smallest at most 1e-14, so every draw has
+        # kappa_F >= 1e14 and is rejected
+        k = np.diag([1.0, 1.0, 1.0, 1e-14, 1e-14, 0.0])
         with pytest.raises(RuntimeError, match="resampling budget"):
-            invcov_p_mc(k, 4, 2000, RandomSource(10))
+            call(k, 4, 200, RandomSource(16))
 
     def test_preserves_eigenvectors(self, rng):
         k = random_psd(5, 5, 8)
@@ -375,6 +388,12 @@ class TestInvcovSpectrumProperties:
     @given(_spectra())
     def test_trace_positivity_and_full_frame_limit(self, case):
         d, p = case
+        rank = int((d > 0).sum())
+        if rank <= p < len(d):
+            # on a singular K the kernel value is infinite from p = rank on
+            with pytest.raises(ValueError, match=f"p={p} must lie below rank {rank}"):
+                invcov_spectrum(np.diag(d), p, 1000, RandomSource(48))
+            return
         spec = invcov_spectrum(np.diag(d), p, 1000, RandomSource(48))
         nonzero = np.sort(d)[::-1][: len(spec.lambdas)]
         # tr(D Phi* (Phi D Phi*)^-1 Phi) = p holds draw by draw

@@ -19,7 +19,6 @@ from singcov.linalg import (
     esd,
     frobenius_norm,
     hermitize,
-    levy_bound,
     load_matrix_csv,
     numeric_rank,
     pseudoinverse,
@@ -197,13 +196,6 @@ class TestEsd:
         k = np.diag([3.0, 1.0, 2.0])
         dist = esd(k)
         np.testing.assert_allclose(dist.eigenvalues, [1.0, 2.0, 3.0])
-
-
-def test_levy_bound_formula():
-    a = np.diag([1.0, 2.0, 3.0])
-    b = np.diag([1.0, 2.0, 4.0])
-    expected = (1.0 / 3.0) ** (1.0 / 3.0)
-    assert abs(levy_bound(a, b) - expected) <= 1e-12
 
 
 class TestGaussianCovariance:
