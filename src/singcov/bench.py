@@ -443,6 +443,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MetricReport:
     parameter cannot apply to the drawn matrix (p above the sample rank,
     say) is marked invalid with a reason instead of aborting the run.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     _, a, a_inv = _truth_matrices(config)
     plan = _build_plan(config)
     rows = [

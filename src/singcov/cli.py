@@ -62,6 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_estimate(args) -> int:
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     k = load_matrix_csv(args.input)
     spec = bench.ESTIMATORS[args.estimator]
     for name in spec.params:
@@ -87,7 +89,7 @@ def _load_config(args) -> bench.ExperimentConfig:
 
 def _cmd_experiment(args) -> int:
     config = _load_config(args)
-    report = bench.run_experiment(config, threads=max(1, args.threads))
+    report = bench.run_experiment(config, threads=args.threads)
     raw, agg, cfg = report.write(args.out)
     for path in (raw, agg, cfg):
         print(f"wrote {path}")

@@ -40,6 +40,11 @@ __all__ = [
 # eigenvalue magnitude): asymmetry if Hermitian, negative eigenvalues if PSD.
 HERMITIAN_TOL = 1e-10
 
+# Haar frames with at most this many entries (m p) are orthonormalized by
+# batched Gram-Schmidt, larger ones by one LAPACK QR per draw: the measured
+# crossover of their run times at the Monte Carlo chunk sizes.
+GRAM_SCHMIDT_MAX_ENTRIES = 80
+
 
 def require_finite(a, name):
     """Reject an array holding NaN or infinite entries."""
@@ -351,19 +356,53 @@ def sample_gaussian_covariance(sigma, n: int, rng: RandomSource) -> np.ndarray:
     return hermitize(obs @ obs.conj().T / n)
 
 
+def _gram_schmidt_rows(g) -> np.ndarray:
+    """Conjugate transposes ``Q*`` of the QR factors ``G = QR`` with positive
+    real R diagonal, for a stack of m x p matrices G of full column rank.
+
+    Classical Gram-Schmidt, each column projected off its predecessors
+    twice ("twice is enough": the second pass restores orthogonality to
+    roundoff). The stack is held as p planes of shape (m, count), so each
+    step is a few array operations over every matrix at once.
+    """
+    # plane j holds conj(g[:, :, j]).T; the conjugate of Q is orthonormalized
+    # directly, since Gram-Schmidt commutes with conjugation
+    y = np.conjugate(np.transpose(g, (2, 1, 0)), order="C")
+    for j, v in enumerate(y):
+        q = y[:j]
+        for _ in range(2 if j else 0):
+            v -=np.einsum("jb,jmb->mb", np.einsum("jmb,mb->jb", q.conj(), v), q)
+        f = v.view(np.float64).reshape(v.shape + (2,))
+        v /= np.sqrt(np.einsum("mbk,mbk->b", f, f))
+    return np.ascontiguousarray(np.transpose(y, (2, 0, 1)))
+
+
 def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> np.ndarray:
     """Stack of ``count`` Haar-distributed p x m matrices with orthonormal rows.
 
-    The m x p complex Gaussian matrices of :func:`sample_complex_gaussian`
-    are orthonormalized by QR; multiplying by the phases of the R diagonal
-    makes the factor unique, which is what turns the QR output into an
-    exactly Haar-distributed point rather than one biased by the
-    factorization convention.
+    Each draw is ``Q*`` for the QR factorization ``G = QR`` of an m x p
+    complex Gaussian matrix G of :func:`sample_complex_gaussian` whose R
+    has a positive real diagonal. That normalization makes Q unique, which
+    is what makes it exactly Haar-distributed rather than biased by a
+    factorization convention (Mezzadri, Notices AMS 54, 2007). Two
+    branches compute the same Q from the same G, to roundoff:
+
+    - frames of at most ``GRAM_SCHMIDT_MAX_ENTRIES`` entries (``m p``) are
+      orthonormalized by Gram-Schmidt, twice per column, batched along the
+      draws. Gram-Schmidt builds the QR factors column by column with
+      ``r_jj = ||g_j - sum_{i<j} r_ij q_i|| > 0``, so it yields that unique
+      Q; it replaces one LAPACK call per draw, whose overhead dominates
+      small frames;
+    - larger frames use LAPACK QR, with each column of Q multiplied by the
+      phase of its R diagonal entry.
     """
     require_p(p, m)
     if count < 1:
         raise ValueError("count must be >= 1")
-    q, r = np.linalg.qr(sample_complex_gaussian((count, m, p), rng))
+    g = sample_complex_gaussian((count, m, p), rng)
+    if m * p <= GRAM_SCHMIDT_MAX_ENTRIES:
+        return _gram_schmidt_rows(g)
+    q, r = np.linalg.qr(g)
     d = np.einsum("bii->bi", r)
     phase = np.where(np.abs(d) > 0, d / np.where(d == 0, 1.0, np.abs(d)), 1.0)
     q = q * phase[:, None, :]

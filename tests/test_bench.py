@@ -450,6 +450,25 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_experiment_rejects_threads_below_one(self, tmp_path, capsys, threads):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(BASE, estimators=["sample"])))
+        out = tmp_path / "x"
+        argv = ["experiment", "--config", str(cfg), "--out", str(out), "--threads", threads]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: threads must be >= 1\n"
+        assert not out.exists()
+
+    def test_estimate_rejects_negative_seed(self, tmp_path, capsys):
+        src, dst = tmp_path / "k.csv", tmp_path / "o.csv"
+        save_matrix_csv(src, random_psd(4, 4, 130))
+        argv = ["estimate", "--estimator", "invcovp", "--p", "2", "--samples", "50",
+                "--input", str(src), "--out", str(dst), "--seed", "-1"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not dst.exists()
+
     def test_experiment_nan_loading_weight_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         doc = dict(BASE, n=3, trials=2, estimators=["loading"], loading_grid=[[math.nan, 0.2]])

@@ -105,3 +105,43 @@ class TestMonteCarloAgainstExactMap:
         want = (dec.eigenvectors * exact) @ dec.eigenvectors.conj().T
         mc = invcov_p_mc(k, 2, 20000, RandomSource(62))
         assert (np.abs(mc.estimate - want) <= 5 * mc.stderr).all()
+
+
+# (range spectrum, m, p) at p = r - 2, where mu and its variance are finite:
+# Gaussian bases at (m, r, p) = (6, 4, 2), orthonormal frames at (7, 6, 4)
+SINGULAR = [
+    (np.array([3.0, 1.9, 1.2, 0.7]), 6, 2),
+    (np.array([3.1, 2.4, 1.7, 1.1, 0.6, 0.3]), 7, 4),
+]
+
+
+def singular_spectrum_exact(d_range, m: int, p: int, eps: float = 1e-20):
+    """The exact map of ``D = diag(d_range, 0, ..., 0)`` of size m as its
+    limit: the map with kernel eigenvalues ``eps (1, 2, ...)`` for small eps,
+    split into the r range values, which tend to ``lambdas``, and the m - r
+    kernel values, which each tend to ``mu``."""
+    r = len(d_range)
+    lam = invcov_spectrum_exact(np.concatenate([d_range, eps * np.arange(1, m - r + 1)]), p)
+    return lam[:r], lam[r:]
+
+
+class TestSingularLimit:
+    @pytest.mark.parametrize("d, m, p", SINGULAR, ids=["m=6,r=4,p=2", "m=7,r=6,p=4"])
+    def test_limit_is_reached(self, d, m, p):
+        lambdas, kernel = singular_spectrum_exact(d, m, p)
+        near_lambdas, near_kernel = singular_spectrum_exact(d, m, p, eps=1e-12)
+        # the kernel values agree, and eight decades of eps move nothing visible
+        np.testing.assert_allclose(kernel, kernel[0], rtol=1e-14)
+        np.testing.assert_allclose(near_lambdas, lambdas, rtol=1e-10)
+        np.testing.assert_allclose(near_kernel, kernel, rtol=1e-10)
+        # the kernel carries no weight in sum_i d_i lambda_i = p
+        assert abs(d @ lambdas - p) <= 1e-13 * p
+
+    @pytest.mark.parametrize("d, m, p", SINGULAR, ids=["m=6,r=4,p=2", "m=7,r=6,p=4"])
+    def test_spectrum_within_five_standard_errors(self, d, m, p):
+        lambdas, kernel = singular_spectrum_exact(d, m, p)
+        k = np.diag(np.concatenate([d, np.zeros(m - len(d))]))
+        spec = invcov_spectrum(k, p, 20000, RandomSource(70 + m))
+        assert spec.rejected == 0
+        assert (np.abs(spec.lambdas - lambdas) <= 5 * spec.stderr).all(), (spec.lambdas, lambdas)
+        assert abs(spec.mu - kernel[0]) <= 5 * spec.mu_stderr, (spec.mu, spec.mu_stderr, kernel[0])

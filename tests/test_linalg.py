@@ -7,6 +7,7 @@ import pytest
 from conftest import random_hermitian, random_psd
 
 from singcov.linalg import (
+    GRAM_SCHMIDT_MAX_ENTRIES,
     HERMITIAN_TOL,
     EmpiricalSpectralDistribution,
     RandomSource,
@@ -23,6 +24,7 @@ from singcov.linalg import (
     numeric_rank,
     pseudoinverse,
     require_hermitian,
+    sample_complex_gaussian,
     sample_gaussian_covariance,
     sample_haar_stiefel_batch,
     save_density_csv,
@@ -125,6 +127,33 @@ class TestHaarSampling:
         a = sample_haar_stiefel_batch(2, 4, 3, RandomSource(5))
         b = sample_haar_stiefel_batch(2, 4, 3, RandomSource(5))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "m, p, gram_schmidt",
+        [(1, 1, True), (5, 2, True), (5, 5, True), (12, 4, True), (80, 1, True),
+         (20, 4, True), (27, 3, False), (9, 9, False), (100, 2, False)],
+    )
+    def test_frames_are_phase_fixed_qr_of_the_gaussian_stack(self, m, p, gram_schmidt):
+        # (20, 4) is the last size on the Gram-Schmidt branch, (27, 3) and
+        # (9, 9) the first above it
+        assert (m * p <= GRAM_SCHMIDT_MAX_ENTRIES) == gram_schmidt
+        count = 2000
+        phi = sample_haar_stiefel_batch(p, m, count, RandomSource(21))
+        q, r = np.linalg.qr(sample_complex_gaussian((count, m, p), RandomSource(21)))
+        d = np.einsum("bii->bi", r)
+        want = np.swapaxes(q * (d / np.abs(d))[:, None, :], 1, 2).conj()
+        assert phi.shape == (count, p, m)
+        if gram_schmidt:
+            assert np.abs(phi - want).max() <= 1e-12
+        else:
+            assert np.array_equal(phi, want)
+
+    def test_gram_schmidt_square_frames_are_unitary(self):
+        m = 8
+        assert m * m <= GRAM_SCHMIDT_MAX_ENTRIES
+        phi = sample_haar_stiefel_batch(m, m, 20_000, RandomSource(22))
+        for gram in (phi @ np.swapaxes(phi, 1, 2).conj(), np.swapaxes(phi, 1, 2).conj() @ phi):
+            assert np.linalg.norm(gram - np.eye(m), axis=(1, 2)).max() <= 1e-13
 
 
 class TestEigAndPinv:
