@@ -455,7 +455,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MetricReport:
         for job in plan
     ]
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # the trial threads keep the cores busy, so each runs its own chunks
+        with ThreadPoolExecutor(max_workers=threads, initializer=haar._run_chunks_inline) as pool:
             futures = [
                 pool.submit(_trial_errors, config, t, plan, a, a_inv)
                 for t in range(config.trials)

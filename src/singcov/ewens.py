@@ -366,8 +366,8 @@ def hybrid_inverse_bruteforce(k, theta: float, p: int) -> np.ndarray:
     return hermitize(_injection_sum(k, theta, p, _pinv_batch_hermitian))
 
 
-def _fold_blocks(blocks: np.ndarray, flat: np.ndarray, m: int):
-    """The fold, into a :class:`~singcov.linalg.WelfordAccumulator`, of the
+def _fold_blocks(blocks: np.ndarray, flat: np.ndarray, m: int, acc):
+    """Fold into the :class:`~singcov.linalg.WelfordAccumulator` ``acc`` the
     draws whose ``m x m`` value is zero but for the Hermitian ``p x p`` block
     ``blocks[b]``, whose entries sit at the flat indices ``flat[b]``
     (``i*m + j``, in the block's row-major order).
@@ -403,10 +403,7 @@ def _fold_blocks(blocks: np.ndarray, flat: np.ndarray, m: int):
     im *= im
     re += im
     m2 = mirror(np.bincount(flat, re, size)) + (b - hits) * np.abs(mean) ** 2
-    # Holding the blocks keeps them alive until the next chunk is made (see
-    # haar._monte_carlo), so the allocator reuses their pages; freed with the
-    # chunk, they would go back to the system and be faulted in again.
-    return lambda acc, _held=blocks: acc.add_moments(b, mean, m2)
+    acc.add_moments(b, mean, m2)
 
 
 def _image_set_law(m: int, p: int, theta: float) -> np.ndarray:
@@ -435,9 +432,10 @@ def _image_set_sampler(m: int, p: int, theta: float):
     since ``P(S)`` depends on S only through k. So a draw takes k from
     :func:`_image_set_law` by inverse CDF, then a uniform ``(p-k)``-subset of
     0..p-1 and a uniform k-subset of p..m-1: the first entries of the
-    argsorts of uniform keys. From ``rng`` a call takes, in this order:
-    ``count`` uniforms for k, the head keys of shape ``(count, p)`` and the
-    tail keys of shape ``(count, m-p)``.
+    argsorts of uniform keys. From ``rng``, the stream of the chunk it draws
+    for (see :func:`singcov.haar._monte_carlo`), a call takes, in this
+    order: ``count`` uniforms for k, the head keys of shape ``(count, p)``
+    and the tail keys of shape ``(count, m-p)``.
     """
     # P(0..j) for j < k_max: the count of these at or below u is k
     cdf = np.cumsum(_image_set_law(m, p, theta))[:-1]
@@ -464,7 +462,8 @@ def hybrid_inverse_mc(
     injection s only through its image set S, whatever the order of S. So
     each draw takes S from its exact law under the restriction of
     Ewens(theta) (see :func:`_image_set_sampler`, which gives the order in
-    which a chunk's variates are taken from ``rng``), with no permutation
+    which a chunk's variates are taken from its stream; each chunk has its
+    own, derived from one key drawn from ``rng``), with no permutation
     drawn, inverts the selected block of K and scatters it back. A block
     whose Frobenius condition number exceeds ``haar.COND_LIMIT`` is
     pseudo-inverted instead, as in :func:`~singcov.linalg.pseudoinverse`.
@@ -481,7 +480,7 @@ def hybrid_inverse_mc(
     require_theta(theta)
     draw = _image_set_sampler(m, p, theta)
 
-    def chunk(b, rng):
+    def chunk(b, rng, acc):
         idx = draw(b, rng)
         flat = idx[:, :, None] * m + idx[:, None, :]
         blocks = k.ravel()[flat]
@@ -491,6 +490,7 @@ def hybrid_inverse_mc(
         bad = ~(cond <= haar.COND_LIMIT)
         if bad.any():
             inv[bad] = _pinv_batch_hermitian(blocks[bad])
-        return _fold_blocks(inv, flat, m), 0
+        _fold_blocks(inv, flat, m, acc)
+        return 0
 
     return haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=p * p)

@@ -17,6 +17,9 @@ Coefficient arithmetic runs in exact rationals; handing in integer or
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isfinite
@@ -64,23 +67,52 @@ __all__ = [
 # from producing a quietly biased average.
 COND_LIMIT = 1e12
 MAX_REJECT_FRACTION = 0.01
-# Draws are batched so that the arrays one chunk holds at once stay near
-# this many bytes, whatever the shape or the sample count.
+# Draws are batched so that the arrays of the chunks in flight at once stay
+# near this many bytes, whatever the shape or the sample count. A run keeps
+# up to two chunks in flight, and each chunk plans for this share of the
+# budget. Against one chunk of the whole budget, the benchmark's peak RSS
+# then fell by 9-11% on `spectrum` and `experiment` and rose by 0.2% on
+# `verify`; a half share raised `verify`'s by 6%.
 _CHUNK_BYTES = 16 * 2**20
+_CHUNK_SHARE = 4
+
+
+def _second_core_idles() -> bool:
+    """Whether a run on one thread leaves a core idle: the process may run
+    on at least 2 CPUs, and numpy's OpenBLAS runs on one thread
+    (``OPENBLAS_NUM_THREADS``, or else ``OMP_NUM_THREADS``, is 1).
+
+    Only then does a run hand every other chunk to the worker thread. With
+    BLAS on its own threads, the two chunks' BLAS calls compete for the
+    cores: on 2 cores, invcov_spectrum at m=200, p=45 and invcov_p_mc at
+    m=100, p=50 ran 30-60% slower than with one chunk at a time.
+    """
+    env = os.environ
+    blas = env.get("OPENBLAS_NUM_THREADS", env.get("OMP_NUM_THREADS"))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 and blas == "1"
+
+
+_TWO_THREADS = _second_core_idles()
 
 
 def _chunk_draws(frame: int, block: int, lift: int) -> int:
-    """Draws per chunk: the byte budget over the bytes one draw holds.
+    """Draws per chunk: the chunk's share of the byte budget over the bytes
+    one draw holds.
 
     ``frame``, ``block`` and ``lift`` count the entries of one draw's frame
     (its injection, or the m x p Gaussian basis of the inverse spectrum),
     compressed matrix and lift. Sampling and lifting hold up to five
     complex frames at once, the factorization four blocks, and the lift
-    with Welford's deviation pass 40 bytes per lifted entry. Plans with
-    equal sizes cut a run into the same draws, whichever path takes them.
+    with Welford's deviation pass 40 bytes per lifted entry. Runs whose
+    draws have different sizes get different plans, and so different
+    chunk streams and different draws.
     """
     per_draw = 16 * (5 * frame + 4 * block) + 40 * lift
-    return max(1, _CHUNK_BYTES // per_draw)
+    return max(1, _CHUNK_BYTES // _CHUNK_SHARE // per_draw)
 
 
 @dataclass
@@ -93,16 +125,161 @@ class MonteCarloEstimate:
     rejected: int = 0
 
 
+def _chunk_streams(rng: RandomSource):
+    """``stream(j)``, the stream of chunk j of one run on ``rng``.
+
+    The run draws one 128-bit key from ``rng`` and chunk j takes the Philox
+    stream ``RandomSource(key, (j,))``: two runs on one source get different
+    keys, and no chunk stream is a ``substream`` of the caller's seed.
+    """
+    key = int.from_bytes(rng.generator.bytes(16), "little")
+    return lambda j: RandomSource(key, (j,))
+
+
+def _round_plan(draws: int, size: int) -> list:
+    """Chunk sizes of a round of ``draws`` draws: full chunks of ``size``,
+    then the remainder."""
+    full, rest = divmod(draws, size)
+    return [size] * full + [rest] * (rest > 0)
+
+
+_heap_primed = False
+
+
+def _prime_heap():
+    """Free one untouched block of ``_CHUNK_BYTES``, once per process.
+
+    glibc's malloc serves a block above its mmap threshold by ``mmap``,
+    raises the threshold to the size of each such block freed, and hands
+    the top of a heap back to the system once more than twice the
+    threshold is free there. Chunk arrays of a few hundred KiB keep both
+    low, so the pages of every chunk went back to the system when it ended
+    and were faulted in again by the next one: invcov_p_mc at m=100, p=50
+    took about 243,000 minor page faults per call, against about 250 once
+    this block was freed, and ran 25-30% slower. After it, the arrays of a
+    chunk, each smaller than the budget, stay on the heaps and their pages
+    are reused. Other allocators ignore it.
+    """
+    global _heap_primed
+    if not _heap_primed:
+        np.empty(_CHUNK_BYTES, dtype=np.uint8)
+        _heap_primed = True
+
+
+_worker = None  # (pid, task queue) of the worker thread, see _submit
+# Held by the round whose odd chunks the worker runs. A round that finds it
+# held runs all its chunks itself, rather than wait while another thread's
+# round has the worker.
+_worker_claim = threading.Lock()
+# Threads that run all their chunks themselves, since other threads already
+# keep the cores busy: the trial threads of bench.run_experiment.
+_inline = threading.local()
+
+
+def _run_chunks_inline():
+    """Make the calling thread run every chunk of its runs itself."""
+    _inline.chunks = True
+
+
+def _serve(tasks):
+    while True:
+        tasks.get()()
+
+
+def _submit(task):
+    """Run ``task()`` on the one worker thread, which is started at the first
+    call and then kept (a forked child, which does not inherit it, starts
+    its own). Only the holder of ``_worker_claim`` calls this."""
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        tasks = queue.SimpleQueue()
+        worker = threading.Thread(target=_serve, args=(tasks,), name="singcov-chunks", daemon=True)
+        worker.start()
+        _worker = (os.getpid(), tasks)
+    _worker[1].put(task)
+
+
+def _run_round(chunk, sizes: list, stream, first: int, merge):
+    """Run chunk j of ``sizes`` on ``stream(first + j)`` and pass its result to
+    ``merge(acc, rejected)`` in the calling thread, strictly in chunk order.
+
+    Chunk j folds its accepted draws into a chunk-local
+    :class:`~singcov.linalg.WelfordAccumulator` ``acc``. With
+    ``_TWO_THREADS``, more than one chunk and the worker free, the worker
+    thread runs the odd chunks while the calling thread runs the even ones;
+    it holds at most one finished chunk's moments that were not merged
+    yet. When ``merge`` or a chunk raises, the round waits for the worker's
+    chunk in flight before it raises.
+    """
+
+    def run(j):
+        acc = WelfordAccumulator()
+        return acc, chunk(sizes[j], stream(first + j), acc)
+
+    inline = len(sizes) == 1 or not _TWO_THREADS or getattr(_inline, "chunks", False)
+    if inline or not _worker_claim.acquire(blocking=False):
+        for j in range(len(sizes)):
+            merge(*run(j))
+        return
+    finished = queue.Queue(maxsize=1)
+    stop = threading.Event()
+    idle = threading.Event()
+
+    def hand_over(result):
+        # a stopped round takes nothing more, and its calling thread may
+        # have left, so the worker never waits on it for good
+        while not stop.is_set():
+            try:
+                finished.put(result, timeout=0.01)
+                return
+            except queue.Full:
+                pass
+
+    def odd_chunks():
+        try:
+            for j in range(1, len(sizes), 2):
+                if stop.is_set():
+                    break
+                hand_over(run(j))
+        except BaseException as exc:  # re-raised in the calling thread
+            hand_over(exc)
+        finally:
+            _worker_claim.release()
+            idle.set()
+
+    try:
+        _submit(odd_chunks)
+    except BaseException:
+        _worker_claim.release()
+        raise
+    try:
+        for j in range(0, len(sizes), 2):
+            merge(*run(j))
+            if j + 1 < len(sizes):
+                result = finished.get()
+                if isinstance(result, BaseException):
+                    raise result
+                merge(*result)
+    finally:
+        stop.set()
+        idle.wait()
+
+
 def _monte_carlo(
     samples: int, rng: RandomSource, chunk, frame: int, block: int, lift: int
 ) -> MonteCarloEstimate:
     """Mean of ``samples`` accepted draws, made chunk by chunk.
 
-    ``chunk(b, rng)`` makes ``b`` draws of the sizes given to
-    :func:`_chunk_draws` and returns ``(fold, rejected)``: ``fold(acc)``
-    folds the values of the accepted draws into the
-    :class:`~singcov.linalg.WelfordAccumulator` ``acc``, and ``rejected``
-    counts the others. Rejected draws are redrawn; once rejections exceed
+    ``chunk(b, rng, acc)`` makes ``b`` draws of the sizes given to
+    :func:`_chunk_draws` from the stream ``rng``, folds the values of the
+    accepted ones into the
+    :class:`~singcov.linalg.WelfordAccumulator` ``acc`` and returns the
+    count of the others. Each round plans the chunks of the draws still
+    missing (:func:`_round_plan`); chunk j of the run, counted over all
+    rounds, draws from its own stream (:func:`_chunk_streams`), and the
+    chunks' moments are merged in chunk order (:func:`_run_round`), so the
+    result does not depend on which thread ran a chunk. Rejected draws are
+    redrawn in the next round; once rejections exceed
     ``MAX_REJECT_FRACTION`` of ``samples`` the run aborts, since that
     signals p exceeding the numerically effective rank. Every average
     taken this way is Hermitian, so the mean is projected onto its
@@ -110,12 +287,17 @@ def _monte_carlo(
     """
     if samples < 2:
         raise ValueError("need at least two Monte Carlo samples")
-    acc = WelfordAccumulator()
+    total = WelfordAccumulator()
     rejected = 0
     max_reject = max(1, int(MAX_REJECT_FRACTION * samples))
     size = _chunk_draws(frame, block, lift)
-    while acc.count < samples:
-        fold, bad = chunk(min(size, samples - acc.count), rng)
+    stream = _chunk_streams(rng)
+    _prime_heap()
+    first = 0
+
+    def merge(acc, bad):
+        nonlocal rejected
+        total.merge(acc)
         rejected += bad
         if rejected > max_reject:
             raise RuntimeError(
@@ -123,12 +305,12 @@ def _monte_carlo(
                 f"{MAX_REJECT_FRACTION:.0%} resampling budget; "
                 "is p larger than the effective rank of K?"
             )
-        # Folding here, after the chunk returned, keeps each batch alive until
-        # the next chunk is made, so the allocator reuses its pages. Freed
-        # inside the chunk, they went back to the system and were faulted in
-        # again: 40 times the minor page faults of invcov_p_mc at m=100, p=25.
-        fold(acc)
-    return MonteCarloEstimate(hermitize(acc.mean), acc.stderr(), acc.count, rejected)
+
+    while total.count < samples:
+        sizes = _round_plan(samples - total.count, size)
+        _run_round(chunk, sizes, stream, first, merge)
+        first += len(sizes)
+    return MonteCarloEstimate(hermitize(total.mean), total.stderr(), total.count, rejected)
 
 
 @dataclass
@@ -200,7 +382,7 @@ def _compression_mc(
     """
     m = k.shape[0]
 
-    def chunk(b, rng):
+    def chunk(b, rng, acc):
         phi = sample_haar_stiefel_batch(p, m, b, rng)
         if degree < 0:
             rows = (phi.reshape(b * p, m) @ k).reshape(b, p, -1)  # Phi F
@@ -221,8 +403,11 @@ def _compression_mc(
             lifted = np.swapaxes(phi, 1, 2).conj() @ (w @ phi)
         else:
             w = np.linalg.matrix_power(w, degree)
-            lifted = np.einsum("bpi,bpq,bqj->bij", phi.conj(), w, phi, optimize=True)
-        return (lambda acc: acc.add_batch(lifted)), rejected
+            # two two-operand einsums, Phi* (W Phi): faster on small frames
+            # than one three-operand einsum or two matmuls
+            lifted = np.einsum("bpi,bpj->bij", phi.conj(), np.einsum("bpq,bqj->bpj", w, phi))
+        acc.add_batch(lifted)
+        return rejected
 
     return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
 
@@ -246,7 +431,7 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
     ``G_k = Z_k* Z_k`` of the kernel rows ``Z_k``.
 
     For ``2p <= m``, Z is complex Gaussian, and a chunk of b draws takes from
-    ``rng``, in this order: ``Z_r`` through
+    its own stream (see :func:`_monte_carlo`), in this order: ``Z_r`` through
     :func:`~singcov.linalg.sample_complex_gaussian` at shape (b, r, p); if
     r < m, the radii ``t = ||Z_k||_F^2``, b standard Gamma variates of shape
     ``(m - r) p``; then, for the flagged draws below in ascending order, the
@@ -256,9 +441,10 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
     Z_k's direction, counts its conditional kernel value
     ``t tr(W^{-1}) / (p (m - r))``; a flagged draw counts its explicit one.
     At full rank a chunk holds the frames that a sampler chunk of its size
-    would. For ``2p > m`` that Gaussian is too ill-conditioned for its Gram
-    matrix ``G = Z* Z``, and Z is the orthonormal Haar frame itself, with
-    ``G = I`` and ``G_k = I - Z_r* Z_r``.
+    would draw from that stream. For ``2p > m`` that Gaussian is too
+    ill-conditioned for its Gram matrix ``G = Z* Z``, and Z is the
+    orthonormal Haar frame itself, with ``G = I`` and
+    ``G_k = I - Z_r* Z_r``.
 
     Draws are rejected exactly as in :func:`invcov_p_mc`. ``Phi D Phi*`` is
     similar to ``G^{-1} W``, so the square of its Frobenius condition
@@ -276,15 +462,16 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
     rows = m if orthonormal else r
     top_sq = float(np.sort(d * d)[max(r - p, 0) :].sum())
     limit_sq = COND_LIMIT**2
-    # Z, the conjugate and D times its range rows, made at the first chunk's
-    # size (no later chunk is larger) and reused: allocated afresh, their
-    # pages were faulted in again every chunk, which took a sixth of the run
-    # at m=200, p=45.
-    frames = []
+    # Z, the conjugate and D times its range rows, made once per thread and
+    # reused: allocated afresh, their pages were faulted in again every
+    # chunk, which took a sixth of the run at m=200, p=45.
+    workspace = threading.local()
 
-    def chunk(b, rng):
-        if not frames:
-            frames.extend(np.empty((b, n, p), dtype=np.complex128) for n in (rows, r, r))
+    def chunk(b, rng, acc):
+        frames = getattr(workspace, "frames", None)
+        if frames is None or len(frames[0]) < b:
+            frames = [np.empty((b, n, p), dtype=np.complex128) for n in (rows, r, r)]
+            workspace.frames = frames
         full, zc, zd = (f[:b] for f in frames)
         if orthonormal:
             np.conjugate(np.swapaxes(sample_haar_stiefel_batch(p, m, b, rng), 1, 2), out=full)
@@ -323,8 +510,8 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
                 # tr(W^-1 (I - Z_r* Z_r)): the range values sum to tr(W^-1 Z_r* Z_r)
                 kernel_trace = tr_inv - values.sum(axis=1)
             values = np.column_stack([values, kernel_trace / kernel])
-        values = values[good]
-        return (lambda acc: acc.add_batch(values)), b - len(values)
+        acc.add_batch(values[good])
+        return b - acc.count
 
     lift = r + (kernel > 0)
     return _monte_carlo(samples, rng, chunk, frame=rows * p, block=p * p, lift=lift)
@@ -406,9 +593,11 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     rejection rule needs them (see :func:`_invcov_diagonal_mc`). Each
     draw's ``mu`` value is its lift's mean over the kernel given that
     radius, which leaves the mean of ``mu`` as it is and lowers its
-    variance. Draws are rejected, and the run aborted, as in
-    :func:`invcov_p_mc`; the result reports the standard errors of
-    ``lambdas`` and ``mu``, the accepted draws and the rejected ones.
+    variance. Each chunk of draws takes them from its own stream, derived
+    from one key drawn from ``rng`` (see :func:`_monte_carlo`). Draws are
+    rejected, and the run aborted, as in :func:`invcov_p_mc`; the result
+    reports the standard errors of ``lambdas`` and ``mu``, the accepted
+    draws and the rejected ones.
 
     For a singular K of numeric rank r < m, ``p >= r`` raises
     ``ValueError``, since the exact ``mu`` is infinite from ``p = r`` on.

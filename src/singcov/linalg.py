@@ -105,6 +105,13 @@ class RandomSource:
     keys on top of the counter-based Philox generator, so parallel Monte
     Carlo jobs reproduce bit-for-bit regardless of scheduling: stream
     ``(seed, i)`` is the same no matter which worker runs it.
+
+    A Monte Carlo run on a source draws one 128-bit key from its
+    ``generator`` and gives each chunk of draws its own stream
+    ``RandomSource(key, (j,))`` (see :func:`singcov.haar._monte_carlo`).
+    So the result does not depend on which thread ran a chunk, two runs on
+    one source still differ, and a run on a fresh source of the same seed
+    repeats the first.
     """
 
     def __init__(self, seed: int, _key: tuple = ()):
@@ -445,6 +452,10 @@ class WelfordAccumulator:
         self._m2 = self._m2 + m2 + np.abs(delta) ** 2 * (self.count * count / total)
         self.mean = self.mean + delta * (count / total)
         self.count = total
+
+    def merge(self, other: "WelfordAccumulator"):
+        """Fold in the batches that ``other`` has folded in."""
+        self.add_moments(other.count, other.mean, other._m2)
 
     def stderr(self) -> np.ndarray:
         """Per-entry standard error of the mean."""

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from singcov import RandomSource
+from singcov import RandomSource, haar
 from singcov.linalg import hermitize
 
 
@@ -19,6 +19,20 @@ def random_psd(m, rank, seed, scale=1.0):
     g = RandomSource(seed).generator
     z = g.standard_normal((m, rank)) + 1j * g.standard_normal((m, rank))
     return hermitize(scale * z @ z.conj().T / rank)
+
+
+def replay_chunks(samples, size, rng, chunk):
+    """Replay the chunk plan of a Monte Carlo run of ``samples`` accepted draws
+    on ``rng`` in chunks of at most ``size`` draws: rounds of chunks
+    (``haar._round_plan``) until ``samples`` draws are kept, chunk j of the run
+    drawing from its own stream (``haar._chunk_streams``). ``chunk(b, stream)``
+    makes one chunk's b draws and returns how many of them it keeps."""
+    stream = haar._chunk_streams(rng)
+    kept = j = 0
+    while kept < samples:
+        for b in haar._round_plan(samples - kept, size):
+            kept += chunk(b, stream(j))
+            j += 1
 
 
 @pytest.fixture

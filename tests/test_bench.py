@@ -173,6 +173,19 @@ class TestRunExperiment:
         for a, b in zip(one.rows, two.rows):
             assert a.values == b.values
 
+    def test_trial_threads_run_their_own_chunks(self, monkeypatch):
+        # trials on threads of their own keep the cores busy, so only a
+        # one-thread experiment hands Monte Carlo chunks to the worker
+        monkeypatch.setattr(haar, "_TWO_THREADS", True)
+        submitted = []
+        submit = haar._submit
+        monkeypatch.setattr(haar, "_submit", lambda task: submitted.append(task) or submit(task))
+        config = make_config(estimators=["invcovp"], mc_samples=2000, trials=2)
+        bench.run_experiment(config, threads=2)
+        assert not submitted
+        bench.run_experiment(config, threads=1)
+        assert submitted
+
     def test_invalid_rows_marked_not_fatal(self):
         config = make_config(
             n=3, estimators=["sample", "invcovp"], p_grid=[5], mc_samples=100

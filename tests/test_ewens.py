@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_psd
+from conftest import random_hermitian, random_psd, replay_chunks
 
 from singcov import ewens, haar
 from singcov.ewens import (
@@ -306,20 +306,27 @@ class TestHybridInverse:
 
     def test_mc_matches_dense_welford_on_same_draws(self):
         # The oracle replays the run's draws chunk by chunk, in the chunk
-        # sizes of its plan, and accumulates the scattered m x m stack entry
-        # by entry. 2000 draws at m=6, p=3 fit one chunk; the draws at m=8,
-        # p=4 span three.
-        size = haar._chunk_draws(frame=8, block=16, lift=16)
+        # sizes and streams of its plan, and accumulates the scattered m x m
+        # stack entry by entry. 2000 draws at m=6, p=3 fit one chunk; the
+        # draws at m=8, p=4 span eleven.
         cases = [
-            (random_psd(6, 6, 83), 1.3, 3, [2000], 11),
-            (random_psd(8, 8, 84), 0.8, 4, [size, size, size // 2], 13),
+            (random_psd(6, 6, 83), 1.3, 3, 2000, 1, 11),
+            (random_psd(8, 8, 84), 0.8, 4, 18202, 11, 13),
         ]
-        for k, theta, p, sizes, seed in cases:
-            m, n = k.shape[0], sum(sizes)
+        for k, theta, p, n, chunks, seed in cases:
+            m = k.shape[0]
             mc = hybrid_inverse_mc(k, theta, p, n, RandomSource(seed))
-            rng = RandomSource(seed)
+            size = haar._chunk_draws(frame=m, block=p * p, lift=p * p)
+            assert len(haar._round_plan(n, size)) == chunks
             draw = ewens._image_set_sampler(m, p, theta)
-            idx = np.concatenate([draw(b, rng) for b in sizes])
+            draws = []
+
+            def chunk(b, stream):
+                draws.append(draw(b, stream))
+                return b
+
+            replay_chunks(n, size, RandomSource(seed), chunk)
+            idx = np.concatenate(draws)
             blocks = np.linalg.inv(k[idx[:, :, None], idx[:, None, :]])
             dense = np.zeros((n, m, m), dtype=complex)
             dense[np.arange(n)[:, None, None], idx[:, :, None], idx[:, None, :]] = blocks

@@ -1,12 +1,16 @@
 """Unit tests for the rotation-average estimators and moment formulas."""
 
+import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_psd
+from conftest import random_hermitian, random_psd, replay_chunks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,21 +140,47 @@ def _compressions(k, phi):
     return w_inv, np.linalg.norm(w, axis=(1, 2)) * np.linalg.norm(w_inv, axis=(1, 2))
 
 
-def _replay_invcov(k, p, samples, rng, limit):
-    """The Haar frames of invcov_p_mc, chunk by chunk in the sizes of its plan
-    with rejected draws redrawn, and the dense Welford fold of the definitional
-    lift Phi* (Phi K Phi*)^-1 Phi of each kept frame."""
+def _full_lift_size(m, p):
+    """Draws per chunk of invcov_p_mc's plan."""
+    return _chunk_draws(m * p, p * p, m * m)
+
+
+def _diagonal_lift_size(m, r, p):
+    """Draws per chunk of invcov_spectrum's plan on a K of rank r."""
+    rows = m if 2 * p > m else r
+    return _chunk_draws(rows * p, p * p, r + (r < m))
+
+
+def _replay_invcov(k, p, samples, rng, limit, size=None):
+    """The Haar frames of invcov_p_mc, chunk by chunk in the sizes and streams
+    of its plan with rejected draws redrawn, and the dense Welford fold of the
+    definitional lift Phi* (Phi K Phi*)^-1 Phi of each kept frame. ``size``
+    replays the plan of another path whose chunks hold the same frames."""
     m = k.shape[0]
-    size = _chunk_draws(m * p, p * p, m * m)
     acc = WelfordAccumulator()
     rejected = 0
-    while acc.count < samples:
-        phi = sample_haar_stiefel_batch(p, m, min(size, samples - acc.count), rng)
+
+    def chunk(b, stream):
+        nonlocal rejected
+        phi = sample_haar_stiefel_batch(p, m, b, stream)
         w_inv, kappa = _compressions(k, phi)
         keep = kappa <= limit
         rejected += int((~keep).sum())
         acc.add_batch(np.swapaxes(phi[keep], 1, 2).conj() @ w_inv[keep] @ phi[keep])
+        return int(keep.sum())
+
+    replay_chunks(samples, size or _full_lift_size(m, p), rng, chunk)
     return acc, rejected
+
+
+def _first_chunk_limit(k, p, seed):
+    """A condition-number limit between the third and fourth largest kappa_F
+    of the first chunk of invcov_p_mc(k, p, ..., RandomSource(seed))."""
+    m = k.shape[0]
+    first_stream = haar._chunk_streams(RandomSource(seed))(0)
+    first = sample_haar_stiefel_batch(p, m, _full_lift_size(m, p), first_stream)
+    cond = np.sort(_compressions(k, first)[1])
+    return float(np.sqrt(cond[-4] * cond[-3]))
 
 
 class TestInvcovRankFactor:
@@ -168,9 +198,7 @@ class TestInvcovRankFactor:
     def test_rejections_match_definitional_condition_numbers(self, monkeypatch):
         m, rank, p, samples, seed = 10, 7, 5, 3000, 62
         k = random_psd(m, rank, 63)
-        first = sample_haar_stiefel_batch(p, m, _chunk_draws(m * p, p * p, m * m), RandomSource(seed))
-        cond = np.sort(_compressions(k, first)[1])
-        limit = float(np.sqrt(cond[-4] * cond[-3]))
+        limit = _first_chunk_limit(k, p, seed)
         monkeypatch.setattr(haar, "COND_LIMIT", limit)
         mc = invcov_p_mc(k, p, samples, RandomSource(seed))
         acc, rejected = _replay_invcov(k, p, samples, RandomSource(seed), limit)
@@ -214,15 +242,18 @@ def _frame_lift(d, z):
 
 class TestInvcovSpectrumChunk:
     def test_gaussian_basis_matches_frames_on_same_draws(self):
-        # m = 40 >= 2p takes the QR-free path; 150 draws fit one chunk of
-        # either path, so both average the same frames at full rank
+        # m = 40 >= 2p takes the QR-free path; at full rank its chunks hold
+        # the frames that sampler chunks of their sizes would, so the full
+        # lift replayed on its plan averages the same frames
         d = np.linspace(3.0, 0.1, 40)
         spec = invcov_spectrum(np.diag(d), 10, 150, RandomSource(44))
-        full = invcov_p_mc(np.diag(d), 10, 150, RandomSource(44))
-        np.testing.assert_allclose(spec.lambdas, np.diag(full.estimate).real, rtol=1e-12)
+        acc, rejected = _replay_invcov(
+            np.diag(d), 10, 150, RandomSource(44), haar.COND_LIMIT, _diagonal_lift_size(40, 40, 10)
+        )
+        np.testing.assert_allclose(spec.lambdas, np.diag(acc.mean).real, rtol=1e-12)
         # the run's noise and draw counts are reported too
-        np.testing.assert_allclose(spec.stderr, np.diag(full.stderr), rtol=1e-9)
-        assert (spec.samples, spec.rejected) == (full.samples, full.rejected) == (150, 0)
+        np.testing.assert_allclose(spec.stderr, np.diag(acc.stderr()), rtol=1e-9)
+        assert (spec.samples, spec.rejected) == (acc.count, rejected) == (150, 0)
         assert math.isnan(spec.mu) and math.isnan(spec.mu_stderr)
 
     def test_singular_range_rows_lift_their_frames(self):
@@ -231,7 +262,14 @@ class TestInvcovSpectrumChunk:
         m, r, p, samples, seed = 40, 30, 10, 150, 44
         d = np.concatenate([np.linspace(3.0, 0.1, r), np.zeros(m - r)])
         spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(seed))
-        z_r, t = _range_draws(d[:r], m, p, samples, RandomSource(seed))
+        draws = []
+
+        def chunk(b, stream):
+            draws.append(_range_draws(d[:r], m, p, b, stream))
+            return b
+
+        replay_chunks(samples, _diagonal_lift_size(m, r, p), RandomSource(seed), chunk)
+        z_r, t = (np.concatenate(part) for part in zip(*draws))
         # no draw is flagged, so no kernel direction is drawn and none rejected
         assert (_screen(d[:r], p, z_r, t) <= haar.COND_LIMIT**2).all()
         u = sample_complex_gaussian((samples, m - r, p), RandomSource(seed + 1))
@@ -261,10 +299,13 @@ class TestInvcovSpectrumChunk:
     def test_rejections_match_frame_condition_numbers(self, monkeypatch):
         m, p, samples, seed = 12, 4, 300, 45
         d = np.logspace(0, -3, m)
-        rng = RandomSource(seed)
-        frames = sample_haar_stiefel_batch(p, m, samples, rng)
-        # the three rejected draws are redrawn from the same stream
-        redrawn = sample_haar_stiefel_batch(p, m, 3, rng)
+        # the draws fit one chunk of either path, and the three rejected draws
+        # are redrawn in a second round, from the run's second chunk stream
+        for size in (_diagonal_lift_size(m, m, p), _full_lift_size(m, p)):
+            assert haar._round_plan(samples, size) == [samples]
+        stream = haar._chunk_streams(RandomSource(seed))
+        frames = sample_haar_stiefel_batch(p, m, samples, stream(0))
+        redrawn = sample_haar_stiefel_batch(p, m, 3, stream(1))
 
         def kappa(phi):
             w = (phi * d) @ np.swapaxes(phi, 1, 2).conj()
@@ -275,7 +316,7 @@ class TestInvcovSpectrumChunk:
         limit = float(np.sqrt(np.sort(cond)[-4] * np.sort(cond)[-3]))
         assert (kappa(redrawn) <= limit).all()
         # the screen s ||W^-1||_F^2 ||Z||_F^4 over the Gaussian bases of these frames
-        z = sample_complex_gaussian((samples, m, p), RandomSource(seed))
+        z = sample_complex_gaussian((samples, m, p), stream(0))
         w_inv = np.linalg.inv(np.swapaxes(z, 1, 2).conj() @ (z * d[:, None]))
         screen = (
             np.sort(d**2)[-p:].sum()
@@ -293,12 +334,12 @@ class TestInvcovSpectrumChunk:
     def test_singular_rejections_match_frame_condition_numbers(self, monkeypatch):
         # each kernel direction is drawn only for a flagged draw; whether a
         # draw is kept must still follow the kappa_F of its whole frame
-        m, r, p, samples, seed, limit = 12, 9, 4, 1000, 47, 500.0
+        m, r, p, samples, seed, limit = 12, 9, 4, 1000, 49, 400.0
         d = np.concatenate([np.logspace(0, -3, r), np.zeros(m - r)])
-        rng = RandomSource(seed)
         lambdas, kernel, flags, rejected = [], [], [], 0
-        while len(lambdas) < samples:
-            b = samples - len(lambdas)
+
+        def chunk(b, rng):
+            nonlocal rejected
             z_r, t = _range_draws(d[:r], m, p, b, rng)
             flagged = _screen(d[:r], p, z_r, t) > limit**2
             u = sample_complex_gaussian((int(flagged.sum()), m - r, p), rng)
@@ -322,6 +363,9 @@ class TestInvcovSpectrumChunk:
             kernel.extend(mu[accepted])
             flags.append((int(flagged.sum()), int(keep.sum())))
             rejected += b - int(accepted.sum())
+            return int(accepted.sum())
+
+        replay_chunks(samples, _diagonal_lift_size(m, r, p), RandomSource(seed), chunk)
         # the first chunk has unflagged draws, flagged ones kept and one rejected
         assert flags[0][0] < samples - 100 and flags[0][1] > 100 and rejected >= 1
 
@@ -340,9 +384,13 @@ class TestInvcovSpectrumChunk:
         m, p, samples, seed = 12, 8, 300, 45
         d = np.logspace(0, -3, m)
         d[rank:] = 0.0
-        rng = RandomSource(seed)
-        frames = sample_haar_stiefel_batch(p, m, samples, rng)
-        redrawn = sample_haar_stiefel_batch(p, m, 3, rng)
+        # the draws fit one chunk of the spectrum's plan, and the three
+        # rejected draws are redrawn in a second round, from its second stream
+        size = _diagonal_lift_size(m, rank, p)
+        assert haar._round_plan(samples, size) == [samples]
+        stream = haar._chunk_streams(RandomSource(seed))
+        frames = sample_haar_stiefel_batch(p, m, samples, stream(0))
+        redrawn = sample_haar_stiefel_batch(p, m, 3, stream(1))
 
         def kappa(phi):
             w = (phi * d) @ np.swapaxes(phi, 1, 2).conj()
@@ -355,9 +403,10 @@ class TestInvcovSpectrumChunk:
 
         monkeypatch.setattr(haar, "COND_LIMIT", limit)
         spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(seed))
-        full = invcov_p_mc(np.diag(d), p, samples, RandomSource(seed))
-        assert spec.rejected == full.rejected == 3
-        diag = np.diag(full.estimate).real
+        # the full lift, replayed on the spectrum's plan, averages these frames
+        acc, rejected = _replay_invcov(np.diag(d), p, samples, RandomSource(seed), limit, size)
+        assert spec.rejected == rejected == 3
+        diag = np.diag(acc.mean).real
         np.testing.assert_allclose(spec.lambdas, diag[:rank], rtol=1e-12)
         if rank < m:
             # mu is the mean of the kernel diagonal of each draw's lift
@@ -406,11 +455,13 @@ class TestInvcovSpectrumProperties:
 
 class TestCompressionCore:
     def test_diagonal_and_full_lift_agree_on_same_draws(self):
-        # 2000 draws fit one chunk of either lift, so both see the same frames
+        # the full lift, replayed on the diagonal lift's plan, sees its frames
         d = np.array([3.0, 2.5, 1.7, 1.1, 0.6, 0.2])
         spec = invcov_spectrum(np.diag(d), 3, 2000, RandomSource(41))
-        full = invcov_p_mc(np.diag(d), 3, 2000, RandomSource(41))
-        np.testing.assert_allclose(spec.lambdas, np.diag(full.estimate).real, rtol=1e-12)
+        full, _ = _replay_invcov(
+            np.diag(d), 3, 2000, RandomSource(41), haar.COND_LIMIT, _diagonal_lift_size(6, 6, 3)
+        )
+        np.testing.assert_allclose(spec.lambdas, np.diag(full.mean).real, rtol=1e-12)
 
     def test_cov_average_is_first_matrix_moment(self):
         k = random_hermitian(5, 42)
@@ -418,6 +469,147 @@ class TestCompressionCore:
         moment = haar._compression_mc(k, 2, 1, 3000, RandomSource(43))
         assert np.array_equal(cov.estimate, moment.estimate)
         assert np.array_equal(cov.stderr, moment.stderr)
+
+
+def _fields(result):
+    return [getattr(result, f.name) for f in dataclasses.fields(result)]
+
+
+class TestMonteCarloDriver:
+    # multi-chunk runs of every Monte Carlo path, the last two with rejected
+    # draws redrawn in later rounds
+    RUNS = {
+        "invcov_p_mc": lambda: invcov_p_mc(random_psd(10, 7, 64), 4, 3000, RandomSource(70)),
+        "spectrum_gaussian": lambda: invcov_spectrum(
+            random_psd(12, 9, 65), 4, 6000, RandomSource(71)
+        ),
+        "spectrum_orthonormal": lambda: invcov_spectrum(
+            random_psd(12, 12, 66), 8, 3000, RandomSource(72)
+        ),
+        "cov_p_mc": lambda: cov_p_mc(random_hermitian(5, 42), 2, 5000, RandomSource(73)),
+        "hybrid_inverse_mc": lambda: hybrid_inverse_mc(
+            random_psd(8, 8, 84), 0.8, 4, 5000, RandomSource(74)
+        ),
+        "invcov_p_mc_rejecting": lambda: invcov_p_mc(
+            random_psd(10, 7, 63), 5, 3000, RandomSource(62)
+        ),
+        "spectrum_rejecting": lambda: invcov_spectrum(
+            np.diag(np.concatenate([np.logspace(0, -3, 9), np.zeros(3)])),
+            4,
+            1000,
+            RandomSource(49),
+        ),
+    }
+    LIMITS = {
+        "invcov_p_mc_rejecting": lambda: _first_chunk_limit(random_psd(10, 7, 63), 5, 62),
+        "spectrum_rejecting": lambda: 400.0,
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_worker_leaves_results_unchanged(self, monkeypatch, name):
+        if name in self.LIMITS:
+            monkeypatch.setattr(haar, "COND_LIMIT", self.LIMITS[name]())
+        chunk_streams, used = haar._chunk_streams, set()
+
+        def counted(rng):
+            stream = chunk_streams(rng)
+            return lambda j: used.add(j) or stream(j)
+
+        monkeypatch.setattr(haar, "_chunk_streams", counted)
+        results = []
+        for two_threads in (False, True):
+            monkeypatch.setattr(haar, "_TWO_THREADS", two_threads)
+            results.append(self.RUNS[name]())
+        serial, parallel = results
+        assert len(used) > 1
+        assert (serial.rejected > 0) == (name in self.LIMITS)
+        for want, got in zip(_fields(serial), _fields(parallel)):
+            assert np.array_equal(want, got, equal_nan=True)
+
+    def test_calls_on_one_source_differ_and_a_fresh_source_repeats(self):
+        k = random_psd(10, 7, 64)
+        rng = RandomSource(75)
+        first = invcov_p_mc(k, 4, 1500, rng)
+        second = invcov_p_mc(k, 4, 1500, rng)
+        again = invcov_p_mc(k, 4, 1500, RandomSource(75))
+        assert not np.array_equal(first.estimate, second.estimate)
+        assert np.array_equal(first.estimate, again.estimate)
+        assert np.array_equal(first.stderr, again.stderr)
+        # the chunk streams are not the caller's substreams
+        stream = haar._chunk_streams(RandomSource(75))
+        for j in range(3):
+            drawn = stream(j).generator.random(4)
+            assert not np.array_equal(drawn, RandomSource(75).substream(j).generator.random(4))
+
+    def test_budget_overrun_waits_for_the_chunk_in_flight(self, monkeypatch):
+        monkeypatch.setattr(haar, "_TWO_THREADS", True)
+        events = []
+        worker_started = threading.Event()
+
+        def chunk(b, rng, acc):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            events.append(("start", on_worker))
+            if on_worker:
+                worker_started.set()
+                # still running when the calling thread finds the budget spent
+                time.sleep(0.2)
+            else:
+                assert worker_started.wait(5.0)
+            events.append(("end", on_worker))
+            return b  # every draw is rejected
+
+        with pytest.raises(RuntimeError, match="resampling budget"):
+            haar._monte_carlo(1000, RandomSource(76), chunk, frame=1000, block=0, lift=0)
+        assert ("start", True) in events
+        assert events.count(("start", True)) == events.count(("end", True))
+        assert events.count(("start", False)) == events.count(("end", False))
+
+    def test_concurrent_runs_share_the_worker(self, monkeypatch):
+        # three calling threads share the one worker, and a round that finds
+        # it claimed runs its own chunks; a lost or misrouted chunk result
+        # would change an estimate
+        k = random_psd(12, 9, 65)
+        monkeypatch.setattr(haar, "_TWO_THREADS", False)
+        want = [invcov_spectrum(k, 4, 6000, RandomSource(80 + i)).lambdas for i in range(3)]
+        monkeypatch.setattr(haar, "_TWO_THREADS", True)
+        got = [None] * 3
+
+        def run(i):
+            got[i] = invcov_spectrum(k, 4, 6000, RandomSource(80 + i)).lambdas
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
+
+    def test_worker_error_is_raised_and_the_worker_serves_the_next_run(self, monkeypatch):
+        monkeypatch.setattr(haar, "_TWO_THREADS", True)
+
+        def chunk(b, rng, acc):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("chunk failed on the worker")
+            acc.add_batch(rng.generator.random((b, 2)))
+            return 0
+
+        with pytest.raises(ValueError, match="chunk failed on the worker"):
+            haar._monte_carlo(1000, RandomSource(77), chunk, frame=1000, block=0, lift=0)
+        # the failed round gave the worker back
+        assert haar._worker_claim.acquire(blocking=False)
+        haar._worker_claim.release()
+        k = random_psd(10, 7, 64)
+        parallel = invcov_p_mc(k, 4, 1500, RandomSource(78))
+        monkeypatch.setattr(haar, "_TWO_THREADS", False)
+        serial = invcov_p_mc(k, 4, 1500, RandomSource(78))
+        assert np.array_equal(parallel.estimate, serial.estimate)
 
 
 class TestChunkPlan:
