@@ -18,8 +18,9 @@ Coefficient arithmetic runs in exact rationals; handing in integer or
 from __future__ import annotations
 
 import os
-import queue
 import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isfinite
@@ -166,7 +167,7 @@ def _prime_heap():
         _heap_primed = True
 
 
-_worker = None  # (pid, task queue) of the worker thread, see _submit
+_pool = None  # (pid, executor) of the worker thread, see _worker_pool
 # Held by the round whose odd chunks the worker runs. A round that finds it
 # held runs all its chunks itself, rather than wait while another thread's
 # round has the worker.
@@ -181,22 +182,14 @@ def _run_chunks_inline():
     _inline.chunks = True
 
 
-def _serve(tasks):
-    while True:
-        tasks.get()()
-
-
-def _submit(task):
-    """Run ``task()`` on the one worker thread, which is started at the first
-    call and then kept (a forked child, which does not inherit it, starts
-    its own). Only the holder of ``_worker_claim`` calls this."""
-    global _worker
-    if _worker is None or _worker[0] != os.getpid():
-        tasks = queue.SimpleQueue()
-        worker = threading.Thread(target=_serve, args=(tasks,), name="singcov-chunks", daemon=True)
-        worker.start()
-        _worker = (os.getpid(), tasks)
-    _worker[1].put(task)
+def _worker_pool() -> ThreadPoolExecutor:
+    """The one-thread executor of the worker, made at the first call and then
+    kept (a forked child, which does not inherit its thread, makes its
+    own). Only the holder of ``_worker_claim`` calls this."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="singcov-chunks"))
+    return _pool[1]
 
 
 def _run_round(chunk, sizes: list, stream, first: int, merge):
@@ -206,10 +199,13 @@ def _run_round(chunk, sizes: list, stream, first: int, merge):
     Chunk j folds its accepted draws into a chunk-local
     :class:`~singcov.linalg.WelfordAccumulator` ``acc``. With
     ``_TWO_THREADS``, more than one chunk and the worker free, the worker
-    thread runs the odd chunks while the calling thread runs the even ones;
-    it holds at most one finished chunk's moments that were not merged
-    yet. When ``merge`` or a chunk raises, the round waits for the worker's
-    chunk in flight before it raises.
+    runs the odd chunks while the calling thread runs the even ones. At
+    most two odd chunks are submitted and not merged yet: odd chunk j is
+    submitted once chunk j - 4 is merged, so the worker starts it only after
+    the calling thread ended chunk j - 5. When ``merge`` or a chunk raises,
+    the round cancels the queued chunk and waits for the one in flight
+    before it raises. Once the interpreter shuts down, the calling thread
+    runs the odd chunks it could not submit.
     """
 
     def run(j):
@@ -221,48 +217,37 @@ def _run_round(chunk, sizes: list, stream, first: int, merge):
         for j in range(len(sizes)):
             merge(*run(j))
         return
-    finished = queue.Queue(maxsize=1)
-    stop = threading.Event()
-    idle = threading.Event()
+    pending = deque()
+    stop = len(sizes)  # odd chunks from here on run on the calling thread
 
-    def hand_over(result):
-        # a stopped round takes nothing more, and its calling thread may
-        # have left, so the worker never waits on it for good
-        while not stop.is_set():
+    def submit(j):
+        nonlocal stop
+        if j < stop:
             try:
-                finished.put(result, timeout=0.01)
-                return
-            except queue.Full:
-                pass
-
-    def odd_chunks():
-        try:
-            for j in range(1, len(sizes), 2):
-                if stop.is_set():
-                    break
-                hand_over(run(j))
-        except BaseException as exc:  # re-raised in the calling thread
-            hand_over(exc)
-        finally:
-            _worker_claim.release()
-            idle.set()
+                pending.append(_worker_pool().submit(run, j))
+            except RuntimeError:
+                # the executor takes no new work, as once the interpreter
+                # shuts down; pending then still holds consecutive odd chunks
+                stop = j
 
     try:
-        _submit(odd_chunks)
-    except BaseException:
-        _worker_claim.release()
-        raise
-    try:
+        submit(1)
+        submit(3)
         for j in range(0, len(sizes), 2):
             merge(*run(j))
-            if j + 1 < len(sizes):
-                result = finished.get()
-                if isinstance(result, BaseException):
-                    raise result
-                merge(*result)
+            if pending:
+                # dropped once merged, so a wait cut short by an interrupt
+                # still waits for the chunk below
+                merge(*pending[0].result())
+                pending.popleft()
+            elif j + 1 < len(sizes):
+                merge(*run(j + 1))
+            submit(j + 5)
     finally:
-        stop.set()
-        idle.wait()
+        for future in pending:
+            future.cancel()
+        wait(pending)
+        _worker_claim.release()
 
 
 def _monte_carlo(
@@ -278,7 +263,9 @@ def _monte_carlo(
     missing (:func:`_round_plan`); chunk j of the run, counted over all
     rounds, draws from its own stream (:func:`_chunk_streams`), and the
     chunks' moments are merged in chunk order (:func:`_run_round`), so the
-    result does not depend on which thread ran a chunk. Rejected draws are
+    result does not depend on which thread ran a chunk. ``chunk`` keeps no
+    state between calls: its arrays are allocated afresh, and
+    :func:`_prime_heap` keeps their pages on the heap. Rejected draws are
     redrawn in the next round; once rejections exceed
     ``MAX_REJECT_FRACTION`` of ``samples`` the run aborts, since that
     signals p exceeding the numerically effective rank. Every average
@@ -462,25 +449,17 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
     rows = m if orthonormal else r
     top_sq = float(np.sort(d * d)[max(r - p, 0) :].sum())
     limit_sq = COND_LIMIT**2
-    # Z, the conjugate and D times its range rows, made once per thread and
-    # reused: allocated afresh, their pages were faulted in again every
-    # chunk, which took a sixth of the run at m=200, p=45.
-    workspace = threading.local()
 
     def chunk(b, rng, acc):
-        frames = getattr(workspace, "frames", None)
-        if frames is None or len(frames[0]) < b:
-            frames = [np.empty((b, n, p), dtype=np.complex128) for n in (rows, r, r)]
-            workspace.frames = frames
-        full, zc, zd = (f[:b] for f in frames)
         if orthonormal:
-            np.conjugate(np.swapaxes(sample_haar_stiefel_batch(p, m, b, rng), 1, 2), out=full)
+            full = np.swapaxes(sample_haar_stiefel_batch(p, m, b, rng), 1, 2)
+            full = np.conjugate(full, order="C")
         else:
-            sample_complex_gaussian((b, r, p), rng, out=full)
+            full = sample_complex_gaussian((b, r, p), rng)
             t = rng.generator.standard_gamma(kernel * p, b) if kernel else 0.0
         z = full[:, :r]
-        zh = np.swapaxes(np.conjugate(z, out=zc), 1, 2)
-        w = zh @ np.multiply(z, d[:, None], out=zd)
+        zh = np.swapaxes(z.conj(), 1, 2)
+        w = zh @ (z * d[:, None])
         w_inv, cond = _inv_batch_hermitian(w)
         tr_inv = np.einsum("bii->b", w_inv).real
         if orthonormal:
@@ -503,7 +482,7 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
                 w_norm_sq = _trace_square(np.linalg.solve(g, w[flagged]))
                 good[flagged] = w_norm_sq * _trace_square(w_inv[flagged] @ g) <= limit_sq
         # Re(z_i W^-1 z_i*): a real dot of each row of Z W^-1 with that row of Z
-        lift = np.matmul(z, w_inv, out=zd).view(np.float64)
+        lift = (z @ w_inv).view(np.float64)
         values = np.einsum("bij,bij->bi", lift, z.view(np.float64))
         if kernel:
             if orthonormal:

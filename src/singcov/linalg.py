@@ -326,16 +326,14 @@ def esd(k) -> EmpiricalSpectralDistribution:
     return EmpiricalSpectralDistribution(np.sort(dec.eigenvalues.real))
 
 
-def sample_complex_gaussian(shape, rng: RandomSource, out=None) -> np.ndarray:
+def sample_complex_gaussian(shape, rng: RandomSource) -> np.ndarray:
     """Array of independent standard complex Gaussians, whose real and
     imaginary parts are independent with variance 1/2.
 
     All real parts are drawn before all imaginary parts, so a seed fixes
-    the array whichever sampler asks for it. ``out``, if given, is a
-    complex array of that shape to write into.
+    the array whichever sampler asks for it.
     """
-    if out is None:
-        out = np.empty(shape, dtype=np.complex128)
+    out = np.empty(shape, dtype=np.complex128)
     # the product with 1/sqrt(2) rounds as numpy's complex division by sqrt(2)
     scale = 1.0 / np.sqrt(2.0)
     np.multiply(rng.generator.standard_normal(shape), scale, out=out.real)

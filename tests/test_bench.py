@@ -178,8 +178,8 @@ class TestRunExperiment:
         # one-thread experiment hands Monte Carlo chunks to the worker
         monkeypatch.setattr(haar, "_TWO_THREADS", True)
         submitted = []
-        submit = haar._submit
-        monkeypatch.setattr(haar, "_submit", lambda task: submitted.append(task) or submit(task))
+        pool = haar._worker_pool
+        monkeypatch.setattr(haar, "_worker_pool", lambda: submitted.append(1) or pool())
         config = make_config(estimators=["invcovp"], mc_samples=2000, trials=2)
         bench.run_experiment(config, threads=2)
         assert not submitted

@@ -2,11 +2,16 @@
 
 import dataclasses
 import math
+import os
+import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,6 +615,108 @@ class TestMonteCarloDriver:
         monkeypatch.setattr(haar, "_TWO_THREADS", False)
         serial = invcov_p_mc(k, 4, 1500, RandomSource(78))
         assert np.array_equal(parallel.estimate, serial.estimate)
+
+    def test_worker_looks_ahead_at_most_five_chunks(self, monkeypatch):
+        # the calling thread's chunks are slow and the worker's instant, so a
+        # worker that ran ahead unchecked would start late odd chunks while
+        # the calling thread is still on chunk 0
+        monkeypatch.setattr(haar, "_TWO_THREADS", True)
+        chunk_streams, events, label, on_worker = haar._chunk_streams, [], {}, []
+
+        def labelled(rng):
+            stream = chunk_streams(rng)
+
+            def start(j):
+                source = stream(j)
+                label[id(source)] = j
+                events.append(("start", j))
+                if threading.current_thread() is not threading.main_thread():
+                    on_worker.append(j)
+                return source
+
+            return start
+
+        def chunk(b, rng, acc):
+            j = label[id(rng)]
+            if j % 2 == 0:
+                time.sleep(0.01)
+            acc.add_batch(rng.generator.random((b, 2)))
+            events.append(("end", j))
+            return 0
+
+        monkeypatch.setattr(haar, "_chunk_streams", labelled)
+        haar._monte_carlo(1000, RandomSource(79), chunk, frame=1000, block=0, lift=0)
+        order = {event: i for i, event in enumerate(events)}
+        late = [j for j in on_worker if j >= 5]
+        assert late
+        for j in late:
+            assert order["end", j - 5] < order["start", j]
+
+    def test_thread_that_outlives_the_main_thread_runs_its_own_chunks(self):
+        # once the main thread ended, the executor takes no new work
+        script = textwrap.dedent(
+            """
+            import threading
+            import numpy as np
+            from singcov import haar
+            from singcov.haar import invcov_spectrum
+            from singcov.linalg import RandomSource
+
+            def late():
+                threading.main_thread().join()
+                spectrum = invcov_spectrum(np.diag(np.arange(1.0, 13.0)), 4, 6000, RandomSource(82))
+                print(spectrum.lambdas.tobytes().hex())
+
+            haar._TWO_THREADS = True
+            threading.Thread(target=late).start()
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(haar.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        want = invcov_spectrum(np.diag(np.arange(1.0, 13.0)), 4, 6000, RandomSource(82)).lambdas
+        assert done.stdout.strip() == want.tobytes().hex(), done.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    # Python 3.12 warns that fork in a process with threads may deadlock the
+    # child; that child is what this test runs
+    @pytest.mark.filterwarnings("ignore:This process .*is multi-threaded:DeprecationWarning")
+    def test_forked_child_makes_its_own_worker(self, monkeypatch):
+        monkeypatch.setattr(haar, "_TWO_THREADS", True)
+        k = random_psd(12, 9, 65)
+
+        def run():
+            return invcov_spectrum(k, 4, 6000, RandomSource(81)).lambdas
+
+        want = run()
+        # the parent's worker ran, and the child inherits no thread of it
+        assert haar._pool[0] == os.getpid()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got = run()
+                if haar._pool[0] == os.getpid():
+                    os.write(write, got.tobytes())
+                    code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        deadline = time.monotonic() + 60.0
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done and time.monotonic() < deadline:
+            time.sleep(0.01)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        with os.fdopen(read, "rb") as pipe:
+            got = np.frombuffer(pipe.read(), dtype=want.dtype)
+        assert done, "the forked child's run hung"
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert np.array_equal(got, want)
 
 
 class TestChunkPlan:
