@@ -101,17 +101,18 @@ def hermitize(a):
 class RandomSource:
     """Deterministic random stream addressable by (seed, stream indices).
 
-    Substreams are derived through ``numpy.random.SeedSequence`` spawn
-    keys on top of the counter-based Philox generator, so parallel Monte
-    Carlo jobs reproduce bit-for-bit regardless of scheduling: stream
-    ``(seed, i)`` is the same no matter which worker runs it.
+    Stream ``(seed, i)`` is the Philox generator seeded by the
+    ``numpy.random.SeedSequence`` of that seed and spawn key, so it is the
+    same whoever draws from it, and ``substream`` gives independent
+    children.
 
     A Monte Carlo run on a source draws one 128-bit key from its
-    ``generator`` and gives each chunk of draws its own stream
-    ``RandomSource(key, (j,))`` (see :func:`singcov.haar._monte_carlo`).
-    So the result does not depend on which thread ran a chunk, two runs on
-    one source still differ, and a run on a fresh source of the same seed
-    repeats the first.
+    ``generator`` and gives each chunk of draws its own stream, an SFC64
+    generator seeded by that key and the chunk's index (see
+    :func:`singcov.haar._chunk_streams`). Those per-chunk streams make the
+    result independent of which thread ran a chunk; two runs on one source
+    still differ, and a run on a fresh source of the same seed repeats the
+    first.
     """
 
     def __init__(self, seed: int, _key: tuple = ()):

@@ -1,6 +1,7 @@
 """Unit tests for the rotation-average estimators and moment formulas."""
 
 import dataclasses
+import functools
 import math
 import os
 import signal
@@ -245,6 +246,47 @@ def _frame_lift(d, z):
     return lift, kappa
 
 
+# a singular diagonal whose inverse spectrum, at p = 4, draws range rows
+_SINGULAR_D = np.concatenate([np.logspace(0, -3, 9), np.zeros(3)])
+
+
+@functools.cache
+def _singular_first_chunk_limit(p, seed):
+    """The largest condition-number limit, between two neighbouring screen
+    bounds, at which the first chunk of
+    invcov_spectrum(diag(_SINGULAR_D), p, ..., RandomSource(seed)) rejects a
+    draw.
+
+    A limit between the n-th and (n+1)-th largest screen bound
+    sqrt(s ||W^-1||_F^2 ||Z||_F^4) flags the n draws of the largest bounds,
+    whose kernel directions are then drawn in one stack; it rejects a draw
+    when it lies below one of their kappa_F. Those directions change with
+    n, so the counts n are tried from 1 up.
+    """
+    d = _SINGULAR_D
+    m, r = len(d), int((d > 0).sum())
+    b = _diagonal_lift_size(m, r, p)
+    stream = haar._chunk_streams(RandomSource(seed))(0)
+    z_r, t = _range_draws(d[:r], m, p, b, stream)
+    after_range = stream.generator.bit_generator.state
+    bounds = np.sqrt(_screen(d[:r], p, z_r, t))
+    order = np.argsort(bounds)[::-1]
+    w = np.swapaxes(z_r.conj(), 1, 2) @ (z_r * d[:r, None])
+    for n in range(1, b):
+        flagged = np.sort(order[:n])
+        stream.generator.bit_generator.state = after_range
+        u = sample_complex_gaussian((n, m - r, p), stream)
+        z = _with_kernel_rows(z_r[flagged], t[flagged], u)
+        g = np.swapaxes(z.conj(), 1, 2) @ z
+        # Phi D Phi* is similar to G^-1 W, so kappa_F^2 = tr((G^-1 W)^2) tr((W^-1 G)^2)
+        g_w = np.linalg.solve(g, w[flagged])
+        w_g = np.linalg.solve(w[flagged], g)
+        worst = math.sqrt((haar._trace_square(g_w) * haar._trace_square(w_g)).max())
+        if worst > bounds[order[n]]:
+            return math.sqrt(bounds[order[n]] * min(bounds[order[n - 1]], worst))
+    raise AssertionError("no limit between screen bounds rejects a draw of the first chunk")
+
+
 class TestInvcovSpectrumChunk:
     def test_gaussian_basis_matches_frames_on_same_draws(self):
         # m = 40 >= 2p takes the QR-free path; at full rank its chunks hold
@@ -339,8 +381,9 @@ class TestInvcovSpectrumChunk:
     def test_singular_rejections_match_frame_condition_numbers(self, monkeypatch):
         # each kernel direction is drawn only for a flagged draw; whether a
         # draw is kept must still follow the kappa_F of its whole frame
-        m, r, p, samples, seed, limit = 12, 9, 4, 1000, 49, 400.0
-        d = np.concatenate([np.logspace(0, -3, r), np.zeros(m - r)])
+        d, p, samples, seed = _SINGULAR_D, 4, 1000, 49
+        m, r = len(d), int((d > 0).sum())
+        limit = _singular_first_chunk_limit(p, seed)
         lambdas, kernel, flags, rejected = [], [], [], 0
 
         def chunk(b, rng):
@@ -499,15 +542,12 @@ class TestMonteCarloDriver:
             random_psd(10, 7, 63), 5, 3000, RandomSource(62)
         ),
         "spectrum_rejecting": lambda: invcov_spectrum(
-            np.diag(np.concatenate([np.logspace(0, -3, 9), np.zeros(3)])),
-            4,
-            1000,
-            RandomSource(49),
+            np.diag(_SINGULAR_D), 4, 1000, RandomSource(49)
         ),
     }
     LIMITS = {
         "invcov_p_mc_rejecting": lambda: _first_chunk_limit(random_psd(10, 7, 63), 5, 62),
-        "spectrum_rejecting": lambda: 400.0,
+        "spectrum_rejecting": lambda: _singular_first_chunk_limit(4, 49),
     }
 
     @pytest.mark.parametrize("name", list(RUNS))
@@ -545,6 +585,24 @@ class TestMonteCarloDriver:
         for j in range(3):
             drawn = stream(j).generator.random(4)
             assert not np.array_equal(drawn, RandomSource(75).substream(j).generator.random(4))
+
+    def test_chunk_streams_are_sfc64_per_key_and_chunk(self):
+        rng = RandomSource(76)
+        key = int.from_bytes(RandomSource(76).generator.bytes(16), "little")
+        first, second = haar._chunk_streams(rng), haar._chunk_streams(rng)
+
+        def draws(stream, j):
+            return stream(j).generator.standard_normal(8)
+
+        for j in range(3):
+            seq = np.random.SeedSequence(key, spawn_key=(j,))
+            want = np.random.Generator(np.random.SFC64(seq)).standard_normal(8)
+            # the same (key, j) repeats the same draws
+            assert np.array_equal(draws(first, j), want)
+            assert np.array_equal(draws(first, j), want)
+            # a second run on the source draws another key
+            assert not np.array_equal(draws(second, j), want)
+        assert not np.array_equal(draws(first, 0), draws(first, 1))
 
     def test_budget_overrun_waits_for_the_chunk_in_flight(self, monkeypatch):
         monkeypatch.setattr(haar, "_TWO_THREADS", True)

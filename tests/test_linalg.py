@@ -1,6 +1,7 @@
 """Unit tests for the shared linear algebra and sampling layer."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from singcov.linalg import (
     save_esd_csv,
     save_matrix_csv,
 )
+from singcov.toeplitz import PowerToeplitz
 
 
 class TestRandomSource:
@@ -52,6 +54,15 @@ class TestRandomSource:
         nested = root.substream(1).substream(2).generator.standard_normal(3)
         flat = root.substream(1).generator.standard_normal(3)
         assert not np.array_equal(nested, flat)
+
+    def test_sampled_covariance_stays_on_philox(self):
+        # the sampled K of the experiments and benchmarks comes from the
+        # Philox stream of the seed and its spawn key, bit for bit
+        sigma = PowerToeplitz(200, 0.5).matrix()
+        k = sample_gaussian_covariance(sigma, 150, RandomSource(0).substream(0))
+        seq = np.random.SeedSequence(0, spawn_key=(0,))
+        philox = SimpleNamespace(generator=np.random.Generator(np.random.Philox(seq)))
+        assert np.array_equal(k, sample_gaussian_covariance(sigma, 150, philox))
 
 
 class TestWelford:
