@@ -439,9 +439,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MetricReport:
     """Execute every (estimator, parameter, trial) job of the config.
 
     Trials are independent jobs on substreams of the config seed, so a
-    thread pool changes wall time but never results. A row where the
-    parameter cannot apply to the drawn matrix (p above the sample rank,
-    say) is marked invalid with a reason instead of aborting the run.
+    thread pool changes wall time but never results. Where Monte Carlo
+    runs hand their chunks to the chunk pool (see
+    :func:`singcov.haar._run_round`), all trial threads share its two
+    threads. A row where the parameter cannot apply to the drawn matrix
+    (p above the sample rank, say) is marked invalid with a reason instead
+    of aborting the run.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -455,8 +458,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MetricReport:
         for job in plan
     ]
     if threads > 1:
-        # the trial threads keep the cores busy, so each runs its own chunks
-        with ThreadPoolExecutor(max_workers=threads, initializer=haar._run_chunks_inline) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
                 pool.submit(_trial_errors, config, t, plan, a, a_inv)
                 for t in range(config.trials)

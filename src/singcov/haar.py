@@ -5,11 +5,16 @@ estimators average the compressed matrix ``Phi K Phi*`` after mapping it
 back up to ``m x m``:
 
 * ``cov_p_closed``   : ``E(Phi* (Phi K Phi*) Phi)``, in closed form.
+* ``cov_p_mc``       : the same average by Monte Carlo, to check the
+  closed form.
 * ``invcov_p_mc``    : ``E(Phi* (Phi K Phi*)^{-1} Phi)``, by Monte Carlo.
+* ``invcov_spectrum`` : the eigenvalue map of that average, by Monte Carlo
+  on the diagonal of eigenvalues of K.
 * ``trace_moment``   : ``E Tr((Phi D Phi*)^N)`` for diagonal D, exactly,
   through hook-shape Schur polynomials.
 * ``moment_matrix_coeffs`` : the polynomial coefficients a_k with
   ``E(Phi* (Phi D Phi*)^l Phi) = sum_k a_k D^k``.
+* ``diagonal_loading`` : the classical ``alpha K + beta I``, for comparison.
 
 Coefficient arithmetic runs in exact rationals; handing in integer or
 ``Fraction`` diagonals keeps the whole evaluation exact.
@@ -18,7 +23,6 @@ Coefficient arithmetic runs in exact rationals; handing in integer or
 from __future__ import annotations
 
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -83,10 +87,11 @@ def _second_core_idles() -> bool:
     on at least 2 CPUs, and numpy's OpenBLAS runs on one thread
     (``OPENBLAS_NUM_THREADS``, or else ``OMP_NUM_THREADS``, is 1).
 
-    Only then does a run hand every other chunk to the worker thread. With
-    BLAS on its own threads, the two chunks' BLAS calls compete for the
-    cores: on 2 cores, invcov_spectrum at m=200, p=45 and invcov_p_mc at
-    m=100, p=50 ran 30-60% slower than with one chunk at a time.
+    Only then does a run hand its chunks to the two threads of the chunk
+    pool. With BLAS on its own threads, the two chunks' BLAS calls compete
+    for the cores: on 2 cores, invcov_spectrum at m=200, p=45 and
+    invcov_p_mc at m=100, p=50 ran 30-60% slower than with one chunk at a
+    time.
     """
     env = os.environ
     blas = env.get("OPENBLAS_NUM_THREADS", env.get("OMP_NUM_THREADS"))
@@ -186,28 +191,23 @@ def _prime_heap():
         _heap_primed = True
 
 
-_pool = None  # (pid, executor) of the worker thread, see _worker_pool
-# Held by the round whose odd chunks the worker runs. A round that finds it
-# held runs all its chunks itself, rather than wait while another thread's
-# round has the worker.
-_worker_claim = threading.Lock()
-# Threads that run all their chunks themselves, since other threads already
-# keep the cores busy: the trial threads of bench.run_experiment.
-_inline = threading.local()
+_pool = None  # (pid, executor) of the chunk pool, see _chunk_pool
+# Chunks a round keeps submitted and not merged yet: with the two pool
+# threads busy, two more wait queued, so a thread that ends a chunk finds
+# the next one at once. On 2 cores with BLAS on one thread, a bound of 2
+# ran invcov_spectrum at m=200, p=45 7-16% slower; 3 and 8 ran as fast.
+_UNMERGED = 4
 
 
-def _run_chunks_inline():
-    """Make the calling thread run every chunk of its runs itself."""
-    _inline.chunks = True
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    """The one-thread executor of the worker, made at the first call and then
-    kept (a forked child, which does not inherit its thread, makes its
-    own). Only the holder of ``_worker_claim`` calls this."""
+def _chunk_pool() -> ThreadPoolExecutor:
+    """The two-thread executor that every round of several chunks runs its
+    chunks on, made at the first call and then kept (a forked child, which
+    does not inherit its threads, makes its own). Concurrent runs share
+    its two threads, so chunks never run on more than two threads at once.
+    """
     global _pool
     if _pool is None or _pool[0] != os.getpid():
-        _pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="singcov-chunks"))
+        _pool = (os.getpid(), ThreadPoolExecutor(2, thread_name_prefix="singcov-chunks"))
     return _pool[1]
 
 
@@ -217,56 +217,51 @@ def _run_round(chunk, sizes: list, stream, first: int, merge):
 
     Chunk j folds its accepted draws into a chunk-local
     :class:`~singcov.linalg.WelfordAccumulator` ``acc``. With
-    ``_TWO_THREADS``, more than one chunk and the worker free, the worker
-    runs the odd chunks while the calling thread runs the even ones. At
-    most two odd chunks are submitted and not merged yet: odd chunk j is
-    submitted once chunk j - 4 is merged, so the worker starts it only after
-    the calling thread ended chunk j - 5. When ``merge`` or a chunk raises,
-    the round cancels the queued chunk and waits for the one in flight
-    before it raises. Once the interpreter shuts down, the calling thread
-    runs the odd chunks it could not submit.
+    ``_TWO_THREADS`` and more than one chunk, the calling thread submits
+    the chunks in order to :func:`_chunk_pool` and merges them as they
+    end, keeping at most ``_UNMERGED`` submitted and not merged yet: chunk
+    j is submitted once chunk ``j - _UNMERGED`` is merged. Otherwise the
+    calling thread runs every chunk itself. A chunk never starts a Monte
+    Carlo run, so no pool thread waits on its own pool. When ``merge`` or
+    a chunk raises, the round cancels the queued chunks and waits for
+    those in flight before it raises. Once the interpreter shuts down, the
+    calling thread runs the chunks it could not submit.
     """
 
     def run(j):
         acc = WelfordAccumulator()
         return acc, chunk(sizes[j], stream(first + j), acc)
 
-    inline = len(sizes) == 1 or not _TWO_THREADS or getattr(_inline, "chunks", False)
-    if inline or not _worker_claim.acquire(blocking=False):
+    if len(sizes) == 1 or not _TWO_THREADS:
         for j in range(len(sizes)):
             merge(*run(j))
         return
     pending = deque()
-    stop = len(sizes)  # odd chunks from here on run on the calling thread
 
-    def submit(j):
-        nonlocal stop
-        if j < stop:
-            try:
-                pending.append(_worker_pool().submit(run, j))
-            except RuntimeError:
-                # the executor takes no new work, as once the interpreter
-                # shuts down; pending then still holds consecutive odd chunks
-                stop = j
+    def merge_first():
+        # dropped once merged, so a wait cut short by an interrupt still
+        # waits for the chunk below
+        merge(*pending[0].result())
+        pending.popleft()
 
     try:
-        submit(1)
-        submit(3)
-        for j in range(0, len(sizes), 2):
-            merge(*run(j))
-            if pending:
-                # dropped once merged, so a wait cut short by an interrupt
-                # still waits for the chunk below
-                merge(*pending[0].result())
-                pending.popleft()
-            elif j + 1 < len(sizes):
-                merge(*run(j + 1))
-            submit(j + 5)
+        for j in range(len(sizes)):
+            if len(pending) == _UNMERGED:
+                merge_first()
+            try:
+                pending.append(_chunk_pool().submit(run, j))
+            except RuntimeError:
+                # the executor takes no new work, as once the interpreter
+                # shuts down
+                while pending:
+                    merge_first()
+                merge(*run(j))
+        while pending:
+            merge_first()
     finally:
         for future in pending:
             future.cancel()
         wait(pending)
-        _worker_claim.release()
 
 
 def _monte_carlo(
@@ -282,8 +277,9 @@ def _monte_carlo(
     missing (:func:`_round_plan`); chunk j of the run, counted over all
     rounds, draws from its own stream (:func:`_chunk_streams`), and the
     chunks' moments are merged in chunk order (:func:`_run_round`), so the
-    result does not depend on which thread ran a chunk. ``chunk`` keeps no
-    state between calls: its arrays are allocated afresh, and
+    result does not depend on which thread ran a chunk. ``chunk`` may run
+    on a thread of the chunk pool, so it starts no Monte Carlo run itself;
+    it keeps no state between calls: its arrays are allocated afresh, and
     :func:`_prime_heap` keeps their pages on the heap. Rejected draws are
     redrawn in the next round; once rejections exceed
     ``MAX_REJECT_FRACTION`` of ``samples`` the run aborts, since that

@@ -1,6 +1,8 @@
 """Shared fixtures plus the acceptance-suite summary hook."""
 
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +35,36 @@ def replay_chunks(samples, size, rng, chunk):
         for b in haar._round_plan(samples - kept, size):
             kept += chunk(b, stream(j))
             j += 1
+
+
+class ChunkCensus:
+    """Counts the chunks of every ``haar._monte_carlo`` run once installed:
+    ``threads`` holds the names of the threads that ran a chunk and ``most``
+    the most chunks that ran at once. Each chunk sleeps ``pause`` seconds
+    first, so chunks that may overlap do."""
+
+    def __init__(self, monkeypatch, pause=0.002):
+        self.lock = threading.Lock()
+        self.running = self.most = 0
+        self.threads = set()
+        monte_carlo = haar._monte_carlo
+
+        def counted(samples, rng, chunk, **sizes):
+            def counting(b, stream, acc):
+                with self.lock:
+                    self.running += 1
+                    self.most = max(self.most, self.running)
+                    self.threads.add(threading.current_thread().name)
+                try:
+                    time.sleep(pause)
+                    return chunk(b, stream, acc)
+                finally:
+                    with self.lock:
+                        self.running -= 1
+
+            return monte_carlo(samples, rng, counting, **sizes)
+
+        monkeypatch.setattr(haar, "_monte_carlo", counted)
 
 
 @pytest.fixture

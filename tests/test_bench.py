@@ -17,7 +17,7 @@ from singcov.linalg import (
     save_matrix_csv,
 )
 from singcov.ewens import ewens_estimator
-from conftest import random_psd
+from conftest import ChunkCensus, random_psd
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -173,18 +173,15 @@ class TestRunExperiment:
         for a, b in zip(one.rows, two.rows):
             assert a.values == b.values
 
-    def test_trial_threads_run_their_own_chunks(self, monkeypatch):
-        # trials on threads of their own keep the cores busy, so only a
-        # one-thread experiment hands Monte Carlo chunks to the worker
+    def test_trial_threads_share_the_chunk_pool(self, monkeypatch):
+        # both trial threads hand their chunks to the two pool threads,
+        # which never run more than two chunks at once
         monkeypatch.setattr(haar, "_TWO_THREADS", True)
-        submitted = []
-        pool = haar._worker_pool
-        monkeypatch.setattr(haar, "_worker_pool", lambda: submitted.append(1) or pool())
+        census = ChunkCensus(monkeypatch)
         config = make_config(estimators=["invcovp"], mc_samples=2000, trials=2)
         bench.run_experiment(config, threads=2)
-        assert not submitted
-        bench.run_experiment(config, threads=1)
-        assert submitted
+        assert census.most == 2
+        assert all(name.startswith("singcov-chunks") for name in census.threads)
 
     def test_invalid_rows_marked_not_fatal(self):
         config = make_config(

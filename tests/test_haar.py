@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_psd, replay_chunks
+from conftest import ChunkCensus, random_hermitian, random_psd, replay_chunks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -606,35 +606,37 @@ class TestMonteCarloDriver:
 
     def test_budget_overrun_waits_for_the_chunk_in_flight(self, monkeypatch):
         monkeypatch.setattr(haar, "_TWO_THREADS", True)
+        # chunk j draws from "stream" j, which labels it
+        monkeypatch.setattr(haar, "_chunk_streams", lambda rng: lambda j: j)
         events = []
-        worker_started = threading.Event()
+        other_started = threading.Event()
 
-        def chunk(b, rng, acc):
-            on_worker = threading.current_thread() is not threading.main_thread()
-            events.append(("start", on_worker))
-            if on_worker:
-                worker_started.set()
-                # still running when the calling thread finds the budget spent
-                time.sleep(0.2)
+        def chunk(b, j, acc):
+            events.append(("start", j))
+            if j == 0:
+                # the budget is spent while another chunk still runs
+                assert other_started.wait(5.0)
             else:
-                assert worker_started.wait(5.0)
-            events.append(("end", on_worker))
+                other_started.set()
+                time.sleep(0.2)
+            events.append(("end", j))
             return b  # every draw is rejected
 
         with pytest.raises(RuntimeError, match="resampling budget"):
             haar._monte_carlo(1000, RandomSource(76), chunk, frame=1000, block=0, lift=0)
-        assert ("start", True) in events
-        assert events.count(("start", True)) == events.count(("end", True))
-        assert events.count(("start", False)) == events.count(("end", False))
+        started = sorted(j for event, j in events if event == "start")
+        assert len(started) > 1
+        assert started == sorted(j for event, j in events if event == "end")
 
     def test_concurrent_runs_share_the_worker(self, monkeypatch):
-        # three calling threads share the one worker, and a round that finds
-        # it claimed runs its own chunks; a lost or misrouted chunk result
+        # three calling threads share the two pool threads, which never run
+        # more than two chunks at once; a lost or misrouted chunk result
         # would change an estimate
         k = random_psd(12, 9, 65)
         monkeypatch.setattr(haar, "_TWO_THREADS", False)
         want = [invcov_spectrum(k, 4, 6000, RandomSource(80 + i)).lambdas for i in range(3)]
         monkeypatch.setattr(haar, "_TWO_THREADS", True)
+        census = ChunkCensus(monkeypatch)
         got = [None] * 3
 
         def run(i):
@@ -653,6 +655,8 @@ class TestMonteCarloDriver:
         assert not any(t.is_alive() for t in threads)
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
+        assert census.most == 2
+        assert all(name.startswith("singcov-chunks") for name in census.threads)
 
     def test_worker_error_is_raised_and_the_worker_serves_the_next_run(self, monkeypatch):
         monkeypatch.setattr(haar, "_TWO_THREADS", True)
@@ -665,50 +669,33 @@ class TestMonteCarloDriver:
 
         with pytest.raises(ValueError, match="chunk failed on the worker"):
             haar._monte_carlo(1000, RandomSource(77), chunk, frame=1000, block=0, lift=0)
-        # the failed round gave the worker back
-        assert haar._worker_claim.acquire(blocking=False)
-        haar._worker_claim.release()
         k = random_psd(10, 7, 64)
         parallel = invcov_p_mc(k, 4, 1500, RandomSource(78))
         monkeypatch.setattr(haar, "_TWO_THREADS", False)
         serial = invcov_p_mc(k, 4, 1500, RandomSource(78))
         assert np.array_equal(parallel.estimate, serial.estimate)
 
-    def test_worker_looks_ahead_at_most_five_chunks(self, monkeypatch):
-        # the calling thread's chunks are slow and the worker's instant, so a
-        # worker that ran ahead unchecked would start late odd chunks while
-        # the calling thread is still on chunk 0
+    def test_round_bounds_its_unmerged_chunks(self, monkeypatch):
+        # chunk 0 is slow and the others instant, so a round that submitted
+        # ahead unchecked would start late chunks before chunk 0 is merged
         monkeypatch.setattr(haar, "_TWO_THREADS", True)
-        chunk_streams, events, label, on_worker = haar._chunk_streams, [], {}, []
+        events = []
 
-        def labelled(rng):
-            stream = chunk_streams(rng)
+        def chunk(b, j, acc):
+            events.append(("start", j))
+            if j == 0:
+                time.sleep(0.05)
+            return j
 
-            def start(j):
-                source = stream(j)
-                label[id(source)] = j
-                events.append(("start", j))
-                if threading.current_thread() is not threading.main_thread():
-                    on_worker.append(j)
-                return source
+        def merge(acc, j):
+            events.append(("merged", j))
 
-            return start
-
-        def chunk(b, rng, acc):
-            j = label[id(rng)]
-            if j % 2 == 0:
-                time.sleep(0.01)
-            acc.add_batch(rng.generator.random((b, 2)))
-            events.append(("end", j))
-            return 0
-
-        monkeypatch.setattr(haar, "_chunk_streams", labelled)
-        haar._monte_carlo(1000, RandomSource(79), chunk, frame=1000, block=0, lift=0)
+        haar._run_round(chunk, [1] * 20, lambda j: j, 0, merge)
+        window = haar._UNMERGED
+        assert [j for event, j in events if event == "merged"] == list(range(20))
         order = {event: i for i, event in enumerate(events)}
-        late = [j for j in on_worker if j >= 5]
-        assert late
-        for j in late:
-            assert order["end", j - 5] < order["start", j]
+        for j in range(window, 20):
+            assert order["merged", j - window] < order["start", j]
 
     def test_thread_that_outlives_the_main_thread_runs_its_own_chunks(self):
         # once the main thread ended, the executor takes no new work
