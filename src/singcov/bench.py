@@ -441,7 +441,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MetricReport:
     Trials are independent jobs on substreams of the config seed, so a
     thread pool changes wall time but never results. Where Monte Carlo
     runs hand their chunks to the chunk pool (see
-    :func:`singcov.haar._run_round`), all trial threads share its two
+    :func:`singcov.haar._run_chunks`), all trial threads share its two
     threads. A row where the parameter cannot apply to the drawn matrix
     (p above the sample rank, say) is marked invalid with a reason instead
     of aborting the run.

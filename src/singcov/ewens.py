@@ -491,6 +491,5 @@ def hybrid_inverse_mc(
         if bad.any():
             inv[bad] = _pinv_batch_hermitian(blocks[bad])
         _fold_blocks(inv, flat, m, acc)
-        return 0
 
     return haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=p * p)

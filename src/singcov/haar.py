@@ -23,6 +23,7 @@ Coefficient arithmetic runs in exact rationals; handing in integer or
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -162,8 +163,8 @@ def _chunk_streams(rng: RandomSource):
 
 
 def _round_plan(draws: int, size: int) -> list:
-    """Chunk sizes of a round of ``draws`` draws: full chunks of ``size``,
-    then the remainder."""
+    """Accepted draws of each chunk of a run of ``draws`` draws: full chunks
+    of ``size``, then the remainder."""
     full, rest = divmod(draws, size)
     return [size] * full + [rest] * (rest > 0)
 
@@ -192,7 +193,8 @@ def _prime_heap():
 
 
 _pool = None  # (pid, executor) of the chunk pool, see _chunk_pool
-# Chunks a round keeps submitted and not merged yet: with the two pool
+_pool_locks = {}  # pid -> the lock that _chunk_pool makes the pool under
+# Chunks a run keeps submitted and not merged yet: with the two pool
 # threads busy, two more wait queued, so a thread that ends a chunk finds
 # the next one at once. On 2 cores with BLAS on one thread, a bound of 2
 # ran invcov_spectrum at m=200, p=45 7-16% slower; 3 and 8 ran as fast.
@@ -200,40 +202,37 @@ _UNMERGED = 4
 
 
 def _chunk_pool() -> ThreadPoolExecutor:
-    """The two-thread executor that every round of several chunks runs its
+    """The two-thread executor that every run of several chunks runs its
     chunks on, made at the first call and then kept (a forked child, which
-    does not inherit its threads, makes its own). Concurrent runs share
-    its two threads, so chunks never run on more than two threads at once.
+    does not inherit its threads, makes its own). Threads that make their
+    first run at once share one executor, and concurrent runs share its two
+    threads, so chunks never run on more than two threads at once.
     """
     global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        _pool = (os.getpid(), ThreadPoolExecutor(2, thread_name_prefix="singcov-chunks"))
-    return _pool[1]
+    # one lock per process, added atomically: a forked child never waits on
+    # a lock that a thread of its parent held at the fork
+    with _pool_locks.setdefault(os.getpid(), threading.Lock()):
+        if _pool is None or _pool[0] != os.getpid():
+            _pool = (os.getpid(), ThreadPoolExecutor(2, thread_name_prefix="singcov-chunks"))
+        return _pool[1]
 
 
-def _run_round(chunk, sizes: list, stream, first: int, merge):
-    """Run chunk j of ``sizes`` on ``stream(first + j)`` and pass its result to
-    ``merge(acc, rejected)`` in the calling thread, strictly in chunk order.
+def _run_chunks(run, chunks: int, merge):
+    """Pass ``run(j)`` of each chunk j < ``chunks`` to ``merge`` in the
+    calling thread, strictly in chunk order.
 
-    Chunk j folds its accepted draws into a chunk-local
-    :class:`~singcov.linalg.WelfordAccumulator` ``acc``. With
-    ``_TWO_THREADS`` and more than one chunk, the calling thread submits
-    the chunks in order to :func:`_chunk_pool` and merges them as they
-    end, keeping at most ``_UNMERGED`` submitted and not merged yet: chunk
-    j is submitted once chunk ``j - _UNMERGED`` is merged. Otherwise the
-    calling thread runs every chunk itself. A chunk never starts a Monte
-    Carlo run, so no pool thread waits on its own pool. When ``merge`` or
-    a chunk raises, the round cancels the queued chunks and waits for
-    those in flight before it raises. Once the interpreter shuts down, the
-    calling thread runs the chunks it could not submit.
+    With ``_TWO_THREADS`` and more than one chunk, the calling thread
+    submits the chunks in order to :func:`_chunk_pool` and merges them as
+    they end, keeping at most ``_UNMERGED`` submitted and not merged yet:
+    chunk j is submitted once chunk ``j - _UNMERGED`` is merged. Otherwise
+    the calling thread runs every chunk itself. A chunk never starts a
+    Monte Carlo run, so no pool thread waits on its own pool. When
+    ``merge`` or a chunk raises, the run cancels the queued chunks and
+    waits for those in flight before it raises. Once the interpreter shuts
+    down, the calling thread runs the chunks it could not submit.
     """
-
-    def run(j):
-        acc = WelfordAccumulator()
-        return acc, chunk(sizes[j], stream(first + j), acc)
-
-    if len(sizes) == 1 or not _TWO_THREADS:
-        for j in range(len(sizes)):
+    if chunks == 1 or not _TWO_THREADS:
+        for j in range(chunks):
             merge(*run(j))
         return
     pending = deque()
@@ -245,7 +244,7 @@ def _run_round(chunk, sizes: list, stream, first: int, merge):
         pending.popleft()
 
     try:
-        for j in range(len(sizes)):
+        for j in range(chunks):
             if len(pending) == _UNMERGED:
                 merge_first()
             try:
@@ -270,32 +269,39 @@ def _monte_carlo(
     """Mean of ``samples`` accepted draws, made chunk by chunk.
 
     ``chunk(b, rng, acc)`` makes ``b`` draws of the sizes given to
-    :func:`_chunk_draws` from the stream ``rng``, folds the values of the
-    accepted ones into the
-    :class:`~singcov.linalg.WelfordAccumulator` ``acc`` and returns the
-    count of the others. Each round plans the chunks of the draws still
-    missing (:func:`_round_plan`); chunk j of the run, counted over all
-    rounds, draws from its own stream (:func:`_chunk_streams`), and the
-    chunks' moments are merged in chunk order (:func:`_run_round`), so the
-    result does not depend on which thread ran a chunk. ``chunk`` may run
-    on a thread of the chunk pool, so it starts no Monte Carlo run itself;
-    it keeps no state between calls: its arrays are allocated afresh, and
-    :func:`_prime_heap` keeps their pages on the heap. Rejected draws are
-    redrawn in the next round; once rejections exceed
-    ``MAX_REJECT_FRACTION`` of ``samples`` the run aborts, since that
-    signals p exceeding the numerically effective rank. Every average
-    taken this way is Hermitian, so the mean is projected onto its
-    Hermitian part (the real part, for a lifted diagonal).
+    :func:`_chunk_draws` from the stream ``rng`` and folds the values of
+    the accepted ones into the :class:`~singcov.linalg.WelfordAccumulator`
+    ``acc``. The run is planned once, by ``samples`` and the draw sizes
+    alone (:func:`_round_plan`): chunk j holds its share of the accepted
+    draws, drawn from its own stream (:func:`_chunk_streams`), and redraws
+    its rejected draws from the rest of that stream. The chunks' moments
+    are merged in chunk order (:func:`_run_chunks`), so the result does not
+    depend on which thread ran a chunk. ``chunk`` may run on a thread of
+    the chunk pool, so it starts no Monte Carlo run itself; it keeps no
+    state between calls: its arrays are allocated afresh, and
+    :func:`_prime_heap` keeps their pages on the heap. Once rejections
+    exceed ``MAX_REJECT_FRACTION`` of ``samples`` the run aborts, since
+    that signals p exceeding the numerically effective rank; a chunk stops
+    redrawing once its own rejections do. Every average taken this way is
+    Hermitian, so the mean is projected onto its Hermitian part (the real
+    part, for a lifted diagonal).
     """
     if samples < 2:
         raise ValueError("need at least two Monte Carlo samples")
     total = WelfordAccumulator()
     rejected = 0
     max_reject = max(1, int(MAX_REJECT_FRACTION * samples))
-    size = _chunk_draws(frame, block, lift)
+    sizes = _round_plan(samples, _chunk_draws(frame, block, lift))
     stream = _chunk_streams(rng)
     _prime_heap()
-    first = 0
+
+    def run(j):
+        acc, rng, drawn = WelfordAccumulator(), stream(j), 0
+        while acc.count < sizes[j] and drawn - acc.count <= max_reject:
+            b = sizes[j] - acc.count
+            chunk(b, rng, acc)
+            drawn += b
+        return acc, drawn - acc.count
 
     def merge(acc, bad):
         nonlocal rejected
@@ -308,10 +314,7 @@ def _monte_carlo(
                 "is p larger than the effective rank of K?"
             )
 
-    while total.count < samples:
-        sizes = _round_plan(samples - total.count, size)
-        _run_round(chunk, sizes, stream, first, merge)
-        first += len(sizes)
+    _run_chunks(run, len(sizes), merge)
     return MonteCarloEstimate(hermitize(total.mean), total.stderr(), total.count, rejected)
 
 
@@ -394,13 +397,11 @@ def _compression_mc(
             w = np.einsum("bpi,bqi->bpq", rows, phi.conj(), optimize=True)
         del rows  # freed, like w below, so the chunk's peak holds neither
         w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
-        rejected = 0
         if degree < 0:
             w, cond = _inv_batch_hermitian(w)
             good = cond <= COND_LIMIT
             if not good.all():
                 phi, w = phi[good], w[good]
-                rejected = b - len(phi)
             # two matmuls, Phi* (W^-1 Phi): faster than the einsum at these shapes
             lifted = np.swapaxes(phi, 1, 2).conj() @ (w @ phi)
         else:
@@ -409,7 +410,6 @@ def _compression_mc(
             # than one three-operand einsum or two matmuls
             lifted = np.einsum("bpi,bpj->bij", phi.conj(), np.einsum("bpq,bqj->bpj", w, phi))
         acc.add_batch(lifted)
-        return rejected
 
     return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
 
@@ -505,7 +505,6 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
                 kernel_trace = tr_inv - values.sum(axis=1)
             values = np.column_stack([values, kernel_trace / kernel])
         acc.add_batch(values[good])
-        return b - acc.count
 
     lift = r + (kernel > 0)
     return _monte_carlo(samples, rng, chunk, frame=rows * p, block=p * p, lift=lift)
@@ -518,14 +517,22 @@ def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
     return _compression_mc(k, p, 1, samples, rng)
 
 
-def _require_p_below_singular_rank(p: int, rank: int, m: int):
-    """On a singular K the inverse-compression average is finite only below
-    its rank: from ``p = rank`` on, its kernel value ``mu`` is infinite."""
+def _inverse_path_rank(k, p: int):
+    """Eigendecomposition and numeric rank of a positive semidefinite K. On a
+    singular K the inverse-compression average is finite only below its
+    rank: from ``p = rank`` on, its kernel value ``mu`` is infinite."""
+    dec = eig_hermitian(k)
+    require_psd(dec.eigenvalues, "k")
+    m = len(dec.eigenvalues)
+    require_p(p, m)
+    # the eigenvalues descend, so those above the rank cutoff come first
+    rank = numeric_rank(dec.eigenvalues)
     if rank < m and p >= rank:
         raise ValueError(
             f"p={p} must lie below rank {rank} of the singular K: from p = rank on, "
             "the inverse-compression average is infinite on the kernel (mu = inf)"
         )
+    return dec, rank
 
 
 def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
@@ -561,12 +568,7 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
         per-entry Monte Carlo standard errors, ``rejected`` counts
         discarded draws.
     """
-    dec = eig_hermitian(k)
-    require_psd(dec.eigenvalues, "k")
-    require_p(p, len(dec.eigenvalues))
-    # the eigenvalues descend, so those above the rank cutoff come first
-    rank = numeric_rank(dec.eigenvalues)
-    _require_p_below_singular_rank(p, rank, len(dec.eigenvalues))
+    dec, rank = _inverse_path_rank(k, p)
     factor = dec.eigenvectors[:, :rank] * np.sqrt(dec.eigenvalues[:rank])
     return _compression_mc(factor, p, -1, samples, rng)
 
@@ -599,13 +601,8 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     not, so neither ``stderr`` nor ``mu_stderr`` is a valid error bar (see
     :func:`invcov_p_mc`).
     """
-    dec = eig_hermitian(k)
-    require_psd(dec.eigenvalues, "k")
+    dec, rank = _inverse_path_rank(k, p)
     m = len(dec.eigenvalues)
-    require_p(p, m)
-    # the eigenvalues descend, so those above the rank cutoff come first
-    rank = numeric_rank(dec.eigenvalues)
-    _require_p_below_singular_rank(p, rank, m)
     mc = _invcov_diagonal_mc(dec.eigenvalues[:rank].copy(), m, p, samples, rng)
     values = mc.estimate.real
     mu, mu_stderr = (values[rank], mc.stderr[rank]) if rank < m else (np.nan, np.nan)

@@ -25,16 +25,15 @@ def random_psd(m, rank, seed, scale=1.0):
 
 def replay_chunks(samples, size, rng, chunk):
     """Replay the chunk plan of a Monte Carlo run of ``samples`` accepted draws
-    on ``rng`` in chunks of at most ``size`` draws: rounds of chunks
-    (``haar._round_plan``) until ``samples`` draws are kept, chunk j of the run
-    drawing from its own stream (``haar._chunk_streams``). ``chunk(b, stream)``
-    makes one chunk's b draws and returns how many of them it keeps."""
+    on ``rng`` in chunks of at most ``size`` draws (``haar._round_plan``):
+    chunk j draws from its own stream (``haar._chunk_streams``) and redraws
+    its rejected draws from the rest of that stream until it keeps its quota.
+    ``chunk(b, stream)`` makes b draws and returns how many of them it keeps."""
     stream = haar._chunk_streams(rng)
-    kept = j = 0
-    while kept < samples:
-        for b in haar._round_plan(samples - kept, size):
-            kept += chunk(b, stream(j))
-            j += 1
+    for j, quota in enumerate(haar._round_plan(samples, size)):
+        own, kept = stream(j), 0
+        while kept < quota:
+            kept += chunk(quota - kept, own)
 
 
 class ChunkCensus:

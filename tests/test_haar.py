@@ -11,6 +11,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -347,12 +348,13 @@ class TestInvcovSpectrumChunk:
         m, p, samples, seed = 12, 4, 300, 45
         d = np.logspace(0, -3, m)
         # the draws fit one chunk of either path, and the three rejected draws
-        # are redrawn in a second round, from the run's second chunk stream
+        # are redrawn from the rest of that chunk's stream
         for size in (_diagonal_lift_size(m, m, p), _full_lift_size(m, p)):
             assert haar._round_plan(samples, size) == [samples]
         stream = haar._chunk_streams(RandomSource(seed))
-        frames = sample_haar_stiefel_batch(p, m, samples, stream(0))
-        redrawn = sample_haar_stiefel_batch(p, m, 3, stream(1))
+        first = stream(0)
+        frames = sample_haar_stiefel_batch(p, m, samples, first)
+        redrawn = sample_haar_stiefel_batch(p, m, 3, first)
 
         def kappa(phi):
             w = (phi * d) @ np.swapaxes(phi, 1, 2).conj()
@@ -432,13 +434,13 @@ class TestInvcovSpectrumChunk:
         m, p, samples, seed = 12, 8, 300, 45
         d = np.logspace(0, -3, m)
         d[rank:] = 0.0
-        # the draws fit one chunk of the spectrum's plan, and the three
-        # rejected draws are redrawn in a second round, from its second stream
+        # the draws fit one chunk of the spectrum's plan, which redraws its
+        # rejected draws from the rest of its stream
         size = _diagonal_lift_size(m, rank, p)
         assert haar._round_plan(samples, size) == [samples]
-        stream = haar._chunk_streams(RandomSource(seed))
-        frames = sample_haar_stiefel_batch(p, m, samples, stream(0))
-        redrawn = sample_haar_stiefel_batch(p, m, 3, stream(1))
+        first = haar._chunk_streams(RandomSource(seed))(0)
+        frames = sample_haar_stiefel_batch(p, m, samples, first)
+        redrawn = sample_haar_stiefel_batch(p, m, 3, first)
 
         def kappa(phi):
             w = (phi * d) @ np.swapaxes(phi, 1, 2).conj()
@@ -447,13 +449,18 @@ class TestInvcovSpectrumChunk:
 
         cond = np.sort(kappa(frames))
         limit = float(np.sqrt(cond[-4] * cond[-3]))
-        assert (kappa(redrawn) <= limit).all()
+        # the three rejected draws are redrawn from the rest of the chunk's
+        # stream; at full rank the first redraw is rejected too and drawn again
+        assert list(kappa(redrawn) > limit) == [rank == m, False, False]
+        assert kappa(sample_haar_stiefel_batch(p, m, 1, first)) <= limit
 
         monkeypatch.setattr(haar, "COND_LIMIT", limit)
+        # a budget of 1% of 300 draws would abort at that fourth rejection
+        monkeypatch.setattr(haar, "MAX_REJECT_FRACTION", 0.02)
         spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(seed))
         # the full lift, replayed on the spectrum's plan, averages these frames
         acc, rejected = _replay_invcov(np.diag(d), p, samples, RandomSource(seed), limit, size)
-        assert spec.rejected == rejected == 3
+        assert spec.rejected == rejected == 3 + (rank == m)
         diag = np.diag(acc.mean).real
         np.testing.assert_allclose(spec.lambdas, diag[:rank], rtol=1e-12)
         if rank < m:
@@ -525,7 +532,7 @@ def _fields(result):
 
 class TestMonteCarloDriver:
     # multi-chunk runs of every Monte Carlo path, the last two with rejected
-    # draws redrawn in later rounds
+    # draws redrawn within their chunks
     RUNS = {
         "invcov_p_mc": lambda: invcov_p_mc(random_psd(10, 7, 64), 4, 3000, RandomSource(70)),
         "spectrum_gaussian": lambda: invcov_spectrum(
@@ -549,6 +556,11 @@ class TestMonteCarloDriver:
         "invcov_p_mc_rejecting": lambda: _first_chunk_limit(random_psd(10, 7, 63), 5, 62),
         "spectrum_rejecting": lambda: _singular_first_chunk_limit(4, 49),
     }
+    # samples and draws per chunk of the rejecting runs' plans
+    PLANS = {
+        "invcov_p_mc_rejecting": (3000, _full_lift_size(10, 5)),
+        "spectrum_rejecting": (1000, _diagonal_lift_size(12, 9, 4)),
+    }
 
     @pytest.mark.parametrize("name", list(RUNS))
     def test_worker_leaves_results_unchanged(self, monkeypatch, name):
@@ -570,6 +582,55 @@ class TestMonteCarloDriver:
         assert (serial.rejected > 0) == (name in self.LIMITS)
         for want, got in zip(_fields(serial), _fields(parallel)):
             assert np.array_equal(want, got, equal_nan=True)
+
+    @pytest.mark.parametrize("two_threads", [False, True])
+    @pytest.mark.parametrize("name", list(LIMITS))
+    def test_plan_is_fixed_and_chunks_redraw_from_their_own_streams(
+        self, monkeypatch, name, two_threads
+    ):
+        # the chunks and their quotas of accepted draws depend only on the
+        # sample count and the draw sizes; chunk j redraws its rejected draws
+        # from the rest of stream(j), so no stream is asked for twice
+        monkeypatch.setattr(haar, "COND_LIMIT", self.LIMITS[name]())
+        monkeypatch.setattr(haar, "_TWO_THREADS", two_threads)
+        chunk_streams, monte_carlo = haar._chunk_streams, haar._monte_carlo
+        lock = threading.Lock()
+        requests, calls = [], []
+
+        def logged_streams(rng):
+            stream = chunk_streams(rng)
+
+            def logged(j):
+                own = stream(j)
+                with lock:
+                    requests.append((j, own))
+                return own
+
+            return logged
+
+        def logged_run(samples, rng, chunk, **sizes):
+            def logging(b, stream, acc):
+                before = acc.count
+                chunk(b, stream, acc)
+                with lock:
+                    calls.append((stream, b, acc.count - before))
+
+            return monte_carlo(samples, rng, logging, **sizes)
+
+        monkeypatch.setattr(haar, "_chunk_streams", logged_streams)
+        monkeypatch.setattr(haar, "_monte_carlo", logged_run)
+        result = self.RUNS[name]()
+        samples, size = self.PLANS[name]
+        plan = haar._round_plan(samples, size)
+        assert sorted(j for j, _ in requests) == list(range(len(plan)))
+        streams = [own for _, own in sorted(requests, key=lambda request: request[0])]
+        assert all(any(own is stream for own in streams) for stream, _, _ in calls)
+        kept = [sum(k for stream, _, k in calls if stream is own) for own in streams]
+        assert kept == plan
+        drawn = sum(b for _, b, _ in calls)
+        assert result.rejected == drawn - samples > 0
+        # some chunk redrew, in a second call on its own stream
+        assert len(calls) > len(plan)
 
     def test_calls_on_one_source_differ_and_a_fresh_source_repeats(self):
         k = random_psd(10, 7, 64)
@@ -619,8 +680,8 @@ class TestMonteCarloDriver:
             else:
                 other_started.set()
                 time.sleep(0.2)
+            # no draw is folded into acc, so every draw is rejected
             events.append(("end", j))
-            return b  # every draw is rejected
 
         with pytest.raises(RuntimeError, match="resampling budget"):
             haar._monte_carlo(1000, RandomSource(76), chunk, frame=1000, block=0, lift=0)
@@ -665,7 +726,6 @@ class TestMonteCarloDriver:
             if threading.current_thread() is not threading.main_thread():
                 raise ValueError("chunk failed on the worker")
             acc.add_batch(rng.generator.random((b, 2)))
-            return 0
 
         with pytest.raises(ValueError, match="chunk failed on the worker"):
             haar._monte_carlo(1000, RandomSource(77), chunk, frame=1000, block=0, lift=0)
@@ -676,26 +736,63 @@ class TestMonteCarloDriver:
         assert np.array_equal(parallel.estimate, serial.estimate)
 
     def test_round_bounds_its_unmerged_chunks(self, monkeypatch):
-        # chunk 0 is slow and the others instant, so a round that submitted
+        # chunk 0 is slow and the others instant, so a run that submitted
         # ahead unchecked would start late chunks before chunk 0 is merged
         monkeypatch.setattr(haar, "_TWO_THREADS", True)
         events = []
 
-        def chunk(b, j, acc):
+        def run(j):
             events.append(("start", j))
             if j == 0:
                 time.sleep(0.05)
-            return j
+            return None, j
 
         def merge(acc, j):
             events.append(("merged", j))
 
-        haar._run_round(chunk, [1] * 20, lambda j: j, 0, merge)
+        haar._run_chunks(run, 20, merge)
         window = haar._UNMERGED
         assert [j for event, j in events if event == "merged"] == list(range(20))
         order = {event: i for i, event in enumerate(events)}
         for j in range(window, 20):
             assert order["merged", j - window] < order["start", j]
+
+    def test_threads_that_start_at_once_make_one_pool(self, monkeypatch):
+        # four threads behind a barrier ask for the pool at their first run;
+        # a check-then-set without a lock let several of them make one, and
+        # chunks then ran on more than two threads. Making an executor here
+        # takes a millisecond, which widens that window
+        made = []
+
+        def executor(*args, **kwargs):
+            time.sleep(1e-3)
+            made.append(ThreadPoolExecutor(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(haar, "ThreadPoolExecutor", executor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                monkeypatch.setattr(haar, "_pool", None)
+                made.clear()
+                barrier = threading.Barrier(4)
+                got = []
+
+                def first_run():
+                    barrier.wait(10.0)
+                    got.append(haar._chunk_pool())
+
+                threads = [threading.Thread(target=first_run) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(10.0)
+                assert not any(t.is_alive() for t in threads)
+                assert len(made) == 1
+                assert len(got) == 4 and all(pool is made[0] for pool in got)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_thread_that_outlives_the_main_thread_runs_its_own_chunks(self):
         # once the main thread ended, the executor takes no new work
