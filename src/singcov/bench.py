@@ -15,7 +15,6 @@ import json
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -438,16 +437,19 @@ def _trial_errors(config: ExperimentConfig, trial: int, plan, a, a_inv) -> list:
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> MetricReport:
     """Execute every (estimator, parameter, trial) job of the config.
 
-    Trials are independent jobs on substreams of the config seed, so a
-    thread pool changes wall time but never results. Where Monte Carlo
-    runs hand their chunks to the chunk pool (see
-    :func:`singcov.haar._run_chunks`), all trial threads share its two
-    threads. A row where the parameter cannot apply to the drawn matrix
-    (p above the sample rank, say) is marked invalid with a reason instead
-    of aborting the run.
+    Trials run in order on the calling thread, each on its own substream
+    of the config seed; their Monte Carlo runs share the chunk pool (see
+    :func:`singcov.haar._run_chunks`), the package's one source of
+    parallelism. ``threads`` accepts only 1; it goes once the benchmark
+    stops passing it (ROADMAP item 12). A row where the parameter cannot
+    apply to the drawn matrix (p above the sample rank, say) is marked
+    invalid with a reason instead of aborting the run.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    if threads != 1:
+        raise ValueError(
+            "threads must be 1: trials run in order, and their Monte Carlo "
+            "chunks already share the chunk pool"
+        )
     _, a, a_inv = _truth_matrices(config)
     plan = _build_plan(config)
     rows = [
@@ -457,17 +459,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> MetricReport:
         ]
         for job in plan
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_trial_errors, config, t, plan, a, a_inv)
-                for t in range(config.trials)
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _trial_errors(config, t, plan, a, a_inv) for t in range(config.trials)
-        ]
+    results = [_trial_errors(config, t, plan, a, a_inv) for t in range(config.trials)]
     for per_trial in results:
         for job_rows, errors in zip(rows, per_trial):
             for row in job_rows:

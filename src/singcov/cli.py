@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", required=True, help="experiment JSON path")
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--seed", type=int, help="override the config seed")
-    exp.add_argument("--threads", type=int, default=1, help="trial thread pool size")
 
     spec = sub.add_parser("spectrum", help="write spectral report CSVs")
     spec.add_argument("--config", required=True, help="experiment JSON path")
@@ -64,12 +63,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_estimate(args) -> int:
     if args.seed < 0:
         raise ValueError("seed must be >= 0")
-    k = load_matrix_csv(args.input)
     spec = bench.ESTIMATORS[args.estimator]
     for name in spec.params:
         if getattr(args, name) is None:
             raise ValueError(f"--{name} is required for estimator {args.estimator!r}")
+    for field in dataclasses.fields(bench.Point):
+        if field.name not in spec.params and getattr(args, field.name) is not None:
+            raise ValueError(f"--{field.name} does not apply to estimator {args.estimator!r}")
     point = bench.Point(**{name: getattr(args, name) for name in spec.params})
+    k = load_matrix_csv(args.input)
     if spec.rank_margin is not None:  # only then are the eigenvalues needed
         reason = bench.rank_error(spec, point, np.linalg.eigvalsh(require_hermitian(k, "k")))
         if reason:
@@ -89,7 +91,7 @@ def _load_config(args) -> bench.ExperimentConfig:
 
 def _cmd_experiment(args) -> int:
     config = _load_config(args)
-    report = bench.run_experiment(config, threads=args.threads)
+    report = bench.run_experiment(config)
     raw, agg, cfg = report.write(args.out)
     for path in (raw, agg, cfg):
         print(f"wrote {path}")

@@ -28,7 +28,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isfinite
+from math import factorial, frexp, isfinite, ldexp
 
 import numpy as np
 
@@ -518,9 +518,17 @@ def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
 
 
 def _inverse_path_rank(k, p: int):
-    """Eigendecomposition and numeric rank of a positive semidefinite K. On a
-    singular K the inverse-compression average is finite only below its
-    rank: from ``p = rank`` on, its kernel value ``mu`` is infinite."""
+    """Eigendecomposition, numeric rank and scale of a positive semidefinite
+    K. On a singular K the inverse-compression average is finite only below
+    its rank: from ``p = rank`` on, its kernel value ``mu`` is infinite.
+
+    The scale ``s``, the largest power of 4 not above the largest eigenvalue,
+    brings that eigenvalue into [1, 4). The inverse paths average ``K / s``,
+    whose average is ``s`` times that of K, and divide the result by ``s``;
+    without it the squared Frobenius norms of the rejection rule overflow or
+    underflow beyond about ``1e+-152``, and every draw is rejected. A power
+    of 4 leaves every result bit as it is, since ``sqrt(d / s)`` is exact too.
+    """
     dec = eig_hermitian(k)
     require_psd(dec.eigenvalues, "k")
     m = len(dec.eigenvalues)
@@ -532,7 +540,7 @@ def _inverse_path_rank(k, p: int):
             f"p={p} must lie below rank {rank} of the singular K: from p = rank on, "
             "the inverse-compression average is infinite on the kernel (mu = inf)"
         )
-    return dec, rank
+    return dec, rank, ldexp(1.0, 2 * ((frexp(dec.eigenvalues[0])[1] - 1) // 2))
 
 
 def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
@@ -568,9 +576,10 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
         per-entry Monte Carlo standard errors, ``rejected`` counts
         discarded draws.
     """
-    dec, rank = _inverse_path_rank(k, p)
-    factor = dec.eigenvectors[:, :rank] * np.sqrt(dec.eigenvalues[:rank])
-    return _compression_mc(factor, p, -1, samples, rng)
+    dec, rank, scale = _inverse_path_rank(k, p)
+    factor = dec.eigenvectors[:, :rank] * np.sqrt(dec.eigenvalues[:rank] / scale)
+    mc = _compression_mc(factor, p, -1, samples, rng)
+    return MonteCarloEstimate(mc.estimate / scale, mc.stderr / scale, mc.samples, mc.rejected)
 
 
 def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectrum:
@@ -601,16 +610,16 @@ def invcov_spectrum(k, p: int, samples: int, rng: RandomSource) -> InvcovSpectru
     not, so neither ``stderr`` nor ``mu_stderr`` is a valid error bar (see
     :func:`invcov_p_mc`).
     """
-    dec, rank = _inverse_path_rank(k, p)
+    dec, rank, scale = _inverse_path_rank(k, p)
     m = len(dec.eigenvalues)
-    mc = _invcov_diagonal_mc(dec.eigenvalues[:rank].copy(), m, p, samples, rng)
-    values = mc.estimate.real
-    mu, mu_stderr = (values[rank], mc.stderr[rank]) if rank < m else (np.nan, np.nan)
+    mc = _invcov_diagonal_mc(dec.eigenvalues[:rank] / scale, m, p, samples, rng)
+    values, stderr = mc.estimate.real / scale, mc.stderr / scale
+    mu, mu_stderr = (values[rank], stderr[rank]) if rank < m else (np.nan, np.nan)
     return InvcovSpectrum(
-        values[:rank].copy(),
+        values[:rank],
         float(mu),
         p,
-        mc.stderr[:rank].copy(),
+        stderr[:rank],
         mc.samples,
         mc.rejected,
         float(mu_stderr),

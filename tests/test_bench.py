@@ -17,7 +17,7 @@ from singcov.linalg import (
     save_matrix_csv,
 )
 from singcov.ewens import ewens_estimator
-from conftest import ChunkCensus, random_psd
+from conftest import random_psd
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -162,26 +162,19 @@ class TestRunExperiment:
         for s, l in zip(sample.values, loading.values):
             assert l <= s + 1e-12
 
-    def test_deterministic_across_threads(self):
+    def test_deterministic_across_threads(self, monkeypatch):
+        # the chunk pool changes which thread runs a chunk, never the rows
         config = make_config(
             estimators=["sample", "invcovp", "hybrid_inverse"],
             theta_grid=[2.0],
             p_grid=[3],
         )
-        one = bench.run_experiment(config, threads=1)
-        two = bench.run_experiment(config, threads=3)
+        monkeypatch.setattr(haar, "_TWO_THREADS", False)
+        one = bench.run_experiment(config)
+        monkeypatch.setattr(haar, "_TWO_THREADS", True)
+        two = bench.run_experiment(config)
         for a, b in zip(one.rows, two.rows):
             assert a.values == b.values
-
-    def test_trial_threads_share_the_chunk_pool(self, monkeypatch):
-        # both trial threads hand their chunks to the two pool threads,
-        # which never run more than two chunks at once
-        monkeypatch.setattr(haar, "_TWO_THREADS", True)
-        census = ChunkCensus(monkeypatch)
-        config = make_config(estimators=["invcovp"], mc_samples=2000, trials=2)
-        bench.run_experiment(config, threads=2)
-        assert census.most == 2
-        assert all(name.startswith("singcov-chunks") for name in census.threads)
 
     def test_invalid_rows_marked_not_fatal(self):
         config = make_config(
@@ -313,6 +306,26 @@ class TestCli:
         )
         assert code == 1
         assert "theta" in capsys.readouterr().err
+
+    def test_estimate_rejects_flags_the_estimator_does_not_take(self, tmp_path, capsys):
+        src = tmp_path / "k.csv"
+        save_matrix_csv(src, random_psd(5, 5, 127))
+        values = {"theta": "2.5", "p": "3", "alpha": "0.8", "beta": "0.2"}
+        refused = 0
+        for name in bench.CLI_ESTIMATORS:
+            params = bench.ESTIMATORS[name].params
+            own = [arg for key in params for arg in (f"--{key}", values[key])]
+            for flag in set(values) - set(params):
+                dst = tmp_path / f"{name}_{flag}.csv"
+                argv = ["estimate", "--estimator", name, "--input", str(src),
+                        "--out", str(dst), *own, f"--{flag}", values[flag]]
+                assert cli.main(argv) == 1
+                err = capsys.readouterr().err
+                assert err == f"error: --{flag} does not apply to estimator {name!r}\n"
+                assert not dst.exists()
+                refused += 1
+        # every flag is refused by some estimator: 3+2+2+3+3+2 pairs
+        assert refused == 15
 
     def test_estimate_rejects_non_hermitian_input(self, tmp_path, capsys):
         k = random_psd(3, 3, 126)
@@ -460,15 +473,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_experiment_rejects_threads_below_one(self, tmp_path, capsys, threads):
+    def test_experiment_refuses_threads(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(BASE, estimators=["sample"])))
         out = tmp_path / "x"
-        argv = ["experiment", "--config", str(cfg), "--out", str(out), "--threads", threads]
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err == "error: threads must be >= 1\n"
+        argv = ["experiment", "--config", str(cfg), "--out", str(out), "--threads", "2"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
+        with pytest.raises(ValueError, match="trials run in order"):
+            bench.run_experiment(make_config(), threads=2)
 
     def test_estimate_rejects_negative_seed(self, tmp_path, capsys):
         src, dst = tmp_path / "k.csv", tmp_path / "o.csv"

@@ -40,6 +40,7 @@ from singcov.linalg import (
     WelfordAccumulator,
     eig_hermitian,
     sample_complex_gaussian,
+    sample_gaussian_covariance,
     sample_haar_stiefel_batch,
 )
 
@@ -112,6 +113,24 @@ class TestInvcov:
         k = np.diag([1.0, 1.0, 1.0, 1e-14, 1e-14, 0.0])
         with pytest.raises(RuntimeError, match="resampling budget"):
             call(k, 4, 200, RandomSource(16))
+
+    @pytest.mark.parametrize("c", [1e170, 1e-170, 1e308])
+    def test_scale_of_k_leaves_the_average_scaled(self, c):
+        # beyond about 1e+-152 the squared Frobenius norms of the rejection
+        # rule overflow or underflow unless K's scale is taken out first; K's
+        # largest eigenvalue is 1, so 1e308 K has it in the top binade, where
+        # the nearest power of 4 above it is no longer finite
+        k = sample_gaussian_covariance(np.eye(6), 5, RandomSource(0))
+        k /= np.linalg.eigvalsh(k)[-1]
+        for call in (invcov_p_mc, invcov_spectrum):
+            want = vars(call(k, 2, 400, RandomSource(1)))
+            got = vars(call(c * k, 2, 400, RandomSource(1)))
+            for field in ("estimate", "lambdas", "stderr", "mu", "mu_stderr"):
+                if field in want:
+                    expected = np.asarray(want[field])
+                    err = np.abs(c * np.asarray(got[field]) - expected).max()
+                    assert err <= 1e-12 * np.abs(expected).max(), (call.__name__, field)
+            assert (got["samples"], got["rejected"]) == (want["samples"], want["rejected"])
 
     def test_preserves_eigenvectors(self, rng):
         k = random_psd(5, 5, 8)
