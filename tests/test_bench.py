@@ -473,6 +473,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_experiment_rejects_threads_below_one(self, tmp_path, capsys, threads):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(BASE, estimators=["sample"])))
+        out = tmp_path / "x"
+        argv = ["experiment", "--config", str(cfg), "--out", str(out), "--threads", threads]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --threads {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_experiment_refuses_threads(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(BASE, estimators=["sample"])))
