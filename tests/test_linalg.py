@@ -142,22 +142,44 @@ class TestHaarSampling:
     @pytest.mark.parametrize(
         "m, p, gram_schmidt",
         [(1, 1, True), (5, 2, True), (5, 5, True), (12, 4, True), (80, 1, True),
-         (20, 4, True), (27, 3, False), (9, 9, False), (100, 2, False)],
+         (20, 4, True), (27, 3, False), (9, 9, False), (100, 2, False),
+         (18, 9, False), (17, 9, False), (100, 1, False), (200, 1, False),
+         (100, 50, False)],
     )
     def test_frames_are_phase_fixed_qr_of_the_gaussian_stack(self, m, p, gram_schmidt):
-        # (20, 4) is the last size on the Gram-Schmidt branch, (27, 3) and
-        # (9, 9) the first above it
+        # (20, 4) is the last size on the Gram-Schmidt branch; above it,
+        # (18, 9) is the first Cholesky QR size at 2p = m, and (17, 9) and
+        # (9, 9) stay on LAPACK, which alone must give the QR's own bits
         assert (m * p <= GRAM_SCHMIDT_MAX_ENTRIES) == gram_schmidt
+        lapack = not gram_schmidt and 2 * p > m
         count = 2000
         phi = sample_haar_stiefel_batch(p, m, count, RandomSource(21))
         q, r = np.linalg.qr(sample_complex_gaussian((count, m, p), RandomSource(21)))
         d = np.einsum("bii->bi", r)
         want = np.swapaxes(q * (d / np.abs(d))[:, None, :], 1, 2).conj()
         assert phi.shape == (count, p, m)
-        if gram_schmidt:
-            assert np.abs(phi - want).max() <= 1e-12
-        else:
+        if lapack:
             assert np.array_equal(phi, want)
+        else:
+            assert np.abs(phi - want).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "m, p, lapack",
+        [(18, 9, False), (27, 3, False), (100, 1, False), (100, 50, False),
+         (17, 9, True), (9, 9, True), (100, 51, True)],
+    )
+    def test_only_frames_with_2p_above_m_call_lapack_qr(self, monkeypatch, m, p, lapack):
+        # np.linalg.qr holds the GIL in its Householder step; Cholesky QR
+        # (matmul, cholesky, inv) releases it
+        def refuse(*args, **kwargs):
+            raise RuntimeError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        if lapack:
+            with pytest.raises(RuntimeError, match="np.linalg.qr called"):
+                sample_haar_stiefel_batch(p, m, 4, RandomSource(23))
+        else:
+            assert sample_haar_stiefel_batch(p, m, 4, RandomSource(23)).shape == (4, p, m)
 
     def test_gram_schmidt_square_frames_are_unitary(self):
         m = 8
@@ -165,6 +187,15 @@ class TestHaarSampling:
         phi = sample_haar_stiefel_batch(m, m, 20_000, RandomSource(22))
         for gram in (phi @ np.swapaxes(phi, 1, 2).conj(), np.swapaxes(phi, 1, 2).conj() @ phi):
             assert np.linalg.norm(gram - np.eye(m), axis=(1, 2)).max() <= 1e-13
+
+    def test_cholesky_frames_are_orthonormal(self):
+        # the smallest Cholesky QR frames at 2p = m have the worst-conditioned
+        # Gaussian stacks, and Cholesky QR loses orthogonality as cond(G)^2
+        m, p = 14, 7
+        assert m * p > GRAM_SCHMIDT_MAX_ENTRIES
+        phi = sample_haar_stiefel_batch(p, m, 20_000, RandomSource(24))
+        gram = phi @ np.swapaxes(phi, 1, 2).conj()
+        assert np.linalg.norm(gram - np.eye(p), axis=(1, 2)).max() <= 1e-13
 
 
 class TestEigAndPinv:
