@@ -39,6 +39,7 @@ from .combinatorics import (
     schur_hook_powersum,
 )
 from .linalg import (
+    GRAM_SCHMIDT_MAX_ENTRIES,
     RandomSource,
     WelfordAccumulator,
     _inv_batch_hermitian,
@@ -371,6 +372,64 @@ def cov_p_closed(k, p: int) -> np.ndarray:
     return hermitize(lead * ((m * p - 1.0) * k + (m - p) * np.trace(k) * np.eye(m)))
 
 
+def _plane_products(a, x):
+    """``A X`` for each draw of a chunk held as planes, the draws along the
+    last axis: ``a`` of shape (n, q, b) and ``x`` of shape (q, l, b) give
+    (n, l, b), as q multiply-adds over the batch."""
+    out = a[:, 0, None] * x[0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None] * x[j]
+    return out
+
+
+def _compression_lifts(phi, k, degree: int):
+    """Lifts ``Phi* W^degree Phi`` of a chunk of frames ``phi`` (b, p, m), as
+    a (b', m, m) stack, for the compressed matrix ``W = Phi K Phi*`` of a
+    positive ``degree``, or ``W = (Phi F)(Phi F)*`` of the factor ``k = F``
+    at degree -1. At degree -1 the b' draws kept are those whose W has a
+    Frobenius condition number of at most ``COND_LIMIT``.
+
+    Frames that :func:`~singcov.linalg.sample_haar_stiefel_batch`
+    orthonormalizes by Gram-Schmidt (``m p <= GRAM_SCHMIDT_MAX_ENTRIES``, so
+    p <= 8) are held as p planes of shape (m, b). W is formed row by row as
+    multiply-sums over the planes, and ``W^degree Phi`` (``degree``
+    products with W, or one with ``W^-1``) and the lift ``Phi* (.)`` as p
+    multiply-adds over the batch (:func:`_plane_products`): batched
+    matmuls of such tiny matrices cost more in per-matrix overhead than in
+    arithmetic. Larger frames take batched matmuls.
+    """
+    b, p, m = phi.shape
+    planes = m * p <= GRAM_SCHMIDT_MAX_ENTRIES
+    if planes:
+        phi = np.ascontiguousarray(np.moveaxis(phi, 0, -1))
+        rows = np.matmul(k.T, phi)  # the planes of Phi K or Phi F
+        other = (rows if degree < 0 else phi).conj()
+        w = np.empty((b, p, p), dtype=np.complex128)
+        for i, row in enumerate(rows):
+            w[:, i] = (row * other).sum(axis=1).T
+        del other
+    else:
+        rows = (phi.reshape(b * p, m) @ k).reshape(b, p, -1)  # Phi K or Phi F
+        w = rows @ np.swapaxes(rows if degree < 0 else phi, 1, 2).conj()
+    del rows  # freed, like w below, so the chunk's peak holds neither
+    w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
+    if degree < 0:
+        w, cond = _inv_batch_hermitian(w)
+        good = cond <= COND_LIMIT
+        if not good.all():
+            w, phi = w[good], phi[..., good] if planes else phi[good]
+    if planes:
+        w = np.ascontiguousarray(np.moveaxis(w, 0, -1))
+    product = _plane_products if planes else np.matmul
+    x = phi
+    for _ in range(max(degree, 1)):
+        x = product(w, x)
+    del w
+    if planes:
+        return np.moveaxis(_plane_products(np.swapaxes(phi, 0, 1).conj(), x), -1, 0)
+    return np.swapaxes(phi, 1, 2).conj() @ x
+
+
 def _compression_mc(
     k, p: int, degree: int, samples: int, rng: RandomSource
 ) -> MonteCarloEstimate:
@@ -383,33 +442,12 @@ def _compression_mc(
     ``W = (Phi F)(Phi F)*``, which costs ``p m r`` per draw rather than
     ``p m^2``. The inverse needs an invertible W: draws whose W has a
     Frobenius condition number above ``COND_LIMIT`` are rejected and
-    redrawn.
+    redrawn. Each chunk's lifts are those of :func:`_compression_lifts`.
     """
     m = k.shape[0]
 
     def chunk(b, rng, acc):
-        phi = sample_haar_stiefel_batch(p, m, b, rng)
-        if degree < 0:
-            rows = (phi.reshape(b * p, m) @ k).reshape(b, p, -1)  # Phi F
-            w = rows @ np.swapaxes(rows, 1, 2).conj()
-        else:
-            rows = np.einsum("bpi,ij->bpj", phi, k, optimize=True)  # Phi K
-            w = np.einsum("bpi,bqi->bpq", rows, phi.conj(), optimize=True)
-        del rows  # freed, like w below, so the chunk's peak holds neither
-        w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
-        if degree < 0:
-            w, cond = _inv_batch_hermitian(w)
-            good = cond <= COND_LIMIT
-            if not good.all():
-                phi, w = phi[good], w[good]
-            # two matmuls, Phi* (W^-1 Phi): faster than the einsum at these shapes
-            lifted = np.swapaxes(phi, 1, 2).conj() @ (w @ phi)
-        else:
-            w = np.linalg.matrix_power(w, degree)
-            # two two-operand einsums, Phi* (W Phi): faster on small frames
-            # than one three-operand einsum or two matmuls
-            lifted = np.einsum("bpi,bpj->bij", phi.conj(), np.einsum("bpq,bqj->bpj", w, phi))
-        acc.add_batch(lifted)
+        acc.add_batch(_compression_lifts(sample_haar_stiefel_batch(p, m, b, rng), k, degree))
 
     return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
 

@@ -42,7 +42,8 @@ HERMITIAN_TOL = 1e-10
 
 # Haar frames with at most this many entries (m p) are orthonormalized by
 # batched Gram-Schmidt, larger ones by Cholesky QR or LAPACK QR: the measured
-# crossover of their run times at the Monte Carlo chunk sizes.
+# crossover of their run times at the Monte Carlo chunk sizes. The same rule
+# picks the product form of the compression Monte Carlo (haar._compression_lifts).
 GRAM_SCHMIDT_MAX_ENTRIES = 80
 
 
@@ -323,8 +324,7 @@ class EmpiricalSpectralDistribution:
 
 def esd(k) -> EmpiricalSpectralDistribution:
     """Empirical spectral distribution of a Hermitian matrix."""
-    dec = eig_hermitian(k)
-    return EmpiricalSpectralDistribution(np.sort(dec.eigenvalues.real))
+    return EmpiricalSpectralDistribution(np.linalg.eigvalsh(require_hermitian(k, name="k")))
 
 
 def sample_complex_gaussian(shape, rng: RandomSource) -> np.ndarray:
@@ -369,7 +369,9 @@ def _gram_schmidt_rows(g) -> np.ndarray:
     Classical Gram-Schmidt, each column projected off its predecessors
     twice ("twice is enough": the second pass restores orthogonality to
     roundoff). The stack is held as p planes of shape (m, count), so each
-    step is a few array operations over every matrix at once.
+    step is a few array operations over every matrix at once: a projection
+    is a multiply-sum over the planes of the predecessors, and a norm a sum
+    of squares over a plane's m rows.
     """
     # plane j holds conj(g[:, :, j]).T; the conjugate of Q is orthonormalized
     # directly, since Gram-Schmidt commutes with conjugation
@@ -377,9 +379,8 @@ def _gram_schmidt_rows(g) -> np.ndarray:
     for j, v in enumerate(y):
         q = y[:j]
         for _ in range(2 if j else 0):
-            v -=np.einsum("jb,jmb->mb", np.einsum("jmb,mb->jb", q.conj(), v), q)
-        f = v.view(np.float64).reshape(v.shape + (2,))
-        v /= np.sqrt(np.einsum("mbk,mbk->b", f, f))
+            v -= (q * (q.conj() * v).sum(axis=1, keepdims=True)).sum(axis=0)
+        v /= np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
     return np.ascontiguousarray(np.transpose(y, (2, 0, 1)))
 
 

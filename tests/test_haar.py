@@ -544,6 +544,36 @@ class TestCompressionCore:
         assert np.array_equal(cov.estimate, moment.estimate)
         assert np.array_equal(cov.stderr, moment.stderr)
 
+    # frames of at most GRAM_SCHMIDT_MAX_ENTRIES entries are lifted on planes;
+    # (9, 8), (27, 3) and (100, 25) by matmuls
+    @pytest.mark.parametrize(
+        ("m", "p"),
+        [(2, 1), (2, 2), (4, 2), (5, 3), (6, 4), (8, 8), (9, 8), (80, 1), (12, 4),
+         (27, 3), (100, 25)],
+    )
+    @pytest.mark.parametrize("degree", [1, 2, 3, -1])
+    def test_chunk_lifts_match_matmul_reference(self, m, p, degree):
+        k = random_psd(m, m, 44 + m)
+        phi = sample_haar_stiefel_batch(p, m, 30, RandomSource(45 + p))
+        if degree < 0:
+            dec = eig_hermitian(k)
+            lifts = haar._compression_lifts(phi, dec.eigenvectors * np.sqrt(dec.eigenvalues), -1)
+        else:
+            lifts = haar._compression_lifts(phi, k, degree)
+        phi_h = np.swapaxes(phi, 1, 2).conj()
+        w = phi @ k @ phi_h
+        w = np.linalg.inv(w) if degree < 0 else np.linalg.matrix_power(w, degree)
+        want = phi_h @ w @ phi
+        assert lifts.shape == want.shape == (30, m, m)
+        assert np.abs(lifts - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("m", [2, 5, 8, 9])
+    def test_full_compression_average_is_k(self, m):
+        # at p = m each frame is unitary, so each draw's lift is K itself
+        k = random_hermitian(m, 46 + m)
+        mc = cov_p_mc(k, m, 3000, RandomSource(47))
+        assert np.abs(mc.estimate - k).max() <= 1e-12 * np.abs(k).max()
+
 
 def _fields(result):
     return [getattr(result, f.name) for f in dataclasses.fields(result)]
