@@ -39,7 +39,6 @@ from .combinatorics import (
     schur_hook_powersum,
 )
 from .linalg import (
-    GRAM_SCHMIDT_MAX_ENTRIES,
     RandomSource,
     WelfordAccumulator,
     _inv_batch_hermitian,
@@ -389,44 +388,44 @@ def _compression_lifts(phi, k, degree: int):
     at degree -1. At degree -1 the b' draws kept are those whose W has a
     Frobenius condition number of at most ``COND_LIMIT``.
 
-    Frames that :func:`~singcov.linalg.sample_haar_stiefel_batch`
-    orthonormalizes by Gram-Schmidt (``m p <= GRAM_SCHMIDT_MAX_ENTRIES``, so
-    p <= 8) are held as p planes of shape (m, b). W is formed row by row as
-    multiply-sums over the planes, and ``W^degree Phi`` (``degree``
-    products with W, or one with ``W^-1``) and the lift ``Phi* (.)`` as p
-    multiply-adds over the batch (:func:`_plane_products`): batched
-    matmuls of such tiny matrices cost more in per-matrix overhead than in
-    arithmetic. Larger frames take batched matmuls.
+    ``W^degree Phi`` is ``degree`` products with W, or one with ``W^-1``,
+    and the lift ``Phi* (.)`` one more. At a positive degree, frames whose
+    lift costs ``p m^2 <= 128`` multiply-adds per draw (so p <= 5) are held
+    as p planes of shape (m, b): W is formed row by row as multiply-sums
+    over the planes, and each product as p multiply-adds over the batch
+    (:func:`_plane_products`). A batched matmul of such tiny matrices costs
+    more in per-matrix overhead than in arithmetic; 128 is the measured
+    crossover (README, "Haar frame sampling"). Larger frames, and every
+    frame at degree -1, take batched matmuls.
     """
     b, p, m = phi.shape
-    planes = m * p <= GRAM_SCHMIDT_MAX_ENTRIES
-    if planes:
+    if degree > 0 and p * m * m <= 128:
         phi = np.ascontiguousarray(np.moveaxis(phi, 0, -1))
-        rows = np.matmul(k.T, phi)  # the planes of Phi K or Phi F
-        other = (rows if degree < 0 else phi).conj()
+        rows = np.matmul(k.T, phi)  # the planes of Phi K
+        conj = phi.conj()
         w = np.empty((b, p, p), dtype=np.complex128)
         for i, row in enumerate(rows):
-            w[:, i] = (row * other).sum(axis=1).T
-        del other
-    else:
-        rows = (phi.reshape(b * p, m) @ k).reshape(b, p, -1)  # Phi K or Phi F
-        w = rows @ np.swapaxes(rows if degree < 0 else phi, 1, 2).conj()
+            w[:, i] = (row * conj).sum(axis=1).T
+        del rows
+        w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
+        w = np.ascontiguousarray(np.moveaxis(w, 0, -1))
+        x = phi
+        for _ in range(degree):
+            x = _plane_products(w, x)
+        return np.moveaxis(_plane_products(np.swapaxes(conj, 0, 1), x), -1, 0)
+    rows = (phi.reshape(b * p, m) @ k).reshape(b, p, -1)  # Phi K or Phi F
+    w = rows @ np.swapaxes(rows if degree < 0 else phi, 1, 2).conj()
     del rows  # freed, like w below, so the chunk's peak holds neither
     w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
     if degree < 0:
         w, cond = _inv_batch_hermitian(w)
         good = cond <= COND_LIMIT
         if not good.all():
-            w, phi = w[good], phi[..., good] if planes else phi[good]
-    if planes:
-        w = np.ascontiguousarray(np.moveaxis(w, 0, -1))
-    product = _plane_products if planes else np.matmul
+            phi, w = phi[good], w[good]
     x = phi
-    for _ in range(max(degree, 1)):
-        x = product(w, x)
+    for _ in range(abs(degree)):
+        x = w @ x
     del w
-    if planes:
-        return np.moveaxis(_plane_products(np.swapaxes(phi, 0, 1).conj(), x), -1, 0)
     return np.swapaxes(phi, 1, 2).conj() @ x
 
 

@@ -42,8 +42,7 @@ HERMITIAN_TOL = 1e-10
 
 # Haar frames with at most this many entries (m p) are orthonormalized by
 # batched Gram-Schmidt, larger ones by Cholesky QR or LAPACK QR: the measured
-# crossover of their run times at the Monte Carlo chunk sizes. The same rule
-# picks the product form of the compression Monte Carlo (haar._compression_lifts).
+# crossover of their run times at the Monte Carlo chunk sizes.
 GRAM_SCHMIDT_MAX_ENTRIES = 80
 
 

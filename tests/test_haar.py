@@ -544,8 +544,8 @@ class TestCompressionCore:
         assert np.array_equal(cov.estimate, moment.estimate)
         assert np.array_equal(cov.stderr, moment.stderr)
 
-    # frames of at most GRAM_SCHMIDT_MAX_ENTRIES entries are lifted on planes;
-    # (9, 8), (27, 3) and (100, 25) by matmuls
+    # at a positive degree, frames with p m^2 <= 128, (2, 1) to (5, 3), are
+    # lifted on planes; the others, and every frame at degree -1, by matmuls
     @pytest.mark.parametrize(
         ("m", "p"),
         [(2, 1), (2, 2), (4, 2), (5, 3), (6, 4), (8, 8), (9, 8), (80, 1), (12, 4),

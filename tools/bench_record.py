@@ -1,10 +1,10 @@
 """Record the benchmark medians of this tree in ``BENCH_<number>.json``.
 
-    python3 tools/bench_record.py <number> [--seeds 101 102 103 ...]
+    python3 tools/bench_record.py <number>
 
 Runs ``perfbench/run.py --workload <w> --seed <s> --seconds 20 --trace 0``
-for each of the four workloads at each seed given (by default ``SEEDS``),
-one run at a time, and reads the JSON object on the last line of each run. It writes
+for each of the four workloads at each of the ten fixed ``SEEDS``, one run
+at a time, and reads the JSON object on the last line of each run. It writes
 ``BENCH_<number>.json`` at the root of the repository: per workload the
 median of every end-to-end metric, the value of each run, and the run
 outcomes; the git revision; and the numpy, BLAS and CPU environment. It
@@ -33,7 +33,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("experiment", "spectrum", "estimate", "verify")
-SEEDS = (101, 102, 103)
+SEEDS = tuple(range(101, 111))
 SECONDS = 20
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -82,11 +82,11 @@ def environment() -> dict:
     }
 
 
-def record(number: int, seeds=SEEDS) -> dict:
+def record(number: int) -> dict:
     workloads = {}
     for w in WORKLOADS:
         runs = []
-        for seed in seeds:
+        for seed in SEEDS:
             runs.append(run_workload(w, seed))
             values = (f"{k} {v['value']:.4g}" for k, v in runs[-1]["metrics"].items())
             print(f"{w} seed {seed}: " + ", ".join(values), flush=True)
@@ -105,7 +105,7 @@ def record(number: int, seeds=SEEDS) -> dict:
         "revision": _git("rev-parse", "HEAD"),
         "modified": _git("status", "--porcelain", "--untracked-files=no").splitlines(),
         "command": f"perfbench/run.py --workload <w> --seed <s> --seconds {SECONDS} --trace 0",
-        "seeds": list(seeds),
+        "seeds": list(SEEDS),
         "environment": environment(),
         "workloads": workloads,
     }
@@ -145,12 +145,8 @@ def print_delta(old: dict, new: dict):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("number", type=int, help="the N of the BENCH_<N>.json to write")
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", default=list(SEEDS),
-        help="the workload seeds, one run of each workload per seed (default: %(default)s)",
-    )
     args = parser.parse_args(argv)
-    result = record(args.number, args.seeds)
+    result = record(args.number)
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w") as f:
         json.dump(result, f, indent=1)
