@@ -43,6 +43,7 @@ from .linalg import (
     WelfordAccumulator,
     _inv_batch_hermitian,
     _squared_frobenius,
+    _takes_cholesky_qr,
     eig_hermitian,
     hermitize,
     numeric_rank,
@@ -381,12 +382,18 @@ def _plane_products(a, x):
     return out
 
 
-def _compression_lifts(phi, k, degree: int):
+def _compression_lifts(phi, k, degree: int, keep=None):
     """Lifts ``Phi* W^degree Phi`` of a chunk of frames ``phi`` (b, p, m), as
     a (b', m, m) stack, for the compressed matrix ``W = Phi K Phi*`` of a
     positive ``degree``, or ``W = (Phi F)(Phi F)*`` of the factor ``k = F``
     at degree -1. At degree -1 the b' draws kept are those whose W has a
     Frobenius condition number of at most ``COND_LIMIT``.
+
+    At degree -1, given the rule ``keep`` of :func:`_gaussian_basis_rule`,
+    ``phi`` holds the conjugate transposes ``G*`` of m x p Gaussian bases G
+    of the frames' row spans in place of the frames. The lift
+    ``G (G* K G)^{-1} G*`` is then the frame's, and ``keep`` decides which
+    draws are kept, by the condition number of the frame's ``Phi K Phi*``.
 
     ``W^degree Phi`` is ``degree`` products with W, or one with ``W^-1``,
     and the lift ``Phi* (.)`` one more. At a positive degree, frames whose
@@ -418,8 +425,17 @@ def _compression_lifts(phi, k, degree: int):
     del rows  # freed, like w below, so the chunk's peak holds neither
     w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
     if degree < 0:
-        w, cond = _inv_batch_hermitian(w)
-        good = cond <= COND_LIMIT
+        w_inv, cond = _inv_batch_hermitian(w)
+        if keep is None:
+            good = cond <= COND_LIMIT
+        else:
+
+            def gram(i):
+                # the Gram matrices G* G of the draws i, from their rows G*
+                return phi[i] @ np.swapaxes(phi[i], 1, 2).conj()
+
+            good = keep(w, w_inv, cond, _squared_frobenius(phi), gram)
+        w = w_inv
         if not good.all():
             phi, w = phi[good], w[good]
     x = phi
@@ -430,7 +446,7 @@ def _compression_lifts(phi, k, degree: int):
 
 
 def _compression_mc(
-    k, p: int, degree: int, samples: int, rng: RandomSource
+    k, p: int, degree: int, samples: int, rng: RandomSource, keep=None
 ) -> MonteCarloEstimate:
     """Monte Carlo mean of ``Phi* (Phi K Phi*)^degree Phi`` over Haar frames,
     lifted in full.
@@ -442,11 +458,22 @@ def _compression_mc(
     ``p m^2``. The inverse needs an invertible W: draws whose W has a
     Frobenius condition number above ``COND_LIMIT`` are rejected and
     redrawn. Each chunk's lifts are those of :func:`_compression_lifts`.
+
+    Given the rule ``keep`` of :func:`_gaussian_basis_rule`, each draw at
+    degree -1 lifts the m x p complex Gaussian G that
+    :func:`~singcov.linalg.sample_haar_stiefel_batch` would orthonormalize
+    into its frame, drawn from the same stream, and skips the QR.
     """
     m = k.shape[0]
 
     def chunk(b, rng, acc):
-        acc.add_batch(_compression_lifts(sample_haar_stiefel_batch(p, m, b, rng), k, degree))
+        if keep is None:
+            rows = sample_haar_stiefel_batch(p, m, b, rng)
+        else:
+            # the rows G* of the sampler's Gaussians G, not orthonormalized
+            rows = np.swapaxes(sample_complex_gaussian((b, m, p), rng), 1, 2)
+            rows = np.conjugate(rows, order="C")
+        acc.add_batch(_compression_lifts(rows, k, degree, keep))
 
     return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
 
@@ -454,6 +481,41 @@ def _compression_mc(
 def _trace_square(a):
     """``Re tr(A^2)`` of each matrix in a stack."""
     return np.einsum("bij,bji->b", a, a).real
+
+
+def _gaussian_basis_rule(d, p: int):
+    """The rule ``keep(w, w_inv, cond, basis_sq, gram)`` that says which
+    draws of a chunk on Gaussian bases to keep, for a K of positive
+    eigenvalues ``d``: those whose ``Phi K Phi*`` has a Frobenius condition
+    number of at most ``COND_LIMIT``, exactly as on the frames Phi.
+
+    A draw's m x p basis Z of its frame's row span has the Gram matrix
+    ``G = Z* Z``, and ``w``, ``w_inv`` and ``cond`` hold ``W = Z* K Z``, its
+    inverse and its own condition number (see
+    :func:`~singcov.linalg._inv_batch_hermitian`). ``Phi K Phi*`` is similar
+    to ``G^{-1} W``, so the square of its condition number is
+    ``tr((G^{-1} W)^2) tr((W^{-1} G)^2)``. A screen bounds that by
+    ``s ||W^{-1}||_F^2 ||Z||_F^4``, where s sums the p largest ``d_k^2``
+    (Poincare separation: the eigenvalues of a compression of K lie below
+    those of K) and ``basis_sq`` holds each ``||Z||_F^2 >= ||G||_2``. A
+    draw whose W is singular is rejected. Only the draws whose screen
+    exceeds ``COND_LIMIT^2``, at the indices ``flagged``, pay for their
+    ``gram(flagged)`` and the exact value.
+    """
+    top_sq = float(np.sort(d * d)[max(len(d) - p, 0) :].sum())
+    limit_sq = COND_LIMIT**2
+
+    def keep(w, w_inv, cond, basis_sq, gram):
+        screen = top_sq * _squared_frobenius(w_inv) * basis_sq**2
+        good = np.isfinite(cond)
+        flagged = np.flatnonzero(good & (screen > limit_sq))
+        if len(flagged):
+            g = gram(flagged)
+            w_norm_sq = _trace_square(np.linalg.solve(g, w[flagged]))
+            good[flagged] = w_norm_sq * _trace_square(w_inv[flagged] @ g) <= limit_sq
+        return good
+
+    return keep
 
 
 def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
@@ -485,22 +547,18 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
     orthonormal Haar frame itself, with ``G = I`` and
     ``G_k = I - Z_r* Z_r``.
 
-    Draws are rejected exactly as in :func:`invcov_p_mc`. ``Phi D Phi*`` is
-    similar to ``G^{-1} W``, so the square of its Frobenius condition
-    number is ``tr((G^{-1} W)^2) tr((W^{-1} G)^2)``. On orthonormal frames
-    ``G = I``, and that number is W's own ``||W||_F ||W^{-1}||_F``, with no
-    screen. On Gaussian bases a screen bounds its square by
-    ``s ||W^{-1}||_F^2 ||Z||_F^4``, where s sums the p largest ``d_k^2``
-    (Poincare separation: the eigenvalues of a compression of D lie below
-    those of D), ``||Z||_F^2 = ||Z_r||_F^2 + t >= ||G||_2``. Only the draws
-    whose screen exceeds ``COND_LIMIT`` pay for G and the exact value.
+    Draws are rejected exactly as in :func:`invcov_p_mc`. On orthonormal
+    frames ``G = I``, and ``Phi D Phi*`` is similar to W, whose own
+    ``||W||_F ||W^{-1}||_F`` decides. On Gaussian bases the rule of
+    :func:`_gaussian_basis_rule` decides, with
+    ``||Z||_F^2 = ||Z_r||_F^2 + t``; only its flagged draws draw their
+    kernel directions.
     """
     r = len(d)
     kernel = m - r
     orthonormal = 2 * p > m
     rows = m if orthonormal else r
-    top_sq = float(np.sort(d * d)[max(r - p, 0) :].sum())
-    limit_sq = COND_LIMIT**2
+    keep = None if orthonormal else _gaussian_basis_rule(d, p)
 
     def chunk(b, rng, acc):
         if orthonormal:
@@ -520,10 +578,9 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
         else:
             # each draw's tr(W^-1 G_k), for an unflagged draw its mean given t
             kernel_trace = tr_inv * t / p
-            screen = top_sq * _squared_frobenius(w_inv) * (_squared_frobenius(full) + t) ** 2
-            good = np.isfinite(cond)
-            flagged = np.flatnonzero(good & (screen > limit_sq))
-            if len(flagged):
+
+            def gram(flagged):
+                # G = Z_r* Z_r + G_k, drawing the flagged draws' kernel directions
                 g = zh[flagged] @ z[flagged]
                 if kernel:
                     u = sample_complex_gaussian((len(flagged), kernel, p), rng)
@@ -531,8 +588,9 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
                     g_k = np.swapaxes(u.conj(), 1, 2) @ u
                     g += g_k
                     kernel_trace[flagged] = np.einsum("bij,bji->b", w_inv[flagged], g_k).real
-                w_norm_sq = _trace_square(np.linalg.solve(g, w[flagged]))
-                good[flagged] = w_norm_sq * _trace_square(w_inv[flagged] @ g) <= limit_sq
+                return g
+
+            good = keep(w, w_inv, cond, _squared_frobenius(full) + t, gram)
         # Re(z_i W^-1 z_i*): a real dot of each row of Z W^-1 with that row of Z
         lift = (z @ w_inv).view(np.float64)
         values = np.einsum("bij,bij->bi", lift, z.view(np.float64))
@@ -606,6 +664,20 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
     cost of ``p m r`` rather than ``p m^2``; its Haar frame, its full
     ``m x m`` lift and its rejection rule are those of the definition.
 
+    Where :func:`~singcov.linalg.sample_haar_stiefel_batch` would take its
+    Cholesky QR branch (``m p > GRAM_SCHMIDT_MAX_ENTRIES`` and ``2p <= m``),
+    a draw skips the QR: it lifts the m x p complex Gaussian G, read from
+    the same chunk stream, that the sampler would orthonormalize into
+    ``Phi = L^-1 G*`` with ``G* G = L L*``. The lift depends on Phi only
+    through its row span, so ``Phi* (Phi K Phi*)^-1 Phi = G W^-1 G*`` with
+    ``W = (G* F)(G* F)*``. The draw is still kept by the condition number
+    of its frame's ``Phi K Phi*``: a screen bounds that number, and only
+    the draws it flags pay for ``G* G`` and the exact value (see
+    :func:`_gaussian_basis_rule`). At the other shapes each draw lifts its
+    frame: Gram-Schmidt frames are cheap, and at ``2p > m`` G is too
+    ill-conditioned. Either way the draws and the chunk plan are the same,
+    and the results agree to roundoff.
+
     Returns
     -------
     MonteCarloEstimate
@@ -614,8 +686,10 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
         discarded draws.
     """
     dec, rank, scale = _inverse_path_rank(k, p)
-    factor = dec.eigenvectors[:, :rank] * np.sqrt(dec.eigenvalues[:rank] / scale)
-    mc = _compression_mc(factor, p, -1, samples, rng)
+    d = dec.eigenvalues[:rank] / scale
+    factor = dec.eigenvectors[:, :rank] * np.sqrt(d)
+    keep = _gaussian_basis_rule(d, p) if _takes_cholesky_qr(p, len(dec.eigenvalues)) else None
+    mc = _compression_mc(factor, p, -1, samples, rng, keep)
     return MonteCarloEstimate(mc.estimate / scale, mc.stderr / scale, mc.samples, mc.rejected)
 
 

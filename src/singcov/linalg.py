@@ -383,6 +383,14 @@ def _gram_schmidt_rows(g) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(y, (2, 0, 1)))
 
 
+def _takes_cholesky_qr(p: int, m: int) -> bool:
+    """Whether :func:`sample_haar_stiefel_batch` orthonormalizes p x m frames
+    by one Cholesky QR pass: frames of more than
+    ``GRAM_SCHMIDT_MAX_ENTRIES`` entries whose m x p Gaussian is tall,
+    ``2p <= m``, and so well conditioned."""
+    return m * p > GRAM_SCHMIDT_MAX_ENTRIES and 2 * p <= m
+
+
 def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> np.ndarray:
     """Stack of ``count`` Haar-distributed p x m matrices with orthonormal rows.
 
@@ -404,7 +412,10 @@ def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> 
       real diagonal. Its loss of orthogonality grows as ``cond(G)^2``, and
       these tall Gaussian stacks are well conditioned. Its matmul,
       Cholesky and inverse release the GIL, where LAPACK QR's Householder
-      step holds it, so two chunks of these frames run at once;
+      step holds it, so two chunks of these frames run at once. At these
+      shapes (:func:`_takes_cholesky_qr`) ``haar.invcov_p_mc`` lifts G
+      itself, which spans the same rows, and asks for no frame; the
+      branch serves ``haar.cov_p_mc``;
     - the rest use LAPACK QR, with each column of Q multiplied by the
       phase of its R diagonal entry.
     """
@@ -414,7 +425,7 @@ def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> 
     g = sample_complex_gaussian((count, m, p), rng)
     if m * p <= GRAM_SCHMIDT_MAX_ENTRIES:
         return _gram_schmidt_rows(g)
-    if 2 * p <= m:
+    if _takes_cholesky_qr(p, m):
         gh = np.swapaxes(g, 1, 2).conj()
         return np.linalg.inv(np.linalg.cholesky(gh @ g)) @ gh
     q, r = np.linalg.qr(g)

@@ -21,7 +21,7 @@ from conftest import ChunkCensus, random_hermitian, random_psd, replay_chunks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcov import haar
+from singcov import haar, linalg
 from singcov.ewens import hybrid_inverse_mc
 from singcov.haar import (
     _CHUNK_BYTES,
@@ -199,19 +199,26 @@ def _replay_invcov(k, p, samples, rng, limit, size=None):
     return acc, rejected
 
 
-def _first_chunk_limit(k, p, seed):
-    """A condition-number limit between the third and fourth largest kappa_F
-    of the first chunk of invcov_p_mc(k, p, ..., RandomSource(seed))."""
+def _first_chunk_limit(k, p, seed, rejects=3):
+    """A condition-number limit that rejects the ``rejects`` draws of the
+    largest kappa_F of the first chunk of invcov_p_mc(k, p, ...,
+    RandomSource(seed)): the geometric mean of the two kappa_F it falls
+    between."""
     m = k.shape[0]
     first_stream = haar._chunk_streams(RandomSource(seed))(0)
     first = sample_haar_stiefel_batch(p, m, _full_lift_size(m, p), first_stream)
     cond = np.sort(_compressions(k, first)[1])
-    return float(np.sqrt(cond[-4] * cond[-3]))
+    return float(np.sqrt(cond[-rejects - 1] * cond[-rejects]))
 
 
 class TestInvcovRankFactor:
-    # 3000 draws span two chunks at each shape
-    @pytest.mark.parametrize(("m", "rank", "p"), [(10, 7, 4), (10, 7, 5), (8, 8, 3)])
+    # 3000 draws span two or more chunks at each shape; the last three
+    # shapes, with m p > 80 and 2p <= m, lift the sampler's Gaussians
+    # directly, and the sampler orthonormalizes them by Cholesky QR
+    @pytest.mark.parametrize(
+        ("m", "rank", "p"),
+        [(10, 7, 4), (10, 7, 5), (8, 8, 3), (20, 15, 5), (30, 30, 4), (100, 75, 25)],
+    )
     def test_matches_definitional_lift_on_same_frames(self, m, rank, p):
         k = random_psd(m, rank, 60 + p)
         mc = invcov_p_mc(k, p, 3000, RandomSource(61))
@@ -225,6 +232,36 @@ class TestInvcovRankFactor:
         m, rank, p, samples, seed = 10, 7, 5, 3000, 62
         k = random_psd(m, rank, 63)
         limit = _first_chunk_limit(k, p, seed)
+        monkeypatch.setattr(haar, "COND_LIMIT", limit)
+        mc = invcov_p_mc(k, p, samples, RandomSource(seed))
+        acc, rejected = _replay_invcov(k, p, samples, RandomSource(seed), limit)
+        want = (acc.mean + acc.mean.conj().T) / 2
+        assert rejected >= 3
+        assert (mc.samples, mc.rejected) == (samples, rejected)
+        assert np.abs(mc.estimate - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(mc.stderr - acc.stderr()).max() <= 1e-12 * acc.stderr().max()
+
+    def test_gaussian_basis_rejections_match_definitional_condition_numbers(self, monkeypatch):
+        # at m p > 80 and 2p <= m each draw lifts the sampler's Gaussian G;
+        # a limit this low flags nearly every draw by the screen
+        # s ||W^-1||_F^2 ||G||_F^4, so the exact kappa_F of Phi K Phi* on
+        # the Gram matrix G* G decides which are kept
+        m, rank, p, samples, seed = 20, 15, 5, 3000, 62
+        k = random_psd(m, rank, 63)
+        assert linalg._takes_cholesky_qr(p, m)
+        limit = _first_chunk_limit(k, p, seed, rejects=1)
+        size = _full_lift_size(m, p)
+        g = sample_complex_gaussian((size, m, p), haar._chunk_streams(RandomSource(seed))(0))
+        frames = sample_haar_stiefel_batch(p, m, size, haar._chunk_streams(RandomSource(seed))(0))
+        cond = _compressions(k, frames)[1]
+        w_inv = np.linalg.inv(np.swapaxes(g, 1, 2).conj() @ k @ g)
+        screen = (
+            np.sort(np.linalg.eigvalsh(k) ** 2)[-p:].sum()
+            * (np.abs(w_inv) ** 2).sum(axis=(1, 2))
+            * (np.abs(g) ** 2).sum(axis=(1, 2)) ** 2
+        )
+        assert ((screen > limit**2) & (cond <= limit)).sum() > 100
+
         monkeypatch.setattr(haar, "COND_LIMIT", limit)
         mc = invcov_p_mc(k, p, samples, RandomSource(seed))
         acc, rejected = _replay_invcov(k, p, samples, RandomSource(seed), limit)
@@ -527,6 +564,51 @@ class TestInvcovSpectrumProperties:
             np.testing.assert_allclose(spec.lambdas * nonzero, 1.0, rtol=1e-9)
 
 
+def _padded_psd(m, rank, seed):
+    """A complex positive semidefinite K whose last m - rank rows and columns
+    are exact zeros, so its rank is exactly ``rank``."""
+    k = np.zeros((m, m), dtype=np.complex128)
+    k[:rank, :rank] = random_psd(rank, rank, seed)
+    return k
+
+
+class TestInvcovPProperties:
+    # (m, rank, p) on either basis of invcov_p_mc, on complex K: m p just
+    # below and above 80, the 2p = m edge on both sides of 80, and p =
+    # rank - 1 on a numerically and on an exactly singular K
+    CASES = {
+        "frames_78": (13, 13, 6),
+        "frames_80": (16, 16, 5),
+        "frames_2p_eq_m": (10, 10, 5),
+        "frames_rank_minus_one": (12, 7, 6),
+        "frames_lapack_81": (9, 9, 9),
+        "frames_lapack_rank_minus_one": (12, 10, 9),
+        "frames_exactly_singular": (10, 6, 5),
+        "gaussian_85": (17, 17, 5),
+        "gaussian_81": (81, 81, 1),
+        "gaussian_2p_eq_m": (18, 18, 9),
+        "gaussian_rank_minus_one": (18, 9, 8),
+        "gaussian_exactly_singular": (24, 12, 11),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_trace_hermitian_and_definite(self, name):
+        m, rank, p = self.CASES[name]
+        assert linalg._takes_cholesky_qr(p, m) == name.startswith("gaussian")
+        seed = 90 + m + p
+        k = _padded_psd(m, rank, seed) if "exactly" in name else random_psd(m, rank, seed)
+        assert np.abs(k.imag).max() > 0.1
+        mc = invcov_p_mc(k, p, 300, RandomSource(seed))
+        e = mc.estimate
+        # Tr(K Phi* (Phi K Phi*)^-1 Phi) = p holds draw by draw
+        assert abs(np.trace(k @ e) - p) <= 1e-10 * p
+        assert np.array_equal(e, e.conj().T)
+        if rank == m:
+            assert np.linalg.eigvalsh(e).min() > 0
+        if p == m:
+            np.testing.assert_allclose(e, np.linalg.inv(k), rtol=0, atol=1e-10 * np.abs(e).max())
+
+
 class TestCompressionCore:
     def test_diagonal_and_full_lift_agree_on_same_draws(self):
         # the full lift, replayed on the diagonal lift's plan, sees its frames
@@ -580,10 +662,14 @@ def _fields(result):
 
 
 class TestMonteCarloDriver:
-    # multi-chunk runs of every Monte Carlo path, the last two with rejected
-    # draws redrawn within their chunks
+    # multi-chunk runs of every Monte Carlo path, the last three with
+    # rejected draws redrawn within their chunks; the "gaussian" runs of
+    # invcov_p_mc lift the sampler's Gaussians at m p > 80, 2p <= m
     RUNS = {
         "invcov_p_mc": lambda: invcov_p_mc(random_psd(10, 7, 64), 4, 3000, RandomSource(70)),
+        "invcov_p_mc_gaussian": lambda: invcov_p_mc(
+            random_psd(20, 15, 67), 5, 600, RandomSource(77)
+        ),
         "spectrum_gaussian": lambda: invcov_spectrum(
             random_psd(12, 9, 65), 4, 6000, RandomSource(71)
         ),
@@ -600,15 +686,22 @@ class TestMonteCarloDriver:
         "spectrum_rejecting": lambda: invcov_spectrum(
             np.diag(_SINGULAR_D), 4, 1000, RandomSource(49)
         ),
+        "invcov_p_mc_gaussian_rejecting": lambda: invcov_p_mc(
+            random_psd(20, 15, 63), 5, 3000, RandomSource(62)
+        ),
     }
     LIMITS = {
         "invcov_p_mc_rejecting": lambda: _first_chunk_limit(random_psd(10, 7, 63), 5, 62),
         "spectrum_rejecting": lambda: _singular_first_chunk_limit(4, 49),
+        "invcov_p_mc_gaussian_rejecting": lambda: _first_chunk_limit(
+            random_psd(20, 15, 63), 5, 62, rejects=1
+        ),
     }
     # samples and draws per chunk of the rejecting runs' plans
     PLANS = {
         "invcov_p_mc_rejecting": (3000, _full_lift_size(10, 5)),
         "spectrum_rejecting": (1000, _diagonal_lift_size(12, 9, 4)),
+        "invcov_p_mc_gaussian_rejecting": (3000, _full_lift_size(20, 5)),
     }
 
     @pytest.mark.parametrize("name", list(RUNS))

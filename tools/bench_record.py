@@ -9,7 +9,9 @@ at a time, and reads the JSON object on the last line of each run. It writes
 median of every end-to-end metric, the value of each run, and the run
 outcomes; the git revision; and the numpy, BLAS and CPU environment. It
 then prints the change of each median against the newest earlier
-``BENCH_*.json``, if there is one.
+``BENCH_*.json``, if there is one, and flags each median that lies below
+or above every run of that file: a step that the earlier runs' own spread
+does not cover.
 
 perfbench pins BLAS to one thread in its workers, so the recorded figures
 are single-BLAS-thread figures whatever the caller's environment; the
@@ -128,17 +130,20 @@ def _span(values) -> str:
 
 def print_delta(old: dict, new: dict):
     """Each median of ``new`` against the same median of ``old``, with the
-    range of both sides' runs, which shows their noise."""
+    range of both sides' runs, which shows their noise. A median outside
+    the range of ``old``'s runs is flagged "OUTSIDE"."""
     print(f"against BENCH_{old['bench']}.json ({old['revision'][:12]}):")
     for w, now in new["workloads"].items():
         before = old["workloads"].get(w, {}).get("metrics", {})
         for name, m in now["metrics"].items():
             if name not in before:
                 continue
-            a, b = before[name]["median"], m["median"]
+            a, b, runs = before[name]["median"], m["median"], before[name]["runs"]
+            side = "below" if b < min(runs) else "above" if b > max(runs) else ""
+            flag = f"  OUTSIDE: {side} every earlier run" if side else ""
             print(
                 f"  {w:10s} {name:12s} {a:.4g} -> {b:.4g} {m['unit']} ({(b - a) / a:+.1%}; "
-                f"runs {_span(m['runs'])}, before {_span(before[name]['runs'])})"
+                f"runs {_span(m['runs'])}, before {_span(runs)}){flag}"
             )
 
 
