@@ -466,14 +466,15 @@ def _compression_mc(
     """
     m = k.shape[0]
 
-    def chunk(b, rng, acc):
+    def rows(b, rng):
         if keep is None:
-            rows = sample_haar_stiefel_batch(p, m, b, rng)
-        else:
-            # the rows G* of the sampler's Gaussians G, not orthonormalized
-            rows = np.swapaxes(sample_complex_gaussian((b, m, p), rng), 1, 2)
-            rows = np.conjugate(rows, order="C")
-        acc.add_batch(_compression_lifts(rows, k, degree, keep))
+            return sample_haar_stiefel_batch(p, m, b, rng)
+        # the rows G* of the sampler's Gaussians G, not orthonormalized
+        return np.conjugate(np.swapaxes(sample_complex_gaussian((b, m, p), rng), 1, 2), order="C")
+
+    def chunk(b, rng, acc):
+        # the rows are freed once lifted, so Welford's pass does not hold them
+        acc.add_batch(_compression_lifts(rows(b, rng), k, degree, keep))
 
     return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
 
