@@ -277,9 +277,11 @@ def hybrid_estimator(k, theta: float, p: int) -> np.ndarray:
 
 
 def _terms_per_chunk(p: int) -> int:
-    """Injections enumerated per chunk: one term holds what one draw of
-    :func:`hybrid_inverse_mc` holds, with its p images for a frame."""
-    return haar._chunk_draws(frame=p, block=p * p, lift=p * p)
+    """Injections enumerated per chunk: a term holds its images and a few
+    index arrays of p, and at most five p x p blocks, in the pseudoinverse
+    of :func:`hybrid_inverse_bruteforce` (the block, its eigenvectors, their
+    scaled copy and conjugate transpose, and the product)."""
+    return haar._chunk_draws(16 * p * (5 * p + 3))
 
 
 def _enumerated_blocks(k, theta: float, p: int):
@@ -318,6 +320,7 @@ def _injection_sum(k, theta: float, p: int, block_map) -> np.ndarray:
         flat = (idx[:, :, None] * m + idx[:, None, :]).ravel()
         re += np.bincount(flat, values.real, size)
         im += np.bincount(flat, values.imag, size)
+        del values, flat  # freed before the next chunk's blocks are mapped
     return (re + 1j * im).reshape(m, m)
 
 
@@ -366,13 +369,13 @@ def hybrid_inverse_bruteforce(k, theta: float, p: int) -> np.ndarray:
     return hermitize(_injection_sum(k, theta, p, _pinv_batch_hermitian))
 
 
-def _fold_blocks(blocks: np.ndarray, flat: np.ndarray, m: int, acc):
+def _fold_blocks(blocks: np.ndarray, idx: np.ndarray, m: int, acc):
     """Fold into the :class:`~singcov.linalg.WelfordAccumulator` ``acc`` the
     draws whose ``m x m`` value is zero but for the Hermitian ``p x p`` block
-    ``blocks[b]``, whose entries sit at the flat indices ``flat[b]``
-    (``i*m + j``, in the block's row-major order).
+    ``blocks[b]`` on the rows and columns ``idx[b]``.
 
-    Only the entries ``a <= c`` of each block are scatter-added, into
+    Only the entries ``a <= c`` of each block are gathered, once, and
+    scatter-added at their flat indices ``idx[b, a] * m + idx[b, c]`` into
     per-entry sums, hit counts and sums of squared deviations, so no
     ``m x m`` matrix is built per draw. An entry below a block's diagonal is
     the conjugate of its mirror above it, with the same squared deviation
@@ -383,22 +386,27 @@ def _fold_blocks(blocks: np.ndarray, flat: np.ndarray, m: int, acc):
     ``|mean|^2`` that each of the others, a zero there, contributes.
     """
     b, p = blocks.shape[:2]
-    upper = np.flatnonzero(np.triu(np.ones((p, p), dtype=bool)))
-    flat = flat.reshape(b, p * p)[:, upper].ravel()
-    re = blocks.real.reshape(b, p * p)[:, upper].ravel()
-    im = blocks.imag.reshape(b, p * p)[:, upper].ravel()
+    rows, cols = np.triu_indices(p)
+    flat = idx[:, rows] * m
+    flat += idx[:, cols]
+    flat = flat.ravel()
+    # the deviations and their squares overwrite this gather, through its parts
+    values = blocks.reshape(b, p * p)[:, rows * p + cols].ravel()
+    re, im = values.real, values.imag
     size = m * m
 
     def mirror(half):
         # a diagonal entry keeps its real part, as the mean is Hermitian
         half = half.reshape(m, m)
-        return half + half.conj().T - np.diag(half.diagonal().real)
+        full = np.conjugate(half.T, order="C")
+        full += half
+        np.fill_diagonal(full, half.diagonal().real)
+        return full
 
     hits = mirror(np.bincount(flat, minlength=size))
-    mean = mirror(np.bincount(flat, re, size) + 1j * np.bincount(flat, im, size)) / b
-    # the deviations and their squares overwrite the gathered parts
-    re -= mean.real.ravel()[flat]
-    im -= mean.imag.ravel()[flat]
+    mean = mirror(np.bincount(flat, re, size) + 1j * np.bincount(flat, im, size))
+    mean /= b
+    values -= mean.ravel()[flat]
     re *= re
     im *= im
     re += im
@@ -482,14 +490,30 @@ def hybrid_inverse_mc(
 
     def chunk(b, rng, acc):
         idx = draw(b, rng)
-        flat = idx[:, :, None] * m + idx[:, None, :]
-        blocks = k.ravel()[flat]
+        blocks = k[idx[:, :, None], idx[:, None, :]]
         inv, cond = _inv_batch_hermitian(blocks)
         # kappa_2 <= kappa_F, so every block the pseudoinverse would
         # truncate is among these
         bad = ~(cond <= haar.COND_LIMIT)
         if bad.any():
             inv[bad] = _pinv_batch_hermitian(blocks[bad])
-        _fold_blocks(inv, flat, m, acc)
+        del blocks  # freed, so the fold does not hold it
+        _fold_blocks(inv, idx, m, acc)
 
-    return haar._monte_carlo(samples, rng, chunk, frame=m, block=p * p, lift=p * p)
+    return haar._monte_carlo(samples, rng, chunk, *_injection_bytes(m, p))
+
+
+def _injection_bytes(m: int, p: int):
+    """``(draw_bytes, chunk_bytes)`` of a :func:`hybrid_inverse_mc` chunk
+    (see ``haar._chunk_draws``).
+
+    A draw holds its p images and, at most, 24 bytes per index of m while
+    its image set is drawn, or its block and inverse, or in
+    :func:`_fold_blocks` the inverse, the gather of its upper entries with
+    their flat indices, and one temporary of half a block: 36 bytes per
+    block entry and its diagonal. The chunk holds the fold's ``m x m`` hit
+    counts, sums, mirrors and squared-deviation terms, up to 56 bytes per
+    entry. A chunk whose blocks must all be pseudo-inverted (p above the
+    rank of K) holds up to four more blocks per draw.
+    """
+    return 8 * p + max(36 * p * (p + 1), 24 * m), 56 * m * m

@@ -77,11 +77,13 @@ MAX_REJECT_FRACTION = 0.01
 # Draws are batched so that the arrays of the chunks in flight at once stay
 # near this many bytes, whatever the shape or the sample count. A run keeps
 # up to two chunks in flight, and each chunk plans for this share of the
-# budget. Against one chunk of the whole budget, the benchmark's peak RSS
-# then fell by 9-11% on `spectrum` and `experiment` and rose by 0.2% on
-# `verify`; a half share raised `verify`'s by 6%.
+# budget, counted as the bytes its body holds at its peak (see
+# _chunk_draws). Counted so, a quarter share raised the benchmark's
+# `experiment` peak RSS by 6-7% and a fifth by 5.9%, against 3.0% for a
+# sixth, at which a chunk holds 2.1-2.4 MiB there and `spectrum` keeps
+# its 6 draws per chunk.
 _CHUNK_BYTES = 16 * 2**20
-_CHUNK_SHARE = 4
+_CHUNK_SHARE = 6
 
 
 def _second_core_idles() -> bool:
@@ -107,20 +109,18 @@ def _second_core_idles() -> bool:
 _TWO_THREADS = _second_core_idles()
 
 
-def _chunk_draws(frame: int, block: int, lift: int) -> int:
-    """Draws per chunk: the chunk's share of the byte budget over the bytes
-    one draw holds.
+def _chunk_draws(draw_bytes: int, chunk_bytes: int = 0) -> int:
+    """Draws per chunk: the chunk's share of the byte budget, less the
+    ``chunk_bytes`` that a chunk holds whatever its size, over the
+    ``draw_bytes`` that each of its draws adds to the chunk's peak.
 
-    ``frame``, ``block`` and ``lift`` count the entries of one draw's frame
-    (its injection, or the m x p Gaussian basis of the inverse spectrum),
-    compressed matrix and lift. Sampling and lifting hold up to five
-    complex frames at once, the factorization four blocks, and the lift
-    with Welford's deviation pass 40 bytes per lifted entry. Runs whose
-    draws have different sizes get different plans, and so different
-    chunk streams and different draws.
+    Each Monte Carlo path states both for its own chunk body, from the
+    arrays that body holds at once (:func:`_compression_bytes`,
+    :func:`_diagonal_bytes`, ``ewens._injection_bytes``). Runs whose draws
+    hold different bytes get different plans, and so different chunk
+    streams and different draws.
     """
-    per_draw = 16 * (5 * frame + 4 * block) + 40 * lift
-    return max(1, _CHUNK_BYTES // _CHUNK_SHARE // per_draw)
+    return max(1, (_CHUNK_BYTES // _CHUNK_SHARE - chunk_bytes) // draw_bytes)
 
 
 @dataclass
@@ -265,15 +265,16 @@ def _run_chunks(run, chunks: int, merge):
 
 
 def _monte_carlo(
-    samples: int, rng: RandomSource, chunk, frame: int, block: int, lift: int
+    samples: int, rng: RandomSource, chunk, draw_bytes: int, chunk_bytes: int = 0
 ) -> MonteCarloEstimate:
     """Mean of ``samples`` accepted draws, made chunk by chunk.
 
-    ``chunk(b, rng, acc)`` makes ``b`` draws of the sizes given to
-    :func:`_chunk_draws` from the stream ``rng`` and folds the values of
-    the accepted ones into the :class:`~singcov.linalg.WelfordAccumulator`
-    ``acc``. The run is planned once, by ``samples`` and the draw sizes
-    alone (:func:`_round_plan`): chunk j holds its share of the accepted
+    ``chunk(b, rng, acc)`` makes ``b`` draws from the stream ``rng`` and
+    folds the values of the accepted ones into the
+    :class:`~singcov.linalg.WelfordAccumulator` ``acc``, holding at most
+    ``chunk_bytes`` plus ``draw_bytes`` per draw at once (see
+    :func:`_chunk_draws`). The run is planned once, by ``samples`` and
+    those bytes alone (:func:`_round_plan`): chunk j holds its share of the accepted
     draws, drawn from its own stream (:func:`_chunk_streams`), and redraws
     its rejected draws from the rest of that stream. The chunks' moments
     are merged in chunk order (:func:`_run_chunks`), so the result does not
@@ -292,7 +293,7 @@ def _monte_carlo(
     total = WelfordAccumulator()
     rejected = 0
     max_reject = max(1, int(MAX_REJECT_FRACTION * samples))
-    sizes = _round_plan(samples, _chunk_draws(frame, block, lift))
+    sizes = _round_plan(samples, _chunk_draws(draw_bytes, chunk_bytes))
     stream = _chunk_streams(rng)
     _prime_heap()
 
@@ -417,6 +418,7 @@ def _compression_lifts(phi, k, degree: int, keep=None):
         w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
         w = np.ascontiguousarray(np.moveaxis(w, 0, -1))
         x = phi
+        del phi  # so the planes are freed once the first product is formed
         for _ in range(degree):
             x = _plane_products(w, x)
         return np.moveaxis(_plane_products(np.swapaxes(conj, 0, 1), x), -1, 0)
@@ -432,17 +434,20 @@ def _compression_lifts(phi, k, degree: int, keep=None):
 
             def gram(i):
                 # the Gram matrices G* G of the draws i, from their rows G*
-                return phi[i] @ np.swapaxes(phi[i], 1, 2).conj()
+                drawn = phi[i]
+                return drawn @ np.swapaxes(drawn, 1, 2).conj()
 
             good = keep(w, w_inv, cond, _squared_frobenius(phi), gram)
         w = w_inv
+        del w_inv  # so that `del w` below frees it
         if not good.all():
             phi, w = phi[good], w[good]
     x = phi
     for _ in range(abs(degree)):
         x = w @ x
     del w
-    return np.swapaxes(phi, 1, 2).conj() @ x
+    # Phi* (W^l Phi) as (W^l Phi)* Phi for the Hermitian W, conjugated in place
+    return np.swapaxes(np.conjugate(x, out=x), 1, 2) @ phi
 
 
 def _compression_mc(
@@ -476,7 +481,27 @@ def _compression_mc(
         # the rows are freed once lifted, so Welford's pass does not hold them
         acc.add_batch(_compression_lifts(rows(b, rng), k, degree, keep))
 
-    return _monte_carlo(samples, rng, chunk, frame=m * p, block=p * p, lift=m * m)
+    return _monte_carlo(samples, rng, chunk, *_compression_bytes(m, p, degree, keep is not None))
+
+
+def _compression_bytes(m: int, p: int, degree: int, gaussian: bool):
+    """``(draw_bytes, chunk_bytes)`` of a :func:`_compression_mc` chunk of
+    p x m frames (see :func:`_chunk_draws`).
+
+    A draw holds at most: on planes, three frames (the sampler's, their
+    conjugates and a product) with the lift and one term of it, which
+    outweigh the products' five frames; else the lift phase's frame,
+    ``(W^l Phi)*`` and lift, or the sampler's four frames (Gram-Schmidt and
+    LAPACK QR hold the Gaussian, its copy and two more, which at p > m/2
+    outweighs the lift); and one p x p stack. The chunk holds the Welford
+    fold's batch mean and sum of squares and, on planes, the buffers of
+    numpy's strided loops: up to two operands of ``np.getbufsize()``
+    complex entries (one was seen, in the products and in the lift).
+    """
+    frame, lift, chunk = 16 * m * p, 16 * m * m, 24 * m * m
+    if degree > 0 and p * m * m <= 128:
+        return 3 * frame + 2 * lift + 16 * p * p, chunk + 32 * np.getbufsize()
+    return max(2 * frame + lift, 0 if gaussian else 4 * frame) + 16 * p * p, chunk
 
 
 def _trace_square(a):
@@ -581,8 +606,10 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
             kernel_trace = tr_inv * t / p
 
             def gram(flagged):
-                # G = Z_r* Z_r + G_k, drawing the flagged draws' kernel directions
-                g = zh[flagged] @ z[flagged]
+                # G = Z_r* Z_r + G_k, drawing the flagged draws' kernel
+                # directions; Z_r* Z_r is formed for the whole chunk, so that
+                # no gather of Z or Z* is held
+                g = (zh @ z)[flagged]
                 if kernel:
                     u = sample_complex_gaussian((len(flagged), kernel, p), rng)
                     u *= np.sqrt(t[flagged] / _squared_frobenius(u))[:, None, None]
@@ -592,6 +619,7 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
                 return g
 
             good = keep(w, w_inv, cond, _squared_frobenius(full) + t, gram)
+        del zh, w  # freed, so the lift is held with Z and W^-1 alone
         # Re(z_i W^-1 z_i*): a real dot of each row of Z W^-1 with that row of Z
         lift = (z @ w_inv).view(np.float64)
         values = np.einsum("bij,bij->bi", lift, z.view(np.float64))
@@ -602,8 +630,28 @@ def _invcov_diagonal_mc(d, m: int, p: int, samples: int, rng: RandomSource) -> M
             values = np.column_stack([values, kernel_trace / kernel])
         acc.add_batch(values[good])
 
-    lift = r + (kernel > 0)
-    return _monte_carlo(samples, rng, chunk, frame=rows * p, block=p * p, lift=lift)
+    return _monte_carlo(samples, rng, chunk, *_diagonal_bytes(m, r, p))
+
+
+def _diagonal_bytes(m: int, r: int, p: int):
+    """``(draw_bytes, chunk_bytes)`` of an :func:`_invcov_diagonal_mc` chunk
+    at rank r (see :func:`_chunk_draws`).
+
+    On orthonormal frames (2p > m) a draw holds at most the sampler's four
+    m x p arrays, or Z, Z* and ``Z D`` with W and ``W^-1``. On Gaussian
+    bases it holds Z_r, its conjugate and ``Z_r D_r`` (three r x p arrays)
+    with W and ``W^-1``, or, where the screen flags it, Z_r, the kernel
+    directions and the conjugates of both (two m x p arrays) with five
+    p x p stacks; the lift is made once Z* and W are freed. Each draw's values are held three times, with up to twelve
+    scalars (condition numbers, traces, screens), and the chunk holds the
+    values' mean, as reals and as complex, and their sum of squares.
+    """
+    lift = 8 * (r + (r < m))
+    if 2 * p > m:
+        draw = 16 * (4 * m * p + 2 * p * p)
+    else:
+        draw = 16 * max(3 * r * p + 2 * p * p, 2 * m * p + 5 * p * p)
+    return draw + 3 * lift + 96, 4 * lift
 
 
 def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:

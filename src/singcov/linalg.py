@@ -449,13 +449,26 @@ class WelfordAccumulator:
         self._m2 = None
 
     def add_batch(self, values: np.ndarray):
-        """Fold in a batch with the sample index on axis 0."""
+        """Fold in a batch with the sample index on axis 0.
+
+        The batch is overwritten: its deviations from the batch mean, and
+        their squares, are formed in place on its real and imaginary parts,
+        so the fold holds no copy of it. A batch of integers, or one that is
+        read-only, is folded from a float copy.
+        """
         values = np.asarray(values)
+        if values.dtype.kind not in "fc" or not values.flags.writeable:
+            values = values.astype(np.result_type(values, np.float64))
         b = values.shape[0]
         if b == 0:
             return
         bmean = values.mean(axis=0)
-        self.add_moments(b, bmean, (np.abs(values - bmean) ** 2).sum(axis=0))
+        values -= bmean
+        # |x - mean|^2 = re^2 + im^2, summed into the real part
+        sq = np.square(values.real, out=values.real)
+        if np.iscomplexobj(values):
+            sq += np.square(values.imag, out=values.imag)
+        self.add_moments(b, bmean, sq.sum(axis=0))
 
     def add_moments(self, count: int, mean: np.ndarray, m2: np.ndarray):
         """Fold in a batch given by its size, mean and per-entry sum of
@@ -464,7 +477,7 @@ class WelfordAccumulator:
         if count == 0:
             return
         if self.count == 0:
-            self.count, self.mean, self._m2 = count, mean.astype(np.complex128), m2
+            self.count, self.mean, self._m2 = count, np.asarray(mean, dtype=np.complex128), m2
             return
         delta = mean - self.mean
         total = self.count + count

@@ -48,7 +48,7 @@ class ChunkCensus:
         self.threads = set()
         monte_carlo = haar._monte_carlo
 
-        def counted(samples, rng, chunk, **sizes):
+        def counted(samples, rng, chunk, *held):
             def counting(b, stream, acc):
                 with self.lock:
                     self.running += 1
@@ -61,7 +61,7 @@ class ChunkCensus:
                     with self.lock:
                         self.running -= 1
 
-            return monte_carlo(samples, rng, counting, **sizes)
+            return monte_carlo(samples, rng, counting, *held)
 
         monkeypatch.setattr(haar, "_monte_carlo", counted)
 

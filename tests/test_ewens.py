@@ -308,15 +308,15 @@ class TestHybridInverse:
         # The oracle replays the run's draws chunk by chunk, in the chunk
         # sizes and streams of its plan, and accumulates the scattered m x m
         # stack entry by entry. 2000 draws at m=6, p=3 fit one chunk; the
-        # draws at m=8, p=4 span eleven.
+        # draws at m=8, p=4 span five, the last of two draws.
         cases = [
             (random_psd(6, 6, 83), 1.3, 3, 2000, 1, 11),
-            (random_psd(8, 8, 84), 0.8, 4, 18202, 11, 13),
+            (random_psd(8, 8, 84), 0.8, 4, 14854, 5, 13),
         ]
         for k, theta, p, n, chunks, seed in cases:
             m = k.shape[0]
             mc = hybrid_inverse_mc(k, theta, p, n, RandomSource(seed))
-            size = haar._chunk_draws(frame=m, block=p * p, lift=p * p)
+            size = haar._chunk_draws(*ewens._injection_bytes(m, p))
             assert len(haar._round_plan(n, size)) == chunks
             draw = ewens._image_set_sampler(m, p, theta)
             draws = []

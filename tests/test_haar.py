@@ -21,7 +21,7 @@ from conftest import ChunkCensus, random_hermitian, random_psd, replay_chunks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcov import haar, linalg
+from singcov import ewens, haar, linalg
 from singcov.ewens import hybrid_inverse_mc
 from singcov.haar import (
     _CHUNK_BYTES,
@@ -168,13 +168,13 @@ def _compressions(k, phi):
 
 def _full_lift_size(m, p):
     """Draws per chunk of invcov_p_mc's plan."""
-    return _chunk_draws(m * p, p * p, m * m)
+    gaussian = linalg._takes_cholesky_qr(p, m)
+    return _chunk_draws(*haar._compression_bytes(m, p, -1, gaussian))
 
 
 def _diagonal_lift_size(m, r, p):
     """Draws per chunk of invcov_spectrum's plan on a K of rank r."""
-    rows = m if 2 * p > m else r
-    return _chunk_draws(rows * p, p * p, r + (r < m))
+    return _chunk_draws(*haar._diagonal_bytes(m, r, p))
 
 
 def _replay_invcov(k, p, samples, rng, limit, size=None):
@@ -678,7 +678,7 @@ class TestMonteCarloDriver:
         ),
         "cov_p_mc": lambda: cov_p_mc(random_hermitian(5, 42), 2, 5000, RandomSource(73)),
         "hybrid_inverse_mc": lambda: hybrid_inverse_mc(
-            random_psd(8, 8, 84), 0.8, 4, 5000, RandomSource(74)
+            random_psd(8, 8, 84), 0.8, 4, 12000, RandomSource(74)
         ),
         "invcov_p_mc_rejecting": lambda: invcov_p_mc(
             random_psd(10, 7, 63), 5, 3000, RandomSource(62)
@@ -750,14 +750,14 @@ class TestMonteCarloDriver:
 
             return logged
 
-        def logged_run(samples, rng, chunk, **sizes):
+        def logged_run(samples, rng, chunk, *held):
             def logging(b, stream, acc):
                 before = acc.count
                 chunk(b, stream, acc)
                 with lock:
                     calls.append((stream, b, acc.count - before))
 
-            return monte_carlo(samples, rng, logging, **sizes)
+            return monte_carlo(samples, rng, logging, *held)
 
         monkeypatch.setattr(haar, "_chunk_streams", logged_streams)
         monkeypatch.setattr(haar, "_monte_carlo", logged_run)
@@ -826,7 +826,7 @@ class TestMonteCarloDriver:
             events.append(("end", j))
 
         with pytest.raises(RuntimeError, match="resampling budget"):
-            haar._monte_carlo(1000, RandomSource(76), chunk, frame=1000, block=0, lift=0)
+            haar._monte_carlo(1000, RandomSource(76), chunk, 80_000)
         started = sorted(j for event, j in events if event == "start")
         assert len(started) > 1
         assert started == sorted(j for event, j in events if event == "end")
@@ -870,7 +870,7 @@ class TestMonteCarloDriver:
             acc.add_batch(rng.generator.random((b, 2)))
 
         with pytest.raises(ValueError, match="chunk failed on the worker"):
-            haar._monte_carlo(1000, RandomSource(77), chunk, frame=1000, block=0, lift=0)
+            haar._monte_carlo(1000, RandomSource(77), chunk, 80_000)
         k = random_psd(10, 7, 64)
         parallel = invcov_p_mc(k, 4, 1500, RandomSource(78))
         monkeypatch.setattr(haar, "_TWO_THREADS", False)
@@ -1003,19 +1003,117 @@ class TestMonteCarloDriver:
         assert np.array_equal(got, want)
 
 
+def _record_chunks(monkeypatch):
+    """``(plans, peaks)``, filled as serial Monte Carlo runs go: the draws of
+    each plan with the bytes it states for one chunk of them (the draws
+    times ``draw_bytes``, plus ``chunk_bytes``), and each chunk's
+    tracemalloc peak while tracemalloc traces."""
+    monkeypatch.setattr(haar, "_TWO_THREADS", False)
+    plans, peaks = [], []
+    chunk_draws, monte_carlo = haar._chunk_draws, haar._monte_carlo
+
+    def planning(draw_bytes, chunk_bytes=0):
+        draws = chunk_draws(draw_bytes, chunk_bytes)
+        plans.append((draws, draws * draw_bytes + chunk_bytes))
+        return draws
+
+    def measured(samples, rng, chunk, *held):
+        def measuring(b, stream, acc):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            chunk(b, stream, acc)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+        return monte_carlo(samples, rng, measuring, *held)
+
+    monkeypatch.setattr(haar, "_chunk_draws", planning)
+    monkeypatch.setattr(haar, "_monte_carlo", measured)
+    return plans, peaks
+
+
 class TestChunkPlan:
+    # a run of each Monte Carlo chunk body: the full and the diagonal inverse
+    # lift on both of their bases (the diagonal's Gaussian bases at a rank
+    # where the flagged draws' kernel directions would hold the most, and at
+    # full rank, where its lift does), the positive degrees on planes and on
+    # matmuls, and the injection fold
+    BODIES = {
+        "invcov_p_mc_gaussian": lambda s: invcov_p_mc(
+            random_psd(100, 75, 1), 25, s, RandomSource(1)
+        ),
+        "invcov_p_mc_gram_schmidt": lambda s: invcov_p_mc(
+            random_psd(10, 10, 2), 5, s, RandomSource(2)
+        ),
+        "invcov_p_mc_lapack": lambda s: invcov_p_mc(random_psd(12, 12, 3), 8, s, RandomSource(3)),
+        "spectrum_gaussian": lambda s: invcov_spectrum(
+            random_psd(60, 40, 4), 15, s, RandomSource(4)
+        ),
+        "spectrum_gaussian_full_rank": lambda s: invcov_spectrum(
+            random_psd(100, 100, 13), 5, s, RandomSource(13)
+        ),
+        "spectrum_orthonormal": lambda s: invcov_spectrum(
+            random_psd(12, 12, 5), 8, s, RandomSource(5)
+        ),
+        "planes": lambda s: cov_p_mc(random_hermitian(5, 6), 2, s, RandomSource(6)),
+        "planes_cubed": lambda s: haar._compression_mc(
+            random_hermitian(5, 7), 3, 3, s, RandomSource(7)
+        ),
+        "matmuls": lambda s: cov_p_mc(random_hermitian(12, 8), 4, s, RandomSource(8)),
+        "matmuls_cubed": lambda s: haar._compression_mc(
+            random_hermitian(12, 9), 4, 3, s, RandomSource(9)
+        ),
+        "hybrid_inverse_mc": lambda s: hybrid_inverse_mc(
+            random_psd(100, 75, 10), 10.0, 25, s, RandomSource(10)
+        ),
+        "hybrid_inverse_mc_small": lambda s: hybrid_inverse_mc(
+            random_psd(8, 8, 11), 1.0, 4, s, RandomSource(11)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(BODIES))
+    def test_chunk_peak_is_half_to_all_of_its_planned_bytes(self, monkeypatch, name):
+        # the stated bytes bound what a chunk holds, without overstating it
+        # twice over; a run of one full chunk, after a run that reads its plan
+        plans, peaks = _record_chunks(monkeypatch)
+        self.BODIES[name](2)
+        draws, planned = plans[-1]
+        peaks.clear()
+        tracemalloc.start()
+        try:
+            self.BODIES[name](draws)
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * planned <= peaks[0] <= planned, f"peak {peaks[0]} of {planned} planned"
+
+    def test_enumerated_chunk_peak_is_half_to_all_of_its_planned_bytes(self, monkeypatch):
+        # the pseudoinverses of hybrid_inverse_bruteforce are the heaviest map
+        # of the enumerated blocks; 8!/2! injections span 23 chunks
+        plans, _ = _record_chunks(monkeypatch)
+        k = random_psd(8, 8, 12)
+        tracemalloc.start()
+        try:
+            ewens.hybrid_inverse_bruteforce(k, 1.2, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        terms, planned = plans[-1]
+        assert math.perm(8, 6) > 20 * terms
+        assert 0.5 * planned <= peak <= planned, f"peak {peak} of {planned} planned"
+
     def test_chunk_bytes_stay_within_budget(self):
         # diagonal lift at m=1000, p=200 and full lift at m=400, p=100: the
-        # planned draws' frames, compressed matrices and lifts fit the budget
-        for m, p, lift in ((1000, 200, 1000), (400, 100, 400 * 400)):
-            draws = _chunk_draws(m * p, p * p, lift)
+        # bytes the planned draws and their chunk hold fit the budget
+        diagonal = haar._diagonal_bytes(1000, 1000, 200)
+        for held in (diagonal, haar._compression_bytes(400, 100, -1, True)):
+            draws = _chunk_draws(*held)
             assert draws >= 1
-            assert draws * 16 * (m * p + p * p + lift) <= _CHUNK_BYTES
+            assert draws * held[0] + held[1] <= _CHUNK_BYTES
 
     def test_at_least_one_draw_when_one_exceeds_budget(self):
         m, p = 2000, 1000
-        assert 16 * m * m > _CHUNK_BYTES
-        assert _chunk_draws(m * p, p * p, m * m) == 1
+        draw_bytes, chunk_bytes = haar._compression_bytes(m, p, -1, False)
+        assert draw_bytes > _CHUNK_BYTES
+        assert _chunk_draws(draw_bytes, chunk_bytes) == 1
 
     def test_spectrum_memory_is_bounded_per_chunk(self):
         # one chunk of all 2000 draws would hold about 160 MB at this shape

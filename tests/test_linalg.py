@@ -70,8 +70,9 @@ class TestWelford:
         g = RandomSource(11).generator
         data = g.standard_normal((500, 3, 3)) + 1j * g.standard_normal((500, 3, 3))
         acc = WelfordAccumulator()
-        acc.add_batch(data[:200])
-        acc.add_batch(data[200:])
+        # add_batch overwrites its batch, so each folds a copy
+        acc.add_batch(data[:200].copy())
+        acc.add_batch(data[200:].copy())
         assert acc.count == 500
         np.testing.assert_allclose(acc.mean, data.mean(axis=0), atol=1e-12)
         sem = np.sqrt(np.abs(data - data.mean(axis=0)) ** 2).std(axis=0)
@@ -79,14 +80,27 @@ class TestWelford:
         np.testing.assert_allclose(acc.stderr(), np.sqrt(var / 500), rtol=1e-10)
 
 
+    def test_integer_and_read_only_batches_are_folded_from_copies(self):
+        ints = np.arange(12).reshape(4, 3)
+        frozen = np.broadcast_to(np.array([1.0 + 2.0j, -1.0j]), (5, 2))
+        for batch in (ints, frozen):
+            want = batch.copy()
+            acc = WelfordAccumulator()
+            acc.add_batch(batch)
+            assert np.array_equal(batch, want)
+            np.testing.assert_allclose(acc.mean, want.mean(axis=0), rtol=1e-15)
+            var = (np.abs(want - want.mean(axis=0)) ** 2).sum(axis=0) / (len(want) - 1)
+            np.testing.assert_allclose(acc.stderr(), np.sqrt(var / len(want)), rtol=1e-12)
+
     def test_add_moments_folds_like_add_batch(self):
         g = RandomSource(12).generator
         data = g.standard_normal((300, 2, 2)) + 1j * g.standard_normal((300, 2, 2))
         batched, folded = WelfordAccumulator(), WelfordAccumulator()
         for part in (data[:120], data[120:]):
-            batched.add_batch(part)
+            batched.add_batch(part.copy())
             mean = part.mean(axis=0)
-            folded.add_moments(len(part), mean, (np.abs(part - mean) ** 2).sum(axis=0))
+            dev = part - mean
+            folded.add_moments(len(part), mean, (dev.real**2 + dev.imag**2).sum(axis=0))
         assert folded.count == batched.count == 300
         assert np.array_equal(folded.mean, batched.mean)
         assert np.array_equal(folded.stderr(), batched.stderr())
