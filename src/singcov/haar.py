@@ -274,9 +274,9 @@ def _monte_carlo(
     :class:`~singcov.linalg.WelfordAccumulator` ``acc``, holding at most
     ``chunk_bytes`` plus ``draw_bytes`` per draw at once (see
     :func:`_chunk_draws`). The run is planned once, by ``samples`` and
-    those bytes alone (:func:`_round_plan`): chunk j holds its share of the accepted
-    draws, drawn from its own stream (:func:`_chunk_streams`), and redraws
-    its rejected draws from the rest of that stream. The chunks' moments
+    those bytes alone (:func:`_round_plan`): chunk j holds its share of the
+    accepted draws, drawn from its own stream (:func:`_chunk_streams`), and
+    redraws its rejected draws from the rest of that stream. The chunks' moments
     are merged in chunk order (:func:`_run_chunks`), so the result does not
     depend on which thread ran a chunk. ``chunk`` may run on a thread of
     the chunk pool, so it starts no Monte Carlo run itself; it keeps no
@@ -642,9 +642,10 @@ def _diagonal_bytes(m: int, r: int, p: int):
     bases it holds Z_r, its conjugate and ``Z_r D_r`` (three r x p arrays)
     with W and ``W^-1``, or, where the screen flags it, Z_r, the kernel
     directions and the conjugates of both (two m x p arrays) with five
-    p x p stacks; the lift is made once Z* and W are freed. Each draw's values are held three times, with up to twelve
-    scalars (condition numbers, traces, screens), and the chunk holds the
-    values' mean, as reals and as complex, and their sum of squares.
+    p x p stacks; the lift is made once Z* and W are freed. Each draw's
+    values are held three times, with up to twelve scalars (condition
+    numbers, traces, screens), and the chunk holds the values' mean, as
+    reals and as complex, and their sum of squares.
     """
     lift = 8 * (r + (r < m))
     if 2 * p > m:
