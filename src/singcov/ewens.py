@@ -53,6 +53,9 @@ __all__ = [
 # enumeration budget in terms: it caps the full group at m <= 9 (9! = 362,880)
 MAX_INJECTION_TERMS = 500_000
 MAX_COMPLETION_DEGREE = 8
+# p x p arrays that _pinv_batch_hermitian holds per block: the block, its
+# eigenvectors, their scaled copy and conjugate transpose, and the product
+_PINV_BLOCKS = 5
 
 
 @dataclass(frozen=True)
@@ -157,9 +160,11 @@ def ewens_estimator_bruteforce(k, theta: float) -> np.ndarray:
     m = k.shape[0]
     require_theta(theta)
     out = np.zeros((m, m), dtype=np.complex128)
-    # the permutations are the injections at p = m, with the same masses
-    for _, blocks, weights in _enumerated_blocks(k, theta, m):
+    # the permutations are the injections at p = m, with the same masses; a
+    # term holds its block and index arrays, about 1.4 blocks at m = 8
+    for _, blocks, weights in _enumerated_blocks(k, theta, m, 2):
         out += np.einsum("s,sij->ij", weights, blocks)
+        del blocks  # freed before the next chunk's blocks are gathered
     return out
 
 
@@ -276,18 +281,17 @@ def hybrid_estimator(k, theta: float, p: int) -> np.ndarray:
     return _hybrid_weights(m, p, theta) * k
 
 
-def _terms_per_chunk(p: int) -> int:
+def _terms_per_chunk(p: int, blocks: int) -> int:
     """Injections enumerated per chunk: a term holds its images and a few
-    index arrays of p, and at most five p x p blocks, in the pseudoinverse
-    of :func:`hybrid_inverse_bruteforce` (the block, its eigenvectors, their
-    scaled copy and conjugate transpose, and the product)."""
-    return haar._chunk_draws(16 * p * (5 * p + 3))
+    index arrays of p, and at most ``blocks`` p x p complex arrays at once."""
+    return haar._chunk_draws(16 * p * (blocks * p + 3))
 
 
-def _enumerated_blocks(k, theta: float, p: int):
+def _enumerated_blocks(k, theta: float, p: int, blocks: int):
     """The injections of 0..p-1 into the indices of ``k``, chunk by chunk,
     in lexicographic order: each chunk's images are unranked at once by
-    :func:`_injection_rows`.
+    :func:`_injection_rows`, planned for a caller whose terms hold at most
+    ``blocks`` p x p arrays each (:func:`_terms_per_chunk`).
 
     Yields ``(idx, blocks, weights)``: the images of each injection s of the
     chunk, its selected block ``V_s K V_s^T`` and its mass. A mass depends
@@ -298,25 +302,28 @@ def _enumerated_blocks(k, theta: float, p: int):
     terms = _injection_count(p, m)
     require_theta(theta)
     mass = np.exp(_log_injection_mass(np.arange(p + 1), theta, m, p))
-    size = _terms_per_chunk(p)
+    size = _terms_per_chunk(p, blocks)
     for start in range(0, terms, size):
         idx = _injection_rows(m, p, start, min(start + size, terms))
         yield idx, k[idx[:, :, None], idx[:, None, :]], mass[_closed_cycles(idx)]
 
 
-def _injection_sum(k, theta: float, p: int, block_map) -> np.ndarray:
+def _injection_sum(k, theta: float, p: int, block_map, blocks: int) -> np.ndarray:
     """``sum_s mu(s) V_s^T block_map(V_s K V_s^T) V_s`` over all injections s.
 
-    ``block_map`` maps a stack of selected blocks to a stack of blocks. The
-    weighted blocks of a chunk are scatter-added into the m x m sum over flat
-    indices ``i*m + j``, as in :func:`_fold_blocks`.
+    ``block_map`` maps a stack of selected blocks to a stack of blocks,
+    holding at most ``blocks >= 2`` blocks per term, its input among them.
+    The weighted blocks of a chunk are scatter-added into the m x m sum over
+    flat indices ``i*m + j``, as in :func:`_fold_blocks`; the scatter holds
+    two blocks per term (the weighted block, its indices, one part's copy).
     """
     m = k.shape[0]
     size = m * m
     re = np.zeros(size)
     im = np.zeros(size)
-    for idx, blocks, weights in _enumerated_blocks(k, theta, p):
-        values = (block_map(blocks) * weights[:, None, None]).ravel()
+    for idx, selected, weights in _enumerated_blocks(k, theta, p, blocks):
+        values = (block_map(selected) * weights[:, None, None]).ravel()
+        del selected  # freed, so the scatter does not hold it
         flat = (idx[:, :, None] * m + idx[:, None, :]).ravel()
         re += np.bincount(flat, values.real, size)
         im += np.bincount(flat, values.imag, size)
@@ -326,7 +333,7 @@ def _injection_sum(k, theta: float, p: int, block_map) -> np.ndarray:
 
 def hybrid_estimator_bruteforce(k, theta: float, p: int) -> np.ndarray:
     """Definitional sum over all m!/(m-p)! injections; oracle for the closed form."""
-    return _injection_sum(require_hermitian(k, name="k"), theta, p, lambda blocks: blocks)
+    return _injection_sum(require_hermitian(k, name="k"), theta, p, lambda blocks: blocks, 2)
 
 
 def hybrid_inverse_diagonal(d, theta: float, p: int) -> np.ndarray:
@@ -366,7 +373,7 @@ def hybrid_inverse_diagonal(d, theta: float, p: int) -> np.ndarray:
 def hybrid_inverse_bruteforce(k, theta: float, p: int) -> np.ndarray:
     """Definitional inverse-side sum ``sum_s mu(s) V_s^T (V_s K V_s^T)^+ V_s``."""
     k = require_hermitian(k, name="k")
-    return hermitize(_injection_sum(k, theta, p, _pinv_batch_hermitian))
+    return hermitize(_injection_sum(k, theta, p, _pinv_batch_hermitian, _PINV_BLOCKS))
 
 
 def _fold_blocks(blocks: np.ndarray, idx: np.ndarray, m: int, acc):
@@ -487,6 +494,9 @@ def hybrid_inverse_mc(
     require_p(p, m)
     require_theta(theta)
     draw = _image_set_sampler(m, p, theta)
+    draw_bytes, chunk_bytes = _injection_bytes(m, p)
+    # blocks pseudo-inverted at once, in the room of the fold's chunk_bytes
+    step = max(1, chunk_bytes // (16 * _PINV_BLOCKS * p * p))
 
     def chunk(b, rng, acc):
         idx = draw(b, rng)
@@ -494,13 +504,14 @@ def hybrid_inverse_mc(
         inv, cond = _inv_batch_hermitian(blocks)
         # kappa_2 <= kappa_F, so every block the pseudoinverse would
         # truncate is among these
-        bad = ~(cond <= haar.COND_LIMIT)
-        if bad.any():
-            inv[bad] = _pinv_batch_hermitian(blocks[bad])
+        bad = np.flatnonzero(~(cond <= haar.COND_LIMIT))
+        for start in range(0, len(bad), step):
+            i = bad[start : start + step]
+            inv[i] = _pinv_batch_hermitian(blocks[i])
         del blocks  # freed, so the fold does not hold it
         _fold_blocks(inv, idx, m, acc)
 
-    return haar._monte_carlo(samples, rng, chunk, *_injection_bytes(m, p))
+    return haar._monte_carlo(samples, rng, chunk, draw_bytes, chunk_bytes)
 
 
 def _injection_bytes(m: int, p: int):
@@ -513,7 +524,8 @@ def _injection_bytes(m: int, p: int):
     their flat indices, and one temporary of half a block: 36 bytes per
     block entry and its diagonal. The chunk holds the fold's ``m x m`` hit
     counts, sums, mirrors and squared-deviation terms, up to 56 bytes per
-    entry. A chunk whose blocks must all be pseudo-inverted (p above the
-    rank of K) holds up to four more blocks per draw.
+    entry. The blocks that must be pseudo-inverted (all of them when p
+    exceeds the rank of K) are pseudo-inverted a few at a time, in the room
+    of those ``m x m`` arrays (see :func:`hybrid_inverse_mc`).
     """
     return 8 * p + max(36 * p * (p + 1), 24 * m), 56 * m * m

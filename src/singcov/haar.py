@@ -39,11 +39,11 @@ from .combinatorics import (
     schur_hook_powersum,
 )
 from .linalg import (
+    GRAM_SCHMIDT_MAX_ENTRIES,
     RandomSource,
     WelfordAccumulator,
     _inv_batch_hermitian,
     _squared_frobenius,
-    _takes_cholesky_qr,
     eig_hermitian,
     hermitize,
     numeric_rank,
@@ -688,6 +688,13 @@ def _inverse_path_rank(k, p: int):
     return dec, rank, ldexp(1.0, 2 * ((frexp(dec.eigenvalues[0])[1] - 1) // 2))
 
 
+def _lifts_gaussian(p: int, m: int) -> bool:
+    """Whether :func:`invcov_p_mc` lifts the sampler's m x p Gaussians in place
+    of their frames: above ``GRAM_SCHMIDT_MAX_ENTRIES`` entries, where the
+    sampler takes LAPACK QR, and tall, ``2p <= m``, so well conditioned."""
+    return m * p > GRAM_SCHMIDT_MAX_ENTRIES and 2 * p <= m
+
+
 def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
     """Monte Carlo estimate of ``E(Phi* (Phi K Phi*)^{-1} Phi)``.
 
@@ -714,19 +721,17 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
     cost of ``p m r`` rather than ``p m^2``; its Haar frame, its full
     ``m x m`` lift and its rejection rule are those of the definition.
 
-    Where :func:`~singcov.linalg.sample_haar_stiefel_batch` would take its
-    Cholesky QR branch (``m p > GRAM_SCHMIDT_MAX_ENTRIES`` and ``2p <= m``),
-    a draw skips the QR: it lifts the m x p complex Gaussian G, read from
-    the same chunk stream, that the sampler would orthonormalize into
-    ``Phi = L^-1 G*`` with ``G* G = L L*``. The lift depends on Phi only
-    through its row span, so ``Phi* (Phi K Phi*)^-1 Phi = G W^-1 G*`` with
-    ``W = (G* F)(G* F)*``. The draw is still kept by the condition number
-    of its frame's ``Phi K Phi*``: a screen bounds that number, and only
-    the draws it flags pay for ``G* G`` and the exact value (see
-    :func:`_gaussian_basis_rule`). At the other shapes each draw lifts its
-    frame: Gram-Schmidt frames are cheap, and at ``2p > m`` G is too
-    ill-conditioned. Either way the draws and the chunk plan are the same,
-    and the results agree to roundoff.
+    At the shapes of :func:`_lifts_gaussian`, a draw skips the QR: it lifts
+    the m x p complex Gaussian G, read from the same chunk stream, that
+    :func:`~singcov.linalg.sample_haar_stiefel_batch` would orthonormalize
+    into its frame Phi. The lift depends on Phi only through its row span,
+    so ``Phi* (Phi K Phi*)^-1 Phi = G W^-1 G*`` with ``W = (G* F)(G* F)*``.
+    The draw is still kept by the condition number of its frame's
+    ``Phi K Phi*``: a screen bounds that number, and only the draws it flags
+    pay for ``G* G`` and the exact value (see :func:`_gaussian_basis_rule`).
+    At the other shapes each draw lifts its frame: Gram-Schmidt frames are
+    cheap, and at ``2p > m`` G is too ill-conditioned. Either way the draws
+    and the chunk plan are the same, and the results agree to roundoff.
 
     Returns
     -------
@@ -738,7 +743,7 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
     dec, rank, scale = _inverse_path_rank(k, p)
     d = dec.eigenvalues[:rank] / scale
     factor = dec.eigenvectors[:, :rank] * np.sqrt(d)
-    keep = _gaussian_basis_rule(d, p) if _takes_cholesky_qr(p, len(dec.eigenvalues)) else None
+    keep = _gaussian_basis_rule(d, p) if _lifts_gaussian(p, len(dec.eigenvalues)) else None
     mc = _compression_mc(factor, p, -1, samples, rng, keep)
     return MonteCarloEstimate(mc.estimate / scale, mc.stderr / scale, mc.samples, mc.rejected)
 

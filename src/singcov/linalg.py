@@ -41,8 +41,8 @@ __all__ = [
 HERMITIAN_TOL = 1e-10
 
 # Haar frames with at most this many entries (m p) are orthonormalized by
-# batched Gram-Schmidt, larger ones by Cholesky QR or LAPACK QR: the measured
-# crossover of their run times at the Monte Carlo chunk sizes.
+# batched Gram-Schmidt, larger ones by LAPACK QR: the measured crossover of
+# their run times at the Monte Carlo chunk sizes.
 GRAM_SCHMIDT_MAX_ENTRIES = 80
 
 
@@ -383,14 +383,6 @@ def _gram_schmidt_rows(g) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(y, (2, 0, 1)))
 
 
-def _takes_cholesky_qr(p: int, m: int) -> bool:
-    """Whether :func:`sample_haar_stiefel_batch` orthonormalizes p x m frames
-    by one Cholesky QR pass: frames of more than
-    ``GRAM_SCHMIDT_MAX_ENTRIES`` entries whose m x p Gaussian is tall,
-    ``2p <= m``, and so well conditioned."""
-    return m * p > GRAM_SCHMIDT_MAX_ENTRIES and 2 * p <= m
-
-
 def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> np.ndarray:
     """Stack of ``count`` Haar-distributed p x m matrices with orthonormal rows.
 
@@ -398,7 +390,7 @@ def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> 
     complex Gaussian matrix G of :func:`sample_complex_gaussian` whose R
     has a positive real diagonal. That normalization makes Q unique, which
     is what makes it exactly Haar-distributed rather than biased by a
-    factorization convention (Mezzadri, Notices AMS 54, 2007). Three
+    factorization convention (Mezzadri, Notices AMS 54, 2007). Two
     branches compute the same Q from the same G, to roundoff:
 
     - frames of at most ``GRAM_SCHMIDT_MAX_ENTRIES`` entries (``m p``) are
@@ -407,16 +399,7 @@ def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> 
       ``r_jj = ||g_j - sum_{i<j} r_ij q_i|| > 0``, so it yields that unique
       Q; it replaces one LAPACK call per draw, whose overhead dominates
       small frames;
-    - larger frames with ``2p <= m`` take one Cholesky QR pass,
-      ``Q* = L^-1 G*`` for ``G* G = L L*``, whose ``R = L*`` has a positive
-      real diagonal. Its loss of orthogonality grows as ``cond(G)^2``, and
-      these tall Gaussian stacks are well conditioned. Its matmul,
-      Cholesky and inverse release the GIL, where LAPACK QR's Householder
-      step holds it, so two chunks of these frames run at once. At these
-      shapes (:func:`_takes_cholesky_qr`) ``haar.invcov_p_mc`` lifts G
-      itself, which spans the same rows, and asks for no frame; the
-      branch serves ``haar.cov_p_mc``;
-    - the rest use LAPACK QR, with each column of Q multiplied by the
+    - larger frames use LAPACK QR, with each column of Q multiplied by the
       phase of its R diagonal entry.
     """
     require_p(p, m)
@@ -425,9 +408,6 @@ def sample_haar_stiefel_batch(p: int, m: int, count: int, rng: RandomSource) -> 
     g = sample_complex_gaussian((count, m, p), rng)
     if m * p <= GRAM_SCHMIDT_MAX_ENTRIES:
         return _gram_schmidt_rows(g)
-    if _takes_cholesky_qr(p, m):
-        gh = np.swapaxes(g, 1, 2).conj()
-        return np.linalg.inv(np.linalg.cholesky(gh @ g)) @ gh
     q, r = np.linalg.qr(g)
     d = np.einsum("bii->bi", r)
     phase = np.where(np.abs(d) > 0, d / np.where(d == 0, 1.0, np.abs(d)), 1.0)

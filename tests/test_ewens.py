@@ -369,7 +369,7 @@ class TestBatchedEnumeration:
     M, P = 8, 6
 
     def test_hybrid_bruteforce_across_chunks(self):
-        assert math.perm(self.M, self.P) > ewens._terms_per_chunk(self.P)
+        assert math.perm(self.M, self.P) > ewens._terms_per_chunk(self.P, 2)
         k = random_hermitian(self.M, 90)
         for theta in (0.7, 3.0):
             ref = hybrid_estimator_bruteforce(k, theta, self.P)
@@ -392,7 +392,7 @@ class TestBatchedEnumeration:
 
         monkeypatch.setattr(ewens, "_pinv_batch_hermitian", counting)
         hybrid_inverse_bruteforce(random_psd(self.M, self.M, 91), 1.2, self.P)
-        per_chunk = ewens._terms_per_chunk(self.P)
+        per_chunk = ewens._terms_per_chunk(self.P, 5)
         assert len(sizes) == math.ceil(math.perm(self.M, self.P) / per_chunk)
         assert sum(sizes) == math.perm(self.M, self.P)
         assert max(sizes) == per_chunk
@@ -400,7 +400,7 @@ class TestBatchedEnumeration:
     def test_chunk_masses_match_injection_probability(self):
         m, p, theta = 5, 3, 1.7
         k = random_hermitian(m, 92)
-        for idx, blocks, weights in ewens._enumerated_blocks(k, theta, p):
+        for idx, blocks, weights in ewens._enumerated_blocks(k, theta, p, 2):
             want = [injection_probability(s, theta, m) for s in idx]
             np.testing.assert_allclose(weights, want, rtol=1e-14, atol=0)
             np.testing.assert_array_equal(blocks, [k[np.ix_(s, s)] for s in idx])

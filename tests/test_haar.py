@@ -21,7 +21,7 @@ from conftest import ChunkCensus, random_hermitian, random_psd, replay_chunks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcov import ewens, haar, linalg
+from singcov import ewens, haar
 from singcov.ewens import hybrid_inverse_mc
 from singcov.haar import (
     _CHUNK_BYTES,
@@ -133,15 +133,24 @@ class TestInvcov:
             assert (got["samples"], got["rejected"]) == (want["samples"], want["rejected"])
 
     def test_preserves_eigenvectors(self, rng):
+        # invcov_p_mc in K's eigenbasis U is diag(lambdas): each entry of
+        # U* E U is held to 6 of its own standard errors, taken from the
+        # spread of 20 independent runs of 1000 draws and, on the diagonal,
+        # combined with that of the lambda it is compared with
         k = random_psd(5, 5, 8)
-        dec = eig_hermitian(k)
+        u = eig_hermitian(k).eigenvectors
         spec = invcov_spectrum(k, 2, 20000, rng)
-        rebuilt = dec.eigenvectors @ np.diag(spec.lambdas) @ dec.eigenvectors.conj().T
-        mc = invcov_p_mc(k, 2, 20000, RandomSource(99))
-        # same spectrum either way, up to MC noise
-        got = np.sort(np.linalg.eigvalsh(mc.estimate))
-        want = np.sort(spec.lambdas)
-        assert np.abs(got - want).max() <= 6 * float(np.max(mc.stderr))
+        runs = np.array([
+            u.conj().T @ invcov_p_mc(k, 2, 1000, RandomSource(99).substream(j)).estimate @ u
+            for j in range(20)
+        ])
+        mean = runs.mean(axis=0)
+        se_re, se_im = (x.std(axis=0, ddof=1) / np.sqrt(len(runs)) for x in (runs.real, runs.imag))
+        diag = np.diagonal(mean).real - spec.lambdas
+        assert (np.abs(diag) <= 6 * np.hypot(np.diagonal(se_re), spec.stderr)).all()
+        off = ~np.eye(5, dtype=bool)
+        assert (np.abs(mean.real[off]) <= 6 * se_re[off]).all()
+        assert (np.abs(mean.imag[off]) <= 6 * se_im[off]).all()
 
     @pytest.mark.parametrize("call", [invcov_p_mc, invcov_spectrum], ids=["full", "spectrum"])
     def test_rejects_indefinite_k(self, call):
@@ -168,7 +177,7 @@ def _compressions(k, phi):
 
 def _full_lift_size(m, p):
     """Draws per chunk of invcov_p_mc's plan."""
-    gaussian = linalg._takes_cholesky_qr(p, m)
+    gaussian = haar._lifts_gaussian(p, m)
     return _chunk_draws(*haar._compression_bytes(m, p, -1, gaussian))
 
 
@@ -214,7 +223,7 @@ def _first_chunk_limit(k, p, seed, rejects=3):
 class TestInvcovRankFactor:
     # 3000 draws span two or more chunks at each shape; the last three
     # shapes, with m p > 80 and 2p <= m, lift the sampler's Gaussians
-    # directly, and the sampler orthonormalizes them by Cholesky QR
+    # directly, and the replay orthonormalizes them by LAPACK QR
     @pytest.mark.parametrize(
         ("m", "rank", "p"),
         [(10, 7, 4), (10, 7, 5), (8, 8, 3), (20, 15, 5), (30, 30, 4), (100, 75, 25)],
@@ -248,7 +257,7 @@ class TestInvcovRankFactor:
         # the Gram matrix G* G decides which are kept
         m, rank, p, samples, seed = 20, 15, 5, 3000, 62
         k = random_psd(m, rank, 63)
-        assert linalg._takes_cholesky_qr(p, m)
+        assert haar._lifts_gaussian(p, m)
         limit = _first_chunk_limit(k, p, seed, rejects=1)
         size = _full_lift_size(m, p)
         g = sample_complex_gaussian((size, m, p), haar._chunk_streams(RandomSource(seed))(0))
@@ -594,7 +603,7 @@ class TestInvcovPProperties:
     @pytest.mark.parametrize("name", list(CASES))
     def test_trace_hermitian_and_definite(self, name):
         m, rank, p = self.CASES[name]
-        assert linalg._takes_cholesky_qr(p, m) == name.startswith("gaussian")
+        assert haar._lifts_gaussian(p, m) == name.startswith("gaussian")
         seed = 90 + m + p
         k = _padded_psd(m, rank, seed) if "exactly" in name else random_psd(m, rank, seed)
         assert np.abs(k.imag).max() > 0.1
@@ -1036,7 +1045,7 @@ class TestChunkPlan:
     # lift on both of their bases (the diagonal's Gaussian bases at a rank
     # where the flagged draws' kernel directions would hold the most, and at
     # full rank, where its lift does), the positive degrees on planes and on
-    # matmuls, and the injection fold
+    # matmuls, and the injection fold, also where it pseudo-inverts every block
     BODIES = {
         "invcov_p_mc_gaussian": lambda s: invcov_p_mc(
             random_psd(100, 75, 1), 25, s, RandomSource(1)
@@ -1068,6 +1077,10 @@ class TestChunkPlan:
         "hybrid_inverse_mc_small": lambda s: hybrid_inverse_mc(
             random_psd(8, 8, 11), 1.0, 4, s, RandomSource(11)
         ),
+        # p above the rank of K: every block is pseudo-inverted
+        "hybrid_inverse_mc_above_rank": lambda s: hybrid_inverse_mc(
+            random_psd(100, 30, 14), 10.0, 40, s, RandomSource(14)
+        ),
     }
 
     @pytest.mark.parametrize("name", list(BODIES))
@@ -1086,19 +1099,27 @@ class TestChunkPlan:
         assert 0.5 * planned <= peaks[0] <= planned, f"peak {peaks[0]} of {planned} planned"
 
     def test_enumerated_chunk_peak_is_half_to_all_of_its_planned_bytes(self, monkeypatch):
-        # the pseudoinverses of hybrid_inverse_bruteforce are the heaviest map
-        # of the enumerated blocks; 8!/2! injections span 23 chunks
+        # each oracle's chunks are planned from its own block map: the
+        # pseudoinverses of hybrid_inverse_bruteforce, and the identity maps
+        # of ewens_estimator_bruteforce and hybrid_estimator_bruteforce; each
+        # run spans more than 10 chunks
         plans, _ = _record_chunks(monkeypatch)
         k = random_psd(8, 8, 12)
-        tracemalloc.start()
-        try:
-            ewens.hybrid_inverse_bruteforce(k, 1.2, 6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        terms, planned = plans[-1]
-        assert math.perm(8, 6) > 20 * terms
-        assert 0.5 * planned <= peak <= planned, f"peak {peak} of {planned} planned"
+        oracles = {
+            "hybrid_inverse": (lambda: ewens.hybrid_inverse_bruteforce(k, 1.2, 6), 6),
+            "ewens": (lambda: ewens.ewens_estimator_bruteforce(k, 1.2), 8),
+            "hybrid": (lambda: ewens.hybrid_estimator_bruteforce(k, 1.2, 8), 8),
+        }
+        for name, (oracle, p) in oracles.items():
+            tracemalloc.start()
+            try:
+                oracle()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            terms, planned = plans[-1]
+            assert math.perm(8, p) > 10 * terms, name
+            assert 0.5 * planned <= peak <= planned, f"{name}: peak {peak} of {planned} planned"
 
     def test_chunk_bytes_stay_within_budget(self):
         # diagonal lift at m=1000, p=200 and full lift at m=400, p=100: the

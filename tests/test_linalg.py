@@ -161,30 +161,30 @@ class TestHaarSampling:
          (100, 50, False)],
     )
     def test_frames_are_phase_fixed_qr_of_the_gaussian_stack(self, m, p, gram_schmidt):
-        # (20, 4) is the last size on the Gram-Schmidt branch; above it,
-        # (18, 9) is the first Cholesky QR size at 2p = m, and (17, 9) and
-        # (9, 9) stay on LAPACK, which alone must give the QR's own bits
+        # (20, 4) is the last size on the Gram-Schmidt branch; every larger
+        # frame, tall or square, takes LAPACK, which must give the QR's own bits
         assert (m * p <= GRAM_SCHMIDT_MAX_ENTRIES) == gram_schmidt
-        lapack = not gram_schmidt and 2 * p > m
         count = 2000
         phi = sample_haar_stiefel_batch(p, m, count, RandomSource(21))
         q, r = np.linalg.qr(sample_complex_gaussian((count, m, p), RandomSource(21)))
         d = np.einsum("bii->bi", r)
         want = np.swapaxes(q * (d / np.abs(d))[:, None, :], 1, 2).conj()
         assert phi.shape == (count, p, m)
-        if lapack:
-            assert np.array_equal(phi, want)
-        else:
+        if gram_schmidt:
             assert np.abs(phi - want).max() <= 1e-12
+        else:
+            assert np.array_equal(phi, want)
 
     @pytest.mark.parametrize(
         "m, p, lapack",
-        [(18, 9, False), (27, 3, False), (100, 1, False), (100, 50, False),
-         (17, 9, True), (9, 9, True), (100, 51, True)],
+        [(20, 4, False), (80, 1, False), (8, 8, False), (18, 9, True), (27, 3, True),
+         (100, 1, True), (100, 50, True), (17, 9, True), (9, 9, True), (100, 51, True)],
     )
-    def test_only_frames_with_2p_above_m_call_lapack_qr(self, monkeypatch, m, p, lapack):
-        # np.linalg.qr holds the GIL in its Householder step; Cholesky QR
-        # (matmul, cholesky, inv) releases it
+    def test_frames_above_gram_schmidt_limit_call_qr(self, monkeypatch, m, p, lapack):
+        # every frame of more than GRAM_SCHMIDT_MAX_ENTRIES entries, tall or
+        # not, is LAPACK's; no smaller one calls it
+        assert (m * p > GRAM_SCHMIDT_MAX_ENTRIES) == lapack
+
         def refuse(*args, **kwargs):
             raise RuntimeError("np.linalg.qr called")
 
@@ -201,15 +201,6 @@ class TestHaarSampling:
         phi = sample_haar_stiefel_batch(m, m, 20_000, RandomSource(22))
         for gram in (phi @ np.swapaxes(phi, 1, 2).conj(), np.swapaxes(phi, 1, 2).conj() @ phi):
             assert np.linalg.norm(gram - np.eye(m), axis=(1, 2)).max() <= 1e-13
-
-    def test_cholesky_frames_are_orthonormal(self):
-        # the smallest Cholesky QR frames at 2p = m have the worst-conditioned
-        # Gaussian stacks, and Cholesky QR loses orthogonality as cond(G)^2
-        m, p = 14, 7
-        assert m * p > GRAM_SCHMIDT_MAX_ENTRIES
-        phi = sample_haar_stiefel_batch(p, m, 20_000, RandomSource(24))
-        gram = phi @ np.swapaxes(phi, 1, 2).conj()
-        assert np.linalg.norm(gram - np.eye(p), axis=(1, 2)).max() <= 1e-13
 
 
 class TestEigAndPinv:
