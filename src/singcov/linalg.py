@@ -203,28 +203,55 @@ def _spectral_product(u, x):
 def _squared_frobenius(a):
     """``||A||_F^2`` of each matrix in a complex stack, as a real dot of each
     matrix's float64 view with itself."""
-    f = np.ascontiguousarray(a).view(np.float64).reshape(a.shape[:-2] + (-1,))
+    f = np.ascontiguousarray(a).view(np.float64)
+    f = f.reshape(a.shape[:-2] + (2 * a.shape[-2] * a.shape[-1],))
     return np.einsum("...k,...k->...", f, f)
 
 
+# Exactly singular blocks that _inv_batch_hermitian eigendecomposes at once:
+# their eigenvectors and spectral products then hold a few blocks beyond the
+# stack and its inverse; a whole stack of them at once holds about four
+# stacks more.
+_SINGULAR_SLICE = 4
+
+
 def _inv_batch_hermitian(w_batch):
-    """Inverses of a stack of Hermitian blocks, each by one LU factorization,
-    and each block's Frobenius condition number ``||W||_F ||W^-1||_F``.
+    """Inverses of a stack of Hermitian blocks, of shape (b, p, p), each by
+    one LU factorization, and each block's Frobenius condition number
+    ``||W||_F ||W^-1||_F``.
 
     ``np.linalg.inv`` refuses the whole stack when one block is exactly
-    singular; the stack is then inverted through its eigendecomposition,
-    with zero eigenvalues left out of the inverse and their block's
+    singular, that is, when LU meets an exactly zero pivot, which is where
+    ``np.linalg.slogdet`` gives the sign 0. The other blocks are then
+    inverted by LU as a stack of their own, and the singular blocks through
+    their eigendecompositions, ``_SINGULAR_SLICE`` at a time: eigenvalues
+    that are exactly zero are left out of the inverse, and make the
     condition number infinite.
     """
     w_batch = np.asarray(w_batch, dtype=np.complex128)
     try:
         inv = np.linalg.inv(w_batch)
     except np.linalg.LinAlgError:
-        lam, u = np.linalg.eigh(w_batch)
-        zero = lam == 0
-        inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, lam))
-        cond = np.linalg.norm(lam, axis=-1) * np.linalg.norm(inv_lam, axis=-1)
-        return _spectral_product(u, inv_lam), np.where(zero.any(axis=-1), np.inf, cond)
+        singular = np.linalg.slogdet(w_batch)[0] == 0
+        regular = w_batch[~singular]
+        regular_inv = np.linalg.inv(regular)
+        cond = np.empty(len(w_batch))
+        cond[~singular] = np.sqrt(_squared_frobenius(regular) * _squared_frobenius(regular_inv))
+        del regular
+        inv = np.empty_like(w_batch)
+        inv[~singular] = regular_inv
+        del regular_inv
+        at = np.flatnonzero(singular)
+        for start in range(0, len(at), _SINGULAR_SLICE):
+            i = at[start : start + _SINGULAR_SLICE]
+            lam, u = np.linalg.eigh(w_batch[i])
+            zero = lam == 0
+            inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, lam))
+            inv[i] = _spectral_product(u, inv_lam)
+            with np.errstate(over="ignore"):  # an overflow is a condition number of inf
+                cond[i] = np.linalg.norm(lam, axis=-1) * np.linalg.norm(inv_lam, axis=-1)
+            cond[i[zero.any(axis=-1)]] = np.inf
+        return inv, cond
     return inv, np.sqrt(_squared_frobenius(w_batch) * _squared_frobenius(inv))
 
 

@@ -1,7 +1,6 @@
 """Unit tests for the rotation-average estimators and moment formulas."""
 
 import dataclasses
-import functools
 import math
 import os
 import signal
@@ -79,6 +78,13 @@ class TestCovPClosed:
             cov_p_closed(np.eye(3), 4)
 
 
+# the two inverse paths at (k, p): the Monte Carlo average and the exact map
+INVERSE_CALLS = {
+    "full": lambda k, p: invcov_p_mc(k, p, 200, RandomSource(15)),
+    "spectrum": invcov_spectrum,
+}
+
+
 class TestInvcov:
     def test_identity_gives_p_over_m(self, rng):
         m, p = 5, 3
@@ -91,7 +97,7 @@ class TestInvcov:
         with pytest.raises(ValueError, match="p=4 must lie below rank 2"):
             invcov_p_mc(k, 4, 2000, rng)
         with pytest.raises(ValueError, match="p=4 must lie below rank 2"):
-            invcov_spectrum(k, 4, 2000, rng)
+            invcov_spectrum(k, 4)
 
     def test_accepts_p_at_rank_and_rejects_above(self):
         # on a singular K the kernel value is infinite from p = rank on, so
@@ -100,19 +106,27 @@ class TestInvcov:
         mc = invcov_p_mc(k, 2, 2000, RandomSource(10))
         assert mc.samples == 2000
         assert mc.rejected <= 20
+        assert np.isfinite(invcov_spectrum(k, 2).mu)
         for p in (3, 4):
-            for call in (invcov_p_mc, invcov_spectrum):
+            for call in INVERSE_CALLS.values():
                 with pytest.raises(ValueError, match=f"p={p} must lie below rank 3"):
-                    call(k, p, 2000, RandomSource(10))
+                    call(k, p)
 
-    @pytest.mark.parametrize("call", [invcov_p_mc, invcov_spectrum], ids=["full", "spectrum"])
+    @pytest.mark.parametrize("call", list(INVERSE_CALLS))
     def test_ill_conditioned_draws_exhaust_the_budget(self, call):
         # numeric rank 5, p = 4: by Poincare separation W's largest eigenvalue
         # is at least 1 and its smallest at most 1e-14, so every draw has
-        # kappa_F >= 1e14 and is rejected
+        # kappa_F >= 1e14 and is rejected; the exact map has no draws, and
+        # is finite: the kernel value is of the order of 1 / 1e-14
         k = np.diag([1.0, 1.0, 1.0, 1e-14, 1e-14, 0.0])
-        with pytest.raises(RuntimeError, match="resampling budget"):
-            call(k, 4, 200, RandomSource(16))
+        if call == "full":
+            with pytest.raises(RuntimeError, match="resampling budget"):
+                invcov_p_mc(k, 4, 200, RandomSource(16))
+            return
+        spec = invcov_spectrum(k, 4)
+        assert np.isfinite(spec.lambdas).all() and (spec.lambdas > 0).all()
+        assert abs(np.diag(k)[:5] @ spec.lambdas - 4) <= 1e-13 * 4
+        assert 0.5e14 <= spec.mu <= 2e14
 
     @pytest.mark.parametrize("c", [1e170, 1e-170, 1e308])
     def test_scale_of_k_leaves_the_average_scaled(self, c):
@@ -122,24 +136,27 @@ class TestInvcov:
         # the nearest power of 4 above it is no longer finite
         k = sample_gaussian_covariance(np.eye(6), 5, RandomSource(0))
         k /= np.linalg.eigvalsh(k)[-1]
-        for call in (invcov_p_mc, invcov_spectrum):
-            want = vars(call(k, 2, 400, RandomSource(1)))
-            got = vars(call(c * k, 2, 400, RandomSource(1)))
-            for field in ("estimate", "lambdas", "stderr", "mu", "mu_stderr"):
+        calls = {
+            "full": lambda k: invcov_p_mc(k, 2, 400, RandomSource(1)),
+            "spectrum": lambda k: invcov_spectrum(k, 2),
+        }
+        for name, call in calls.items():
+            want, got = vars(call(k)), vars(call(c * k))
+            for field in ("estimate", "stderr", "lambdas", "mu"):
                 if field in want:
                     expected = np.asarray(want[field])
                     err = np.abs(c * np.asarray(got[field]) - expected).max()
-                    assert err <= 1e-12 * np.abs(expected).max(), (call.__name__, field)
-            assert (got["samples"], got["rejected"]) == (want["samples"], want["rejected"])
+                    assert err <= 1e-12 * np.abs(expected).max(), (name, field)
+            if name == "full":
+                assert (got["samples"], got["rejected"]) == (want["samples"], want["rejected"])
 
     def test_preserves_eigenvectors(self, rng):
-        # invcov_p_mc in K's eigenbasis U is diag(lambdas): each entry of
-        # U* E U is held to 6 of its own standard errors, taken from the
-        # spread of 20 independent runs of 1000 draws and, on the diagonal,
-        # combined with that of the lambda it is compared with
+        # invcov_p_mc in K's eigenbasis U is diag(lambdas) of the exact map:
+        # each entry of U* E U is held to 6 of its own standard errors, taken
+        # from the spread of 20 independent runs of 1000 draws
         k = random_psd(5, 5, 8)
         u = eig_hermitian(k).eigenvectors
-        spec = invcov_spectrum(k, 2, 20000, rng)
+        spec = invcov_spectrum(k, 2)
         runs = np.array([
             u.conj().T @ invcov_p_mc(k, 2, 1000, RandomSource(99).substream(j)).estimate @ u
             for j in range(20)
@@ -147,22 +164,25 @@ class TestInvcov:
         mean = runs.mean(axis=0)
         se_re, se_im = (x.std(axis=0, ddof=1) / np.sqrt(len(runs)) for x in (runs.real, runs.imag))
         diag = np.diagonal(mean).real - spec.lambdas
-        assert (np.abs(diag) <= 6 * np.hypot(np.diagonal(se_re), spec.stderr)).all()
+        assert (np.abs(diag) <= 6 * np.diagonal(se_re)).all()
         off = ~np.eye(5, dtype=bool)
         assert (np.abs(mean.real[off]) <= 6 * se_re[off]).all()
         assert (np.abs(mean.imag[off]) <= 6 * se_im[off]).all()
 
-    @pytest.mark.parametrize("call", [invcov_p_mc, invcov_spectrum], ids=["full", "spectrum"])
+    @pytest.mark.parametrize("call", list(INVERSE_CALLS))
     def test_rejects_indefinite_k(self, call):
         with pytest.raises(ValueError, match="k must be positive semidefinite"):
-            call(np.diag([2.0, 1.0, 0.5, -1.0]), 2, 200, RandomSource(15))
+            INVERSE_CALLS[call](np.diag([2.0, 1.0, 0.5, -1.0]), 2)
         # a negative eigenvalue at roundoff level is a zero one
-        got = call(np.diag([2.0, 1.0, 0.5, -1e-13]), 2, 200, RandomSource(15))
-        assert got.samples == 200
+        got = INVERSE_CALLS[call](np.diag([2.0, 1.0, 0.5, -1e-13]), 2)
+        if call == "full":
+            assert got.samples == 200
+        else:
+            assert len(got.lambdas) == 3 and got.mu > 0
 
-    def test_zero_block_is_flat(self, rng):
+    def test_zero_block_is_flat(self):
         d = np.diag([2.0, 1.0, 0.5, 0.0, 0.0])
-        spec = invcov_spectrum(d, 2, 30000, rng)
+        spec = invcov_spectrum(d, 2)
         assert spec.mu > 0
         # lambdas for the kernel directions equal mu by construction
         assert np.isfinite(spec.lambdas).all()
@@ -179,11 +199,6 @@ def _full_lift_size(m, p):
     """Draws per chunk of invcov_p_mc's plan."""
     gaussian = haar._lifts_gaussian(p, m)
     return _chunk_draws(*haar._compression_bytes(m, p, -1, gaussian))
-
-
-def _diagonal_lift_size(m, r, p):
-    """Draws per chunk of invcov_spectrum's plan on a K of rank r."""
-    return _chunk_draws(*haar._diagonal_bytes(m, r, p))
 
 
 def _replay_invcov(k, p, samples, rng, limit, size=None):
@@ -281,262 +296,49 @@ class TestInvcovRankFactor:
         assert np.abs(mc.stderr - acc.stderr()).max() <= 1e-12 * acc.stderr().max()
 
 
-def _range_draws(d_r, m, p, b, rng):
-    """One Gaussian-branch chunk of b draws, in its documented order: the
-    range rows Z_r, then the radii t = ||Z_k||_F^2 of the kernel rows."""
-    z_r = sample_complex_gaussian((b, len(d_r), p), rng)
-    return z_r, rng.generator.standard_gamma((m - len(d_r)) * p, b)
-
-
-def _screen(d_r, p, z_r, t):
-    """The rejection screen s ||W^-1||_F^2 ||Z||_F^4 with ||Z||_F^2 = ||Z_r||_F^2 + t."""
-    w_inv = np.linalg.inv(np.swapaxes(z_r, 1, 2).conj() @ (z_r * d_r[:, None]))
-    norm_sq = (np.abs(z_r) ** 2).sum(axis=(1, 2)) + t
-    return np.sort(d_r**2)[-p:].sum() * (np.abs(w_inv) ** 2).sum(axis=(1, 2)) * norm_sq**2
-
-
-def _with_kernel_rows(z_r, t, u):
-    """Gaussian bases [Z_r; sqrt(t) U / ||U||_F]."""
-    scale = np.sqrt(t / (np.abs(u) ** 2).sum(axis=(1, 2)))
-    return np.concatenate([z_r, scale[:, None, None] * u], axis=1)
-
-
-def _frame_lift(d, z):
-    """Definitional diagonal lift diag(Phi* (Phi D Phi*)^-1 Phi) and kappa_F of
-    Phi D Phi* for the orthonormalized frames Phi* = QR(Z) of each basis Z."""
-    q = np.linalg.qr(z)[0]
-    w = np.swapaxes(q, 1, 2).conj() @ (q * d[:, None])
-    w_inv = np.linalg.inv(w)
-    lift = np.einsum("bip,bpq,biq->bi", q, w_inv, q.conj()).real
-    kappa = np.linalg.norm(w, axis=(1, 2)) * np.linalg.norm(w_inv, axis=(1, 2))
-    return lift, kappa
-
-
-# a singular diagonal whose inverse spectrum, at p = 4, draws range rows
-_SINGULAR_D = np.concatenate([np.logspace(0, -3, 9), np.zeros(3)])
-
-
-@functools.cache
-def _singular_first_chunk_limit(p, seed):
-    """The largest condition-number limit, between two neighbouring screen
-    bounds, at which the first chunk of
-    invcov_spectrum(diag(_SINGULAR_D), p, ..., RandomSource(seed)) rejects a
-    draw.
-
-    A limit between the n-th and (n+1)-th largest screen bound
-    sqrt(s ||W^-1||_F^2 ||Z||_F^4) flags the n draws of the largest bounds,
-    whose kernel directions are then drawn in one stack; it rejects a draw
-    when it lies below one of their kappa_F. Those directions change with
-    n, so the counts n are tried from 1 up.
-    """
-    d = _SINGULAR_D
-    m, r = len(d), int((d > 0).sum())
-    b = _diagonal_lift_size(m, r, p)
-    stream = haar._chunk_streams(RandomSource(seed))(0)
-    z_r, t = _range_draws(d[:r], m, p, b, stream)
-    after_range = stream.generator.bit_generator.state
-    bounds = np.sqrt(_screen(d[:r], p, z_r, t))
-    order = np.argsort(bounds)[::-1]
-    w = np.swapaxes(z_r.conj(), 1, 2) @ (z_r * d[:r, None])
-    for n in range(1, b):
-        flagged = np.sort(order[:n])
-        stream.generator.bit_generator.state = after_range
-        u = sample_complex_gaussian((n, m - r, p), stream)
-        z = _with_kernel_rows(z_r[flagged], t[flagged], u)
-        g = np.swapaxes(z.conj(), 1, 2) @ z
-        # Phi D Phi* is similar to G^-1 W, so kappa_F^2 = tr((G^-1 W)^2) tr((W^-1 G)^2)
-        g_w = np.linalg.solve(g, w[flagged])
-        w_g = np.linalg.solve(w[flagged], g)
-        worst = math.sqrt((haar._trace_square(g_w) * haar._trace_square(w_g)).max())
-        if worst > bounds[order[n]]:
-            return math.sqrt(bounds[order[n]] * min(bounds[order[n - 1]], worst))
-    raise AssertionError("no limit between screen bounds rejects a draw of the first chunk")
-
-
 class TestInvcovSpectrumChunk:
-    def test_gaussian_basis_matches_frames_on_same_draws(self):
-        # m = 40 >= 2p takes the QR-free path; at full rank its chunks hold
-        # the frames that sampler chunks of their sizes would, so the full
-        # lift replayed on its plan averages the same frames
-        d = np.linspace(3.0, 0.1, 40)
-        spec = invcov_spectrum(np.diag(d), 10, 150, RandomSource(44))
-        acc, rejected = _replay_invcov(
-            np.diag(d), 10, 150, RandomSource(44), haar.COND_LIMIT, _diagonal_lift_size(40, 40, 10)
-        )
-        np.testing.assert_allclose(spec.lambdas, np.diag(acc.mean).real, rtol=1e-12)
-        # the run's noise and draw counts are reported too
-        np.testing.assert_allclose(spec.stderr, np.diag(acc.stderr()), rtol=1e-9)
-        assert (spec.samples, spec.rejected) == (acc.count, rejected) == (150, 0)
-        assert math.isnan(spec.mu) and math.isnan(spec.mu_stderr)
-
-    def test_singular_range_rows_lift_their_frames(self):
-        # only the range rows and one radius per draw come from the stream;
-        # the range lift of the frame is the same whatever the kernel direction
-        m, r, p, samples, seed = 40, 30, 10, 150, 44
-        d = np.concatenate([np.linspace(3.0, 0.1, r), np.zeros(m - r)])
-        spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(seed))
-        draws = []
-
-        def chunk(b, stream):
-            draws.append(_range_draws(d[:r], m, p, b, stream))
-            return b
-
-        replay_chunks(samples, _diagonal_lift_size(m, r, p), RandomSource(seed), chunk)
-        z_r, t = (np.concatenate(part) for part in zip(*draws))
-        # no draw is flagged, so no kernel direction is drawn and none rejected
-        assert (_screen(d[:r], p, z_r, t) <= haar.COND_LIMIT**2).all()
-        u = sample_complex_gaussian((samples, m - r, p), RandomSource(seed + 1))
-        lift = _frame_lift(d, _with_kernel_rows(z_r, t, u))[0][:, :r]
-        np.testing.assert_allclose(spec.lambdas, lift.mean(axis=0), rtol=1e-12)
-        want_stderr = lift.std(axis=0, ddof=1) / math.sqrt(samples)
-        np.testing.assert_allclose(spec.stderr, want_stderr, rtol=1e-9)
-        assert (spec.samples, spec.rejected) == (samples, 0)
+    # the exact map takes its quadrature nodes in chunks of the Monte Carlo
+    # budget's share, by the bytes of the Poisson-binomial prefix it stores
 
     @pytest.mark.parametrize(
         ("m", "r", "p", "samples"),
         [(40, 30, 10, 4000), (8, 4, 2, 20000), (8, 4, 3, 20000), (7, 5, 4, 20000)],
     )
     def test_singular_spectrum_matches_full_lift(self, m, r, p, samples):
-        # (7, 5, 4) takes the orthonormal frames; the others the range rows
+        # invcov_p_mc lifts Gaussian bases at (40, 30, 10), frames at the others
         d = np.concatenate([np.linspace(3.0, 0.2, r), np.zeros(m - r)])
-        spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(50))
+        spec = invcov_spectrum(np.diag(d), p)
         full = invcov_p_mc(np.diag(d), p, samples, RandomSource(51))
         diag, se = np.diag(full.estimate).real, np.diag(full.stderr)
-        assert abs(d[:r] @ spec.lambdas - p) <= 1e-8 * p
-        assert np.isfinite(spec.mu_stderr) and spec.mu_stderr > 0
-        gap = np.abs(spec.lambdas - diag[:r])
-        assert (gap <= 5 * np.hypot(spec.stderr, se[:r])).all()
+        assert abs(d[:r] @ spec.lambdas - p) <= 1e-13 * p
+        assert (np.abs(spec.lambdas - diag[:r]) <= 5 * se[:r]).all()
         # the mean of the kernel entries' stderrs bounds the stderr of their mean
-        assert abs(spec.mu - diag[r:].mean()) <= 5 * math.hypot(spec.mu_stderr, se[r:].mean())
-
-    def test_rejections_match_frame_condition_numbers(self, monkeypatch):
-        m, p, samples, seed = 12, 4, 300, 45
-        d = np.logspace(0, -3, m)
-        # the draws fit one chunk of either path, and the three rejected draws
-        # are redrawn from the rest of that chunk's stream
-        for size in (_diagonal_lift_size(m, m, p), _full_lift_size(m, p)):
-            assert haar._round_plan(samples, size) == [samples]
-        stream = haar._chunk_streams(RandomSource(seed))
-        first = stream(0)
-        frames = sample_haar_stiefel_batch(p, m, samples, first)
-        redrawn = sample_haar_stiefel_batch(p, m, 3, first)
-
-        def kappa(phi):
-            w = (phi * d) @ np.swapaxes(phi, 1, 2).conj()
-            w_inv = np.linalg.inv(w)
-            return np.linalg.norm(w, axis=(1, 2)) * np.linalg.norm(w_inv, axis=(1, 2))
-
-        cond = kappa(frames)
-        limit = float(np.sqrt(np.sort(cond)[-4] * np.sort(cond)[-3]))
-        assert (kappa(redrawn) <= limit).all()
-        # the screen s ||W^-1||_F^2 ||Z||_F^4 over the Gaussian bases of these frames
-        z = sample_complex_gaussian((samples, m, p), stream(0))
-        w_inv = np.linalg.inv(np.swapaxes(z, 1, 2).conj() @ (z * d[:, None]))
-        screen = (
-            np.sort(d**2)[-p:].sum()
-            * (np.abs(w_inv) ** 2).sum(axis=(1, 2))
-            * (np.abs(z) ** 2).sum(axis=(1, 2)) ** 2
-        )
-        assert ((screen > limit**2) & (cond <= limit)).sum() > 10
-
-        monkeypatch.setattr(haar, "COND_LIMIT", limit)
-        spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(seed))
-        full = invcov_p_mc(np.diag(d), p, samples, RandomSource(seed))
-        assert spec.rejected == full.rejected == 3
-        np.testing.assert_allclose(spec.lambdas, np.diag(full.estimate).real, rtol=1e-12)
-
-    def test_singular_rejections_match_frame_condition_numbers(self, monkeypatch):
-        # each kernel direction is drawn only for a flagged draw; whether a
-        # draw is kept must still follow the kappa_F of its whole frame
-        d, p, samples, seed = _SINGULAR_D, 4, 1000, 49
-        m, r = len(d), int((d > 0).sum())
-        limit = _singular_first_chunk_limit(p, seed)
-        lambdas, kernel, flags, rejected = [], [], [], 0
-
-        def chunk(b, rng):
-            nonlocal rejected
-            z_r, t = _range_draws(d[:r], m, p, b, rng)
-            flagged = _screen(d[:r], p, z_r, t) > limit**2
-            u = sample_complex_gaussian((int(flagged.sum()), m - r, p), rng)
-            z = _with_kernel_rows(z_r[flagged], t[flagged], u)
-            lift, kappa = _frame_lift(d, z)
-            keep = kappa <= limit
-            # an unflagged draw stays under the limit whatever its kernel
-            # direction, which leaves its range lift as it is
-            for other in range(3):
-                v = sample_complex_gaussian((b, m - r, p), RandomSource(100 + other))
-                free, free_kappa = _frame_lift(d, _with_kernel_rows(z_r, t, v))
-                assert (free_kappa[~flagged] <= limit).all()
-            # an unflagged draw's kernel value is its mean given t
-            w_inv = np.linalg.inv(np.swapaxes(z_r, 1, 2).conj() @ (z_r * d[:r, None]))
-            mu = np.einsum("bii->b", w_inv).real * t / (p * (m - r))
-            mu[flagged] = lift[:, r:].mean(axis=1)
-            free[flagged] = lift
-            accepted = ~flagged
-            accepted[flagged] = keep
-            lambdas.extend(free[accepted, :r])
-            kernel.extend(mu[accepted])
-            flags.append((int(flagged.sum()), int(keep.sum())))
-            rejected += b - int(accepted.sum())
-            return int(accepted.sum())
-
-        replay_chunks(samples, _diagonal_lift_size(m, r, p), RandomSource(seed), chunk)
-        # the first chunk has unflagged draws, flagged ones kept and one rejected
-        assert flags[0][0] < samples - 100 and flags[0][1] > 100 and rejected >= 1
-
-        monkeypatch.setattr(haar, "COND_LIMIT", limit)
-        spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(seed))
-        assert (spec.samples, spec.rejected) == (samples, rejected)
-        np.testing.assert_allclose(spec.lambdas, np.mean(lambdas, axis=0), rtol=1e-10)
-        np.testing.assert_allclose(spec.mu, np.mean(kernel), rtol=1e-10)
-
-    @pytest.mark.parametrize("rank", [12, 10])
-    def test_orthonormal_frame_rejections_match_frame_condition_numbers(
-        self, monkeypatch, rank
-    ):
-        # for 2p > m the bases are the orthonormal frames themselves, so G = I
-        # and a draw is kept by the kappa_F of its W alone
-        m, p, samples, seed = 12, 8, 300, 45
-        d = np.logspace(0, -3, m)
-        d[rank:] = 0.0
-        # the draws fit one chunk of the spectrum's plan, which redraws its
-        # rejected draws from the rest of its stream
-        size = _diagonal_lift_size(m, rank, p)
-        assert haar._round_plan(samples, size) == [samples]
-        first = haar._chunk_streams(RandomSource(seed))(0)
-        frames = sample_haar_stiefel_batch(p, m, samples, first)
-        redrawn = sample_haar_stiefel_batch(p, m, 3, first)
-
-        def kappa(phi):
-            w = (phi * d) @ np.swapaxes(phi, 1, 2).conj()
-            w_inv = np.linalg.inv(w)
-            return np.linalg.norm(w, axis=(1, 2)) * np.linalg.norm(w_inv, axis=(1, 2))
-
-        cond = np.sort(kappa(frames))
-        limit = float(np.sqrt(cond[-4] * cond[-3]))
-        # the three rejected draws are redrawn from the rest of the chunk's
-        # stream; at full rank the first redraw is rejected too and drawn again
-        assert list(kappa(redrawn) > limit) == [rank == m, False, False]
-        assert kappa(sample_haar_stiefel_batch(p, m, 1, first)) <= limit
-
-        monkeypatch.setattr(haar, "COND_LIMIT", limit)
-        # a budget of 1% of 300 draws would abort at that fourth rejection
-        monkeypatch.setattr(haar, "MAX_REJECT_FRACTION", 0.02)
-        spec = invcov_spectrum(np.diag(d), p, samples, RandomSource(seed))
-        # the full lift, replayed on the spectrum's plan, averages these frames
-        acc, rejected = _replay_invcov(np.diag(d), p, samples, RandomSource(seed), limit, size)
-        assert spec.rejected == rejected == 3 + (rank == m)
-        diag = np.diag(acc.mean).real
-        np.testing.assert_allclose(spec.lambdas, diag[:rank], rtol=1e-12)
-        if rank < m:
-            # mu is the mean of the kernel diagonal of each draw's lift
-            np.testing.assert_allclose(spec.mu, diag[rank:].mean(), rtol=1e-12)
+        assert abs(spec.mu - diag[r:].mean()) <= 5 * se[r:].mean()
 
     def test_full_frame_inverts_ill_conditioned_diagonal(self):
-        # p = m takes the orthonormal frame; the average is then D^-1 itself
+        # at p = m every frame is unitary, so the average is D^-1 itself
         d = np.logspace(0, -8, 12)
-        spec = invcov_spectrum(np.diag(d), 12, 200, RandomSource(46))
-        np.testing.assert_allclose(spec.lambdas * d, 1.0, rtol=1e-9)
+        spec = invcov_spectrum(np.diag(d), 12)
+        np.testing.assert_allclose(spec.lambdas * d, 1.0, rtol=1e-13)
+        assert math.isnan(spec.mu)
+
+    def test_node_chunks_leave_the_map_unchanged(self, monkeypatch):
+        # a share of one byte plans one node per chunk
+        k = _padded_psd(30, 24, 17)
+        want = invcov_spectrum(k, 9)
+        monkeypatch.setattr(haar, "_CHUNK_SHARE", _CHUNK_BYTES)
+        got = invcov_spectrum(k, 9)
+        np.testing.assert_allclose(got.lambdas, want.lambdas, rtol=1e-14)
+        assert abs(got.mu - want.mu) <= 1e-14 * want.mu
+
+
+def _loading_point(d, p):
+    """t* with sum_i d_i / (d_i + t*) = p, by bisection in log t."""
+    lo, hi = math.log(d.min()) - 40.0, math.log(d.sum()) + 40.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if (d / (d + math.exp(mid))).sum() > p else (lo, mid)
+    return math.exp((lo + hi) / 2)
 
 
 @st.composite
@@ -561,16 +363,91 @@ class TestInvcovSpectrumProperties:
         if rank <= p < len(d):
             # on a singular K the kernel value is infinite from p = rank on
             with pytest.raises(ValueError, match=f"p={p} must lie below rank {rank}"):
-                invcov_spectrum(np.diag(d), p, 1000, RandomSource(48))
+                invcov_spectrum(np.diag(d), p)
             return
-        spec = invcov_spectrum(np.diag(d), p, 1000, RandomSource(48))
+        spec = invcov_spectrum(np.diag(d), p)
         nonzero = np.sort(d)[::-1][: len(spec.lambdas)]
         # tr(D Phi* (Phi D Phi*)^-1 Phi) = p holds draw by draw
-        assert abs(nonzero @ spec.lambdas - p) <= 1e-8 * p
+        assert abs(nonzero @ spec.lambdas - p) <= 1e-13 * p
         assert (spec.lambdas > 0).all()
         assert len(spec.lambdas) == len(d) or spec.mu > 0
         if p == len(d):
-            np.testing.assert_allclose(spec.lambdas * nonzero, 1.0, rtol=1e-9)
+            np.testing.assert_allclose(spec.lambdas * nonzero, 1.0, rtol=1e-13)
+
+    @pytest.mark.parametrize(("c", "m", "p"), [(1.0, 30, 7), (3.7, 12, 5), (1e-9, 50, 49)])
+    def test_identity_maps_to_p_over_m(self, c, m, p):
+        spec = invcov_spectrum(c * np.eye(m), p)
+        np.testing.assert_allclose(spec.lambdas, p / (m * c), rtol=1e-15)
+
+    def test_exact_tie_maps_to_one_value(self):
+        # d_1 = d_2 exactly; a split of 1e-12 moves the map by as little
+        tie = np.concatenate([[2.0, 2.0], np.linspace(1.5, 0.1, 48)])
+        near = tie.copy()
+        near[1] *= 1 - 1e-12
+        spec, split = invcov_spectrum(np.diag(tie), 25), invcov_spectrum(np.diag(near), 25)
+        assert abs(spec.lambdas[0] - spec.lambdas[1]) <= 1e-15 * spec.lambdas[0]
+        assert abs(tie @ spec.lambdas - 25) <= 1e-13 * 25
+        np.testing.assert_allclose(split.lambdas, spec.lambdas, rtol=1e-11)
+
+    @pytest.mark.parametrize("m", [100, 80])
+    def test_fourteen_decades(self, m):
+        # eigenvalues from 1 down to 1e-14; below the rank cutoff m eps of
+        # the largest, the smallest are zeros, so the m = 100 map has a kernel
+        d = np.logspace(0, -14, m)
+        spec = invcov_spectrum(np.diag(d), m // 2)
+        r = len(spec.lambdas)
+        assert r < m
+        # each d_j lambda_j is an average of d_j z_j W^-1 z_j* in (0, 1]
+        share = d[:r] * spec.lambdas
+        assert (share > 0).all() and (share <= 1).all()
+        assert abs(share.sum() - m // 2) <= 1e-13 * (m // 2)
+        # the map keeps the order of the eigenvalues, and their shares
+        assert (np.diff(spec.lambdas) > 0).all() and (np.diff(share) < 0).all()
+        assert spec.mu > spec.lambdas[-1]
+
+    @pytest.mark.parametrize(("m", "n", "p"), [(100, 75, 25), (100, 75, 50)])
+    def test_full_lift_matches_invcov_p_mc(self, m, n, p):
+        # the map's lift U diag(lambdas, mu) U* against the Monte Carlo average,
+        # on Gaussian bases at these shapes
+        k = sample_gaussian_covariance(random_psd(m, m, 18), n, RandomSource(19))
+        assert haar._lifts_gaussian(p, m)
+        spec = invcov_spectrum(k, p)
+        dec = eig_hermitian(k)
+        values = np.concatenate([spec.lambdas, np.full(m - n, spec.mu)])
+        want = (dec.eigenvectors * values) @ dec.eigenvectors.conj().T
+        mc = invcov_p_mc(k, p, 2000, RandomSource(20))
+        assert (np.abs(mc.estimate - want) <= 5 * mc.stderr).all()
+        assert abs(np.trace(k @ want) - p) <= 1e-12 * p
+
+    def test_tends_to_loading_as_rank_grows(self):
+        # N(t) concentrates at its mean, so lambda_j -> 1 / (d_j + t*) and
+        # mu -> 1 / t*, where sum_i d_i / (d_i + t*) = p; at fixed p / r the
+        # gap falls about fourfold with each doubling of r
+        gaps = []
+        for r in (20, 40, 80, 160):
+            d = 1.0 + 2.0 * (np.arange(r, 0, -1) - 0.5) / r
+            spec = invcov_spectrum(np.diag(np.append(d, 0.0)), r // 2)
+            t_star = _loading_point(d, r // 2)
+            gaps.append(max(np.abs(spec.lambdas * (d + t_star) - 1).max(), abs(spec.mu * t_star - 1)))
+        assert all(3 * b < a for a, b in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < 2e-5
+
+    def test_fixed_quarter_step_fails_the_trace_rule_at_rank_300(self):
+        # the CDFs sharpen in log t as the rank grows, so h = 0.25 falls
+        # short there, and the halving rule must go on
+        d = np.linspace(3.0, 1.0, 300)
+        gaps = {}
+        for h, values in haar._map_levels(d, 100, True):
+            gaps[h] = abs(math.fsum(d * values[:300]) - 100)
+            if h == 2.0**-5:
+                break
+        assert 1e-13 * 100 < gaps[0.25] < 1e-3 * 100, gaps
+        assert gaps[2.0**-5] <= 1e-13 * 100, gaps
+
+    def test_unconverged_map_raises(self, monkeypatch):
+        monkeypatch.setattr(haar, "_MAX_HALVINGS", 2)
+        with pytest.raises(RuntimeError, match="did not converge at step 0.25"):
+            invcov_spectrum(np.diag(np.linspace(3.0, 1.0, 300)), 100)
 
 
 def _padded_psd(m, rank, seed):
@@ -619,15 +496,6 @@ class TestInvcovPProperties:
 
 
 class TestCompressionCore:
-    def test_diagonal_and_full_lift_agree_on_same_draws(self):
-        # the full lift, replayed on the diagonal lift's plan, sees its frames
-        d = np.array([3.0, 2.5, 1.7, 1.1, 0.6, 0.2])
-        spec = invcov_spectrum(np.diag(d), 3, 2000, RandomSource(41))
-        full, _ = _replay_invcov(
-            np.diag(d), 3, 2000, RandomSource(41), haar.COND_LIMIT, _diagonal_lift_size(6, 6, 3)
-        )
-        np.testing.assert_allclose(spec.lambdas, np.diag(full.mean).real, rtol=1e-12)
-
     def test_cov_average_is_first_matrix_moment(self):
         k = random_hermitian(5, 42)
         cov = cov_p_mc(k, 2, 3000, RandomSource(43))
@@ -673,27 +541,30 @@ def _fields(result):
 class TestMonteCarloDriver:
     # multi-chunk runs of every Monte Carlo path, the last three with
     # rejected draws redrawn within their chunks; the "gaussian" runs of
-    # invcov_p_mc lift the sampler's Gaussians at m p > 80, 2p <= m
+    # invcov_p_mc lift the sampler's Gaussians at m p > 80, 2p <= m, and the
+    # "lapack" and "singular" runs lift LAPACK QR frames at 2p > m; the
+    # injection run on an exactly singular K inverts its few regular blocks
+    # by LU and its singular ones through their eigendecompositions
     RUNS = {
         "invcov_p_mc": lambda: invcov_p_mc(random_psd(10, 7, 64), 4, 3000, RandomSource(70)),
         "invcov_p_mc_gaussian": lambda: invcov_p_mc(
             random_psd(20, 15, 67), 5, 600, RandomSource(77)
         ),
-        "spectrum_gaussian": lambda: invcov_spectrum(
-            random_psd(12, 9, 65), 4, 6000, RandomSource(71)
-        ),
-        "spectrum_orthonormal": lambda: invcov_spectrum(
+        "invcov_p_mc_lapack": lambda: invcov_p_mc(
             random_psd(12, 12, 66), 8, 3000, RandomSource(72)
         ),
         "cov_p_mc": lambda: cov_p_mc(random_hermitian(5, 42), 2, 5000, RandomSource(73)),
         "hybrid_inverse_mc": lambda: hybrid_inverse_mc(
             random_psd(8, 8, 84), 0.8, 4, 12000, RandomSource(74)
         ),
+        "hybrid_inverse_mc_singular_blocks": lambda: hybrid_inverse_mc(
+            _padded_psd(12, 6, 65), 0.8, 4, 12000, RandomSource(71)
+        ),
         "invcov_p_mc_rejecting": lambda: invcov_p_mc(
             random_psd(10, 7, 63), 5, 3000, RandomSource(62)
         ),
-        "spectrum_rejecting": lambda: invcov_spectrum(
-            np.diag(_SINGULAR_D), 4, 1000, RandomSource(49)
+        "invcov_p_mc_singular_rejecting": lambda: invcov_p_mc(
+            _padded_psd(12, 9, 65), 7, 3000, RandomSource(49)
         ),
         "invcov_p_mc_gaussian_rejecting": lambda: invcov_p_mc(
             random_psd(20, 15, 63), 5, 3000, RandomSource(62)
@@ -701,7 +572,9 @@ class TestMonteCarloDriver:
     }
     LIMITS = {
         "invcov_p_mc_rejecting": lambda: _first_chunk_limit(random_psd(10, 7, 63), 5, 62),
-        "spectrum_rejecting": lambda: _singular_first_chunk_limit(4, 49),
+        "invcov_p_mc_singular_rejecting": lambda: _first_chunk_limit(
+            _padded_psd(12, 9, 65), 7, 49
+        ),
         "invcov_p_mc_gaussian_rejecting": lambda: _first_chunk_limit(
             random_psd(20, 15, 63), 5, 62, rejects=1
         ),
@@ -709,7 +582,7 @@ class TestMonteCarloDriver:
     # samples and draws per chunk of the rejecting runs' plans
     PLANS = {
         "invcov_p_mc_rejecting": (3000, _full_lift_size(10, 5)),
-        "spectrum_rejecting": (1000, _diagonal_lift_size(12, 9, 4)),
+        "invcov_p_mc_singular_rejecting": (3000, _full_lift_size(12, 7)),
         "invcov_p_mc_gaussian_rejecting": (3000, _full_lift_size(20, 5)),
     }
 
@@ -846,13 +719,13 @@ class TestMonteCarloDriver:
         # would change an estimate
         k = random_psd(12, 9, 65)
         monkeypatch.setattr(haar, "_TWO_THREADS", False)
-        want = [invcov_spectrum(k, 4, 6000, RandomSource(80 + i)).lambdas for i in range(3)]
+        want = [invcov_p_mc(k, 4, 6000, RandomSource(80 + i)).estimate for i in range(3)]
         monkeypatch.setattr(haar, "_TWO_THREADS", True)
         census = ChunkCensus(monkeypatch)
         got = [None] * 3
 
         def run(i):
-            got[i] = invcov_spectrum(k, 4, 6000, RandomSource(80 + i)).lambdas
+            got[i] = invcov_p_mc(k, 4, 6000, RandomSource(80 + i)).estimate
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -952,13 +825,13 @@ class TestMonteCarloDriver:
             import threading
             import numpy as np
             from singcov import haar
-            from singcov.haar import invcov_spectrum
+            from singcov.haar import invcov_p_mc
             from singcov.linalg import RandomSource
 
             def late():
                 threading.main_thread().join()
-                spectrum = invcov_spectrum(np.diag(np.arange(1.0, 13.0)), 4, 6000, RandomSource(82))
-                print(spectrum.lambdas.tobytes().hex())
+                mc = invcov_p_mc(np.diag(np.arange(1.0, 13.0)), 4, 6000, RandomSource(82))
+                print(mc.estimate.tobytes().hex())
 
             haar._TWO_THREADS = True
             threading.Thread(target=late).start()
@@ -968,7 +841,7 @@ class TestMonteCarloDriver:
         done = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
         )
-        want = invcov_spectrum(np.diag(np.arange(1.0, 13.0)), 4, 6000, RandomSource(82)).lambdas
+        want = invcov_p_mc(np.diag(np.arange(1.0, 13.0)), 4, 6000, RandomSource(82)).estimate
         assert done.stdout.strip() == want.tobytes().hex(), done.stderr
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -980,7 +853,7 @@ class TestMonteCarloDriver:
         k = random_psd(12, 9, 65)
 
         def run():
-            return invcov_spectrum(k, 4, 6000, RandomSource(81)).lambdas
+            return invcov_p_mc(k, 4, 6000, RandomSource(81)).estimate
 
         want = run()
         # the parent's worker ran, and the child inherits no thread of it
@@ -1006,7 +879,7 @@ class TestMonteCarloDriver:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         with os.fdopen(read, "rb") as pipe:
-            got = np.frombuffer(pipe.read(), dtype=want.dtype)
+            got = np.frombuffer(pipe.read(), dtype=want.dtype).reshape(want.shape)
         assert done, "the forked child's run hung"
         assert os.waitstatus_to_exitcode(status) == 0
         assert np.array_equal(got, want)
@@ -1041,11 +914,9 @@ def _record_chunks(monkeypatch):
 
 
 class TestChunkPlan:
-    # a run of each Monte Carlo chunk body: the full and the diagonal inverse
-    # lift on both of their bases (the diagonal's Gaussian bases at a rank
-    # where the flagged draws' kernel directions would hold the most, and at
-    # full rank, where its lift does), the positive degrees on planes and on
-    # matmuls, and the injection fold, also where it pseudo-inverts every block
+    # a run of each Monte Carlo chunk body: the full inverse lift on both of
+    # its bases, the positive degrees on planes and on matmuls, and the
+    # injection fold, also where it pseudo-inverts every block
     BODIES = {
         "invcov_p_mc_gaussian": lambda s: invcov_p_mc(
             random_psd(100, 75, 1), 25, s, RandomSource(1)
@@ -1054,15 +925,6 @@ class TestChunkPlan:
             random_psd(10, 10, 2), 5, s, RandomSource(2)
         ),
         "invcov_p_mc_lapack": lambda s: invcov_p_mc(random_psd(12, 12, 3), 8, s, RandomSource(3)),
-        "spectrum_gaussian": lambda s: invcov_spectrum(
-            random_psd(60, 40, 4), 15, s, RandomSource(4)
-        ),
-        "spectrum_gaussian_full_rank": lambda s: invcov_spectrum(
-            random_psd(100, 100, 13), 5, s, RandomSource(13)
-        ),
-        "spectrum_orthonormal": lambda s: invcov_spectrum(
-            random_psd(12, 12, 5), 8, s, RandomSource(5)
-        ),
         "planes": lambda s: cov_p_mc(random_hermitian(5, 6), 2, s, RandomSource(6)),
         "planes_cubed": lambda s: haar._compression_mc(
             random_hermitian(5, 7), 3, 3, s, RandomSource(7)
@@ -1122,10 +984,10 @@ class TestChunkPlan:
             assert 0.5 * planned <= peak <= planned, f"{name}: peak {peak} of {planned} planned"
 
     def test_chunk_bytes_stay_within_budget(self):
-        # diagonal lift at m=1000, p=200 and full lift at m=400, p=100: the
-        # bytes the planned draws and their chunk hold fit the budget
-        diagonal = haar._diagonal_bytes(1000, 1000, 200)
-        for held in (diagonal, haar._compression_bytes(400, 100, -1, True)):
+        # full lift at m=400, p=100 on both bases: the bytes the planned draws
+        # and their chunk hold fit the budget
+        for gaussian in (True, False):
+            held = haar._compression_bytes(400, 100, -1, gaussian)
             draws = _chunk_draws(*held)
             assert draws >= 1
             assert draws * held[0] + held[1] <= _CHUNK_BYTES
@@ -1137,17 +999,29 @@ class TestChunkPlan:
         assert _chunk_draws(draw_bytes, chunk_bytes) == 1
 
     def test_spectrum_memory_is_bounded_per_chunk(self):
-        # one chunk of all 2000 draws would hold about 160 MB at this shape
-        k = random_psd(60, 40, 11)
+        # the Poisson-binomial prefix of one node holds 8 (r + 1) p bytes; the
+        # 130 nodes that need it here would hold about 21 MB in one chunk
+        k = _padded_psd(201, 200, 11)
         tracemalloc.start()
         try:
-            spec = invcov_spectrum(k, 15, 2000, RandomSource(12))
+            spec = invcov_spectrum(k, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(spec.lambdas) == 40
-        assert peak <= 1.25 * _CHUNK_BYTES, f"peak {peak / 2**20:.0f} MiB"
+        assert len(spec.lambdas) == 200
+        assert peak <= 2 * _CHUNK_BYTES // haar._CHUNK_SHARE, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_inverse_memory_is_bounded_per_chunk(self):
+        # one chunk of all 2000 draws would hold about 180 MB at this shape
+        k = random_psd(60, 40, 11)
+        tracemalloc.start()
+        try:
+            mc = invcov_p_mc(k, 15, 2000, RandomSource(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mc.samples == 2000
+        assert peak <= 1.25 * _CHUNK_BYTES, f"peak {peak / 2**20:.0f} MiB"
 
     def test_injection_memory_is_bounded_per_run(self):
         # one 200 x 200 complex stack per draw would hold 640 kB, 1.3 GB in all

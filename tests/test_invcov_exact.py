@@ -89,13 +89,20 @@ class TestExactMap:
 class TestMonteCarloAgainstExactMap:
     @pytest.mark.parametrize("d", SPECTRA, ids=[f"m={len(d)}" for d in SPECTRA])
     def test_spectrum_within_five_standard_errors(self, d):
-        # every p: Gaussian bases for 2p <= m, orthonormal frames above
+        # every p; at m p <= 64 invcov_p_mc lifts frames, and the Gaussian
+        # bases of larger shapes meet the exact map in test_haar
         for p in range(1, len(d) + 1):
-            spec = invcov_spectrum(np.diag(d), p, 20000, RandomSource(60 + p))
+            mc = invcov_p_mc(np.diag(d), p, 20000, RandomSource(60 + p))
             exact = invcov_spectrum_exact(d, p)
             # at p = m every draw gives 1/d, so its stderr is roundoff
-            bound = 5 * spec.stderr + 1e-12 * exact
-            assert (np.abs(spec.lambdas - exact) <= bound).all(), (p, spec.lambdas, exact)
+            bound = 5 * np.diag(mc.stderr) + 1e-12 * exact
+            assert (np.abs(np.diag(mc.estimate).real - exact) <= bound).all(), (p, exact)
+
+    @pytest.mark.parametrize("d", SPECTRA, ids=[f"m={len(d)}" for d in SPECTRA])
+    def test_exact_spectrum_matches_oracle(self, d):
+        for p in range(1, len(d) + 1):
+            spec = invcov_spectrum(np.diag(d), p)
+            np.testing.assert_allclose(spec.lambdas, invcov_spectrum_exact(d, p), rtol=1e-13)
             assert np.isnan(spec.mu)
 
     def test_full_lift_on_non_diagonal_k(self):
@@ -141,7 +148,16 @@ class TestSingularLimit:
     def test_spectrum_within_five_standard_errors(self, d, m, p):
         lambdas, kernel = singular_spectrum_exact(d, m, p)
         k = np.diag(np.concatenate([d, np.zeros(m - len(d))]))
-        spec = invcov_spectrum(k, p, 20000, RandomSource(70 + m))
-        assert spec.rejected == 0
-        assert (np.abs(spec.lambdas - lambdas) <= 5 * spec.stderr).all(), (spec.lambdas, lambdas)
-        assert abs(spec.mu - kernel[0]) <= 5 * spec.mu_stderr, (spec.mu, spec.mu_stderr, kernel[0])
+        mc = invcov_p_mc(k, p, 20000, RandomSource(70 + m))
+        diag, se = np.diag(mc.estimate).real, np.diag(mc.stderr)
+        r = len(d)
+        assert mc.rejected == 0
+        assert (np.abs(diag[:r] - lambdas) <= 5 * se[:r]).all(), (diag[:r], lambdas)
+        assert (np.abs(diag[r:] - kernel) <= 5 * se[r:]).all(), (diag[r:], kernel)
+
+    @pytest.mark.parametrize("d, m, p", SINGULAR, ids=["m=6,r=4,p=2", "m=7,r=6,p=4"])
+    def test_exact_spectrum_matches_oracle(self, d, m, p):
+        lambdas, kernel = singular_spectrum_exact(d, m, p)
+        spec = invcov_spectrum(np.diag(np.concatenate([d, np.zeros(m - len(d))])), p)
+        np.testing.assert_allclose(spec.lambdas, lambdas, rtol=1e-13)
+        np.testing.assert_allclose(spec.mu, kernel[0], rtol=1e-13)

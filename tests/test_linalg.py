@@ -1,6 +1,7 @@
 """Unit tests for the shared linear algebra and sampling layer."""
 
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -132,6 +133,36 @@ class TestBlockInverse:
         np.testing.assert_allclose(inv[0], np.diag([0.5, 0.0, 1.0]), atol=1e-15)
         np.testing.assert_allclose(inv[1], np.linalg.inv(w[1]), rtol=1e-12)
         assert np.isfinite(cond[1])
+
+    def test_fallback_inverts_regular_blocks_by_lu(self):
+        # blocks 1, 4 and 5 have a zero eigenvalue, so LU refuses the stack;
+        # the others keep their LU inverses and condition numbers bit for bit
+        w = np.stack([random_psd(5, 5, 20 + i) + np.eye(5) for i in range(8)])
+        singular = [1, 4, 5]
+        for i in singular:
+            w[i] = np.diag([2.0, 0.0, 1.0, 0.5, 0.0 if i == 5 else 3.0])
+        regular = np.setdiff1d(np.arange(8), singular)
+        inv, cond = _inv_batch_hermitian(w)
+        want_inv, want_cond = _inv_batch_hermitian(w[regular])
+        assert np.array_equal(inv[regular], want_inv)
+        assert np.array_equal(cond[regular], want_cond)
+        for i in singular:
+            # the pseudoinverse of each singular block, its zero eigenvalue left out
+            assert cond[i] == np.inf
+            np.testing.assert_allclose(inv[i], np.linalg.pinv(w[i]), atol=1e-14)
+
+    def test_singular_blocks_hold_a_few_blocks_at_once(self):
+        # a whole stack's eigenvectors and their products held about four
+        # stacks more; a few blocks at a time hold the inverse's stack alone
+        w = np.stack([np.diag(np.append(np.arange(1.0, 16.0), 0.0))] * 400).astype(complex)
+        tracemalloc.start()
+        try:
+            inv, cond = _inv_batch_hermitian(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cond == np.inf).all()
+        assert peak <= 1.25 * w.nbytes, f"peak {peak / w.nbytes:.2f} stacks"
 
 
 class TestHaarSampling:
