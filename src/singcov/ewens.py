@@ -501,10 +501,12 @@ def hybrid_inverse_mc(
     def chunk(b, rng, acc):
         idx = draw(b, rng)
         blocks = k[idx[:, :, None], idx[:, None, :]]
-        inv, cond = _inv_batch_hermitian(blocks)
+        inv, cond, refused = _inv_batch_hermitian(blocks)
         # kappa_2 <= kappa_F, so every block the pseudoinverse would
-        # truncate is among these
-        bad = np.flatnonzero(~(cond <= haar.COND_LIMIT))
+        # truncate is among these; those that LU refused hold theirs already
+        bad = ~(cond <= haar.COND_LIMIT)
+        bad[refused] = False
+        bad = np.flatnonzero(bad)
         for start in range(0, len(bad), step):
             i = bad[start : start + step]
             inv[i] = _pinv_batch_hermitian(blocks[i])

@@ -420,7 +420,7 @@ def _compression_lifts(phi, k, degree: int, keep=None):
     del rows  # freed, like w below, so the chunk's peak holds neither
     w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
     if degree < 0:
-        w_inv, cond = _inv_batch_hermitian(w)
+        w_inv, cond, _ = _inv_batch_hermitian(w)
         if keep is None:
             good = cond <= COND_LIMIT
         else:
@@ -544,10 +544,11 @@ def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
     return _compression_mc(k, p, 1, samples, rng)
 
 
-def _inverse_path_rank(k, p: int):
-    """Eigendecomposition, numeric rank and scale of a positive semidefinite
-    K. On a singular K the inverse-compression average is finite only below
-    its rank: from ``p = rank`` on, its kernel value ``mu`` is infinite.
+def _inverse_path_rank(eigenvalues, p: int):
+    """Numeric rank and scale of a positive semidefinite K, from its
+    eigenvalues in descending order. On a singular K the inverse-compression
+    average is finite only below its rank: from ``p = rank`` on, its kernel
+    value ``mu`` is infinite.
 
     The scale ``s``, the largest power of 4 not above the largest eigenvalue,
     brings that eigenvalue into [1, 4). The inverse paths average ``K / s``,
@@ -556,18 +557,17 @@ def _inverse_path_rank(k, p: int):
     underflow beyond about ``1e+-152``, and every draw is rejected. A power
     of 4 leaves every result bit as it is, since ``sqrt(d / s)`` is exact too.
     """
-    dec = eig_hermitian(k)
-    require_psd(dec.eigenvalues, "k")
-    m = len(dec.eigenvalues)
+    require_psd(eigenvalues, "k")
+    m = len(eigenvalues)
     require_p(p, m)
     # the eigenvalues descend, so those above the rank cutoff come first
-    rank = numeric_rank(dec.eigenvalues)
+    rank = numeric_rank(eigenvalues)
     if rank < m and p >= rank:
         raise ValueError(
             f"p={p} must lie below rank {rank} of the singular K: from p = rank on, "
             "the inverse-compression average is infinite on the kernel (mu = inf)"
         )
-    return dec, rank, ldexp(1.0, 2 * ((frexp(dec.eigenvalues[0])[1] - 1) // 2))
+    return rank, ldexp(1.0, 2 * ((frexp(eigenvalues[0])[1] - 1) // 2))
 
 
 def _lifts_gaussian(p: int, m: int) -> bool:
@@ -622,7 +622,8 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
         per-entry Monte Carlo standard errors, ``rejected`` counts
         discarded draws.
     """
-    dec, rank, scale = _inverse_path_rank(k, p)
+    dec = eig_hermitian(k)
+    rank, scale = _inverse_path_rank(dec.eigenvalues, p)
     d = dec.eigenvalues[:rank] / scale
     factor = dec.eigenvectors[:, :rank] * np.sqrt(d)
     keep = _gaussian_basis_rule(d, p) if _lifts_gaussian(p, len(dec.eigenvalues)) else None
@@ -631,32 +632,71 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
 
 
 def _count_cdfs(d, p: int, t):
-    """Poisson-binomial CDFs at ``p - 1`` at the nodes ``t``, as an (r + 1, n)
-    array: row j < r holds ``Pr[N_-j(t) <= p - 1]`` and row r holds
-    ``Pr[N(t) <= p - 1]``, where ``N(t)`` sums independent Bernoulli variables
-    of success probabilities ``d_i / (d_i + t)`` and ``N_-j`` leaves term j out.
+    """``Pr[N(t) <= p - 1]`` and ``Pr[N(t) = p]`` at the nodes ``t``, where
+    ``N(t)`` sums independent Bernoulli variables of success probabilities
+    ``d_i / (d_i + t)``.
 
-    A prefix pass stores the law of the first j terms at the counts
-    ``0 .. p - 1``, 8 (r + 1) p bytes per node; a suffix pass then carries the
-    CDF of the terms after j, reversed, so that row j is a dot product of the
-    two. Both passes only multiply and add probabilities, so no digits cancel.
+    One forward pass over the eigenvalues carries the law of the count of
+    the first j terms at the counts ``0 .. p`` (mass above p never returns),
+    and the counts below p are then summed in order. It holds the success
+    and failure probabilities, the law and its moved share: about
+    ``8 (2 r + 3 p)`` bytes per node. Every step multiplies and adds
+    probabilities, so no digits cancel, and each node's values are the same
+    bits whatever the other nodes of its chunk.
     """
-    r = len(d)
     success = d[:, None] / (d[:, None] + t)
     failure = t / (d[:, None] + t)
-    prefix = np.zeros((r + 1, p, len(t)))
+    law = np.zeros((p + 1, len(t)))
+    law[0] = 1.0
+    moved = np.empty((p, len(t)))
+    for j in range(len(d)):
+        top = min(j + 1, p)  # the first j terms reach the counts 0 .. j
+        np.multiply(law[:top], success[j], out=moved[:top])
+        law[: top + 1] *= failure[j]
+        law[1 : top + 1] += moved[:top]
+    return np.add.accumulate(law[:p])[-1], law[p]
+
+
+def _success_weights(d, p: int, t: float):
+    """``w_j = Pr[B_j = 1 | N = p]`` for the success ``B_j`` of term j of
+    ``N(t)`` (see :func:`_count_cdfs`), at the node t.
+
+    Given ``N = p``, the set S of successes has the law proportional to
+    ``prod_(i in S) d_i / t``, so w does not depend on t, and
+    ``Pr[N_-j <= p - 1] = Pr[N <= p - 1] + w_j Pr[N = p]`` at every t. Here
+    ``w_j = q_j Pr[N_-j = p - 1] / Pr[N = p]`` at the one node t, with
+    ``q_j = d_j / (d_j + t)``: a prefix pass stores the law of the first j
+    terms, 8 (r + 1) (p + 1) bytes, and a suffix pass carries the law of
+    the terms after j, reversed, so that each ``Pr[N_-j = p - 1]`` is a dot
+    product of the two. At ``p = r`` every term succeeds, and w is 1.
+    """
+    r = len(d)
+    if p == r:
+        return np.ones(r)
+    success, failure = d / (d + t), t / (d + t)
+    prefix = np.zeros((r + 1, p + 1))
     prefix[0, 0] = 1.0
     for j in range(r):
         np.multiply(prefix[j], failure[j], out=prefix[j + 1])
         prefix[j + 1, 1:] += prefix[j, :-1] * success[j]
-    out = np.empty((r + 1, len(t)))
-    out[r] = prefix[r].sum(axis=0)
-    suffix = np.ones((p, len(t)))  # suffix[a]: Pr[count after term j <= p - 1 - a]
+    loo = np.empty(r)
+    suffix = np.zeros(p)  # suffix[a]: Pr[count after term j = p - 1 - a]
+    suffix[-1] = 1.0
     for j in range(r - 1, -1, -1):
-        out[j] = np.einsum("an,an->n", prefix[j], suffix)
+        loo[j] = prefix[j, :p] @ suffix
         suffix[:-1] = suffix[:-1] * failure[j] + suffix[1:] * success[j]
         suffix[-1] *= failure[j]
-    return out
+    # w_j <= 1, which a rounding of its ratio may pass by an ulp
+    return np.minimum(success * loo / prefix[r, p], 1.0)
+
+
+def _node_cdfs(d, p: int, w, t):
+    """The CDFs of the exact map at the nodes ``t``, as an (r + 1, n) array:
+    row j < r holds ``Pr[N_-j(t) <= p - 1] = Pr[N <= p - 1] + w_j Pr[N = p]``
+    for the weights w of :func:`_success_weights`, and row r holds
+    ``Pr[N(t) <= p - 1]``."""
+    below, at_p = _count_cdfs(d, p, t)
+    return np.vstack([below + w[:, None] * at_p, below])
 
 
 # The exact map's quadrature (see _map_levels): the coarse step, the padding in
@@ -674,7 +714,7 @@ def _map_levels(d, p: int, kernel: bool):
     with the r range values and, given ``kernel``, the kernel value last.
 
     The integrands are ``Pr[N_-j <= p - 1] t / (t + d_j)^2`` and
-    ``Pr[N <= p - 1] / t`` (see :func:`_count_cdfs`). Both are ``C t / (t + c)^2``
+    ``Pr[N <= p - 1] / t`` (see :func:`_node_cdfs`). Both are ``C t / (t + c)^2``
     for a CDF C, with c = 0 for the kernel. The coarse grid runs from ``_PAD``
     below the least eigenvalue to ``_PAD`` above their sum, where the tail
     ``1 / (t + c)`` of the last node is added in closed form. Above the node
@@ -684,7 +724,16 @@ def _map_levels(d, p: int, kernel: bool):
     coarse sums of every integrand stay within ``_NEGLIGIBLE`` of its coarse
     integral. Each halving adds the midpoints of the last grid, so the
     finest grid's nodes are the whole cost.
+
+    The weights of :func:`_success_weights` are taken once, near the ``t*``
+    where the mean count ``sum_i d_i / (d_i + t*)`` is p and ``Pr[N = p]``
+    is near its largest.
+    Nodes go in chunks of the Monte Carlo chunk share, by the bytes that a
+    node holds in the count pass and in its integrand values. The values of
+    each level are added to the sum node after node, so the map has the
+    same bits whatever the chunks.
     """
+    r = len(d)
     c = np.append(d, 0.0) if kernel else d
     step = _COARSE_STEP
     low = np.log(d.min()) - _PAD
@@ -694,19 +743,28 @@ def _map_levels(d, p: int, kernel: bool):
     mean = (d[:, None] / (d[:, None] + t)).sum(axis=0)
     hi = int(np.argmax(p * np.log(mean) - lgamma(p + 1) <= np.log(_NEGLIGIBLE)))
     t_hi, t_top = t[hi], t[-1]
-    # nodes per Poisson-binomial pass, by the bytes of the prefix it stores,
-    # and per chunk of integrand values
-    per, wide = _chunk_draws(8 * (len(d) + 1) * p), _chunk_draws(8 * len(c))
+    # t* interpolated in log t between the coarse nodes, where the mean descends
+    w = _success_weights(d, p, float(np.exp(np.interp(p, mean[::-1], coarse[::-1]))))
+    # nodes per chunk: the count pass, then the CDF rows, the integrands and
+    # their running sums
+    wide = _chunk_draws(8 * (2 * r + 3 * p + 4 * len(c)))
 
     def integrands(s):
-        # at a chunk of at most `wide` nodes s; C is 1 above t_hi
+        # at a chunk of nodes s in ascending order; C is 1 above t_hi
         t = np.exp(s)
         f = t / (t + c[:, None]) ** 2
-        inside = np.flatnonzero(t <= t_hi)
-        for a in range(0, len(inside), per):
-            i = inside[a : a + per]
-            f[:, i] *= _count_cdfs(d, p, t[i])[: len(c)]
+        inside = int(np.searchsorted(t, t_hi, side="right"))
+        if inside:
+            f[:, :inside] *= _node_cdfs(d, p, w, t[:inside])[: len(c)]
         return f
+
+    def fold(total, s):
+        # total plus the integrands at the nodes s, one node after another
+        for a in range(0, len(s), wide):
+            f = integrands(s[a : a + wide])
+            f[:, 0] += total
+            total = np.add.accumulate(f, axis=1)[:, -1]
+        return total
 
     f = np.hstack([integrands(coarse[a : a + wide]) for a in range(0, len(coarse), wide)])
     f[:, -1] /= 2
@@ -717,8 +775,7 @@ def _map_levels(d, p: int, kernel: bool):
     nodes = top - lo
     yield step, step * total + tail
     for _ in range(_MAX_HALVINGS):
-        mids = coarse[lo] + step * (np.arange(nodes) + 0.5)
-        total = total + sum(integrands(mids[a : a + wide]).sum(axis=1) for a in range(0, nodes, wide))
+        total = fold(total, coarse[lo] + step * (np.arange(nodes) + 0.5))
         step, nodes = step / 2, 2 * nodes
         yield step, step * total + tail
 
@@ -757,7 +814,11 @@ def invcov_spectrum(k, p: int, samples=None, rng=None) -> InvcovSpectrum:
     The integrals are trapezoid sums in ``log t`` (see :func:`_map_levels`),
     whose step is halved until two successive steps agree to ``1e-13`` and
     ``sum_i d_i lambda_i = p`` holds to ``1e-13 p``; a map that does not
-    converge raises ``RuntimeError``.
+    converge raises ``RuntimeError``. The CDF of each ``N_-j`` is that of N
+    plus ``w_j Pr[N = p]``, with weights w taken once per map (see
+    :func:`_success_weights`), so each node costs one pass over the
+    eigenvalues (see :func:`_count_cdfs`). Only the eigenvalues of K are
+    computed.
 
     For a singular K of numeric rank r < m, ``p >= r`` raises ``ValueError``:
     near ``t = 0``, ``Pr[N <= p - 1]`` behaves like ``t^(r - p + 1)``, so
@@ -768,9 +829,10 @@ def invcov_spectrum(k, p: int, samples=None, rng=None) -> InvcovSpectrum:
     only because the ``spectrum`` workload of ``perfbench`` and its test
     still pass them, and go once that workload is retargeted.
     """
-    dec, rank, scale = _inverse_path_rank(k, p)
-    kernel = rank < len(dec.eigenvalues)
-    values = _exact_map(dec.eigenvalues[:rank] / scale, p, kernel) / scale
+    eigenvalues = np.linalg.eigvalsh(require_hermitian(k, name="k"))[::-1]
+    rank, scale = _inverse_path_rank(eigenvalues, p)
+    kernel = rank < len(eigenvalues)
+    values = _exact_map(eigenvalues[:rank] / scale, p, kernel) / scale
     return InvcovSpectrum(values[:rank], float(values[rank]) if kernel else float("nan"), p)
 
 

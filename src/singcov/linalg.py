@@ -208,25 +208,25 @@ def _squared_frobenius(a):
     return np.einsum("...k,...k->...", f, f)
 
 
-# Exactly singular blocks that _inv_batch_hermitian eigendecomposes at once:
+# Exactly singular blocks that _inv_batch_hermitian pseudo-inverts at once:
 # their eigenvectors and spectral products then hold a few blocks beyond the
 # stack and its inverse; a whole stack of them at once holds about four
 # stacks more.
 _SINGULAR_SLICE = 4
+_NO_BLOCKS = np.empty(0, dtype=np.intp)
 
 
 def _inv_batch_hermitian(w_batch):
     """Inverses of a stack of Hermitian blocks, of shape (b, p, p), each by
-    one LU factorization, and each block's Frobenius condition number
-    ``||W||_F ||W^-1||_F``.
+    one LU factorization, each block's Frobenius condition number
+    ``||W||_F ||W^-1||_F``, and the indices of the blocks that LU refused.
 
     ``np.linalg.inv`` refuses the whole stack when one block is exactly
     singular, that is, when LU meets an exactly zero pivot, which is where
     ``np.linalg.slogdet`` gives the sign 0. The other blocks are then
-    inverted by LU as a stack of their own, and the singular blocks through
-    their eigendecompositions, ``_SINGULAR_SLICE`` at a time: eigenvalues
-    that are exactly zero are left out of the inverse, and make the
-    condition number infinite.
+    inverted by LU as a stack of their own, and the singular blocks get
+    their pseudoinverses with the cutoff of :func:`pseudoinverse`,
+    ``_SINGULAR_SLICE`` at a time, and a condition number of inf.
     """
     w_batch = np.asarray(w_batch, dtype=np.complex128)
     try:
@@ -235,7 +235,7 @@ def _inv_batch_hermitian(w_batch):
         singular = np.linalg.slogdet(w_batch)[0] == 0
         regular = w_batch[~singular]
         regular_inv = np.linalg.inv(regular)
-        cond = np.empty(len(w_batch))
+        cond = np.full(len(w_batch), np.inf)
         cond[~singular] = np.sqrt(_squared_frobenius(regular) * _squared_frobenius(regular_inv))
         del regular
         inv = np.empty_like(w_batch)
@@ -244,15 +244,9 @@ def _inv_batch_hermitian(w_batch):
         at = np.flatnonzero(singular)
         for start in range(0, len(at), _SINGULAR_SLICE):
             i = at[start : start + _SINGULAR_SLICE]
-            lam, u = np.linalg.eigh(w_batch[i])
-            zero = lam == 0
-            inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, lam))
-            inv[i] = _spectral_product(u, inv_lam)
-            with np.errstate(over="ignore"):  # an overflow is a condition number of inf
-                cond[i] = np.linalg.norm(lam, axis=-1) * np.linalg.norm(inv_lam, axis=-1)
-            cond[i[zero.any(axis=-1)]] = np.inf
-        return inv, cond
-    return inv, np.sqrt(_squared_frobenius(w_batch) * _squared_frobenius(inv))
+            inv[i] = _pinv_batch_hermitian(w_batch[i])
+        return inv, cond, at
+    return inv, np.sqrt(_squared_frobenius(w_batch) * _squared_frobenius(inv)), _NO_BLOCKS
 
 
 def block_pinv_correction(a_block, a_col):

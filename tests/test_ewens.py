@@ -354,6 +354,33 @@ class TestHybridInverse:
         mc = hybrid_inverse_mc(k, 1.4, 6, 2000, RandomSource(15))
         assert abs(np.trace(k @ mc.estimate) - 4) <= 1e-10
 
+    @pytest.mark.parametrize("p", [40, 25])
+    def test_mc_pseudo_inverts_refused_blocks_once(self, monkeypatch, p):
+        # K is zero outside a rank-30 block, so LU refuses every block at
+        # p = 40 and most at p = 25; _inv_batch_hermitian pseudo-inverts
+        # those itself, and the fix-up takes only blocks that LU inverted,
+        # none of which is ill-conditioned here. Hiding the refusals makes
+        # the fix-up pseudo-invert every refused block afresh, to the same
+        # bits
+        k = np.zeros((100, 100), dtype=complex)
+        k[:30, :30] = random_psd(30, 30, 88)
+        inv_batch, pinv = ewens._inv_batch_hermitian, ewens._pinv_batch_hermitian
+        fixed = []
+
+        def counting(blocks):
+            fixed.append(len(blocks))
+            return pinv(blocks)
+
+        monkeypatch.setattr(ewens, "_pinv_batch_hermitian", counting)
+        got = hybrid_inverse_mc(k, 2.0, p, 300, RandomSource(16))
+        assert fixed == []
+        monkeypatch.setattr(ewens, "_inv_batch_hermitian", lambda b: inv_batch(b)[:2] + (np.array([], int),))
+        fixed.clear()
+        want = hybrid_inverse_mc(k, 2.0, p, 300, RandomSource(16))
+        assert sum(fixed) > 0
+        assert np.array_equal(got.estimate, want.estimate)
+        assert np.array_equal(got.stderr, want.stderr)
+
     def test_mc_pseudo_inverts_exactly_singular_blocks(self):
         # blocks that select a zero diagonal entry are exactly singular
         k = np.diag([2.0, 1.5, 1.0, 0.7, 0.0, 0.0])

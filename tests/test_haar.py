@@ -298,7 +298,7 @@ class TestInvcovRankFactor:
 
 class TestInvcovSpectrumChunk:
     # the exact map takes its quadrature nodes in chunks of the Monte Carlo
-    # budget's share, by the bytes of the Poisson-binomial prefix it stores
+    # budget's share, by the bytes a node holds in its count pass and values
 
     @pytest.mark.parametrize(
         ("m", "r", "p", "samples"),
@@ -328,8 +328,30 @@ class TestInvcovSpectrumChunk:
         want = invcov_spectrum(k, 9)
         monkeypatch.setattr(haar, "_CHUNK_SHARE", _CHUNK_BYTES)
         got = invcov_spectrum(k, 9)
-        np.testing.assert_allclose(got.lambdas, want.lambdas, rtol=1e-14)
-        assert abs(got.mu - want.mu) <= 1e-14 * want.mu
+        assert np.array_equal(got.lambdas, want.lambdas)
+        assert got.mu == want.mu
+
+    @pytest.mark.parametrize("budget", [2**19, 2**17, 6 * 2**12])
+    def test_smaller_budgets_leave_the_map_unchanged(self, monkeypatch, budget):
+        # each level's nodes go in several chunks, down to one node each at
+        # the least budget, and the sums carry from chunk to chunk node
+        # after node
+        d = np.append(np.linspace(3.0, 0.1, 120), np.zeros(8))
+        calls = []
+        count_cdfs = haar._count_cdfs
+
+        def counting(d, p, t):
+            calls.append(len(t))
+            return count_cdfs(d, p, t)
+
+        monkeypatch.setattr(haar, "_count_cdfs", counting)
+        want = invcov_spectrum(np.diag(d), 40)
+        passes = len(calls)
+        monkeypatch.setattr(haar, "_CHUNK_BYTES", budget)
+        got = invcov_spectrum(np.diag(d), 40)
+        assert len(calls) - passes > 2 * passes
+        assert np.array_equal(got.lambdas, want.lambdas)
+        assert got.mu == want.mu
 
 
 def _loading_point(d, p):
@@ -999,8 +1021,9 @@ class TestChunkPlan:
         assert _chunk_draws(draw_bytes, chunk_bytes) == 1
 
     def test_spectrum_memory_is_bounded_per_chunk(self):
-        # the Poisson-binomial prefix of one node holds 8 (r + 1) p bytes; the
-        # 130 nodes that need it here would hold about 21 MB in one chunk
+        # the count pass and the values of one node hold about
+        # 8 (2 r + 3 p + 4 (r + 1)) bytes, 12 kB here; the 400 nodes of the
+        # finest level would hold 4.8 MB in one chunk
         k = _padded_psd(201, 200, 11)
         tracemalloc.start()
         try:

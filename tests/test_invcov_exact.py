@@ -9,11 +9,14 @@ on Phi only through its row span, and
 (Chiani, Win & Zanella, IEEE Trans. Inf. Theory 49(10), 2003).
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
 from conftest import random_psd
 
+from singcov import haar
 from singcov.haar import invcov_p_mc, invcov_spectrum
 from singcov.linalg import RandomSource, eig_hermitian
 
@@ -161,3 +164,120 @@ class TestSingularLimit:
         spec = invcov_spectrum(np.diag(np.concatenate([d, np.zeros(m - len(d))])), p)
         np.testing.assert_allclose(spec.lambdas, lambdas, rtol=1e-13)
         np.testing.assert_allclose(spec.mu, kernel[0], rtol=1e-13)
+
+
+def _enumerated_counts(d, p: int, t: float):
+    """``Pr[N <= p - 1]``, ``Pr[N = p]`` and every ``Pr[N_-j <= p - 1]`` at t,
+    where N sums independent Bernoulli variables of success probabilities
+    ``d_i / (d_i + t)``: each of the ``2^r`` success sets' probabilities, as
+    a product, summed exactly by ``math.fsum``."""
+    r = len(d)
+    sets = ((np.arange(2**r)[:, None] >> np.arange(r)) & 1).astype(bool)
+    mass = np.where(sets, d / (d + t), t / (d + t)).prod(axis=1)
+    count = sets.sum(axis=1)
+    loo = [math.fsum(mass[count - sets[:, j] <= p - 1]) for j in range(r)]
+    return math.fsum(mass[count <= p - 1]), math.fsum(mass[count == p]), np.array(loo)
+
+
+NODE_SPECTRA = [
+    np.array([3.0, 1.9, 1.2, 0.7, 0.25]),
+    np.logspace(0.5, -6, 12),
+    np.array([2.0, 2.0, 2.0, 1e-3, 1e-3, 1e-7, 5.0, 0.4, 0.4]),
+]
+
+
+class TestCountPass:
+    # the per-node pass and the weights of the leave-one-out identity
+    # against enumeration of every success set, at t over 16 decades
+
+    @pytest.mark.parametrize("d", NODE_SPECTRA, ids=[f"r={len(d)}" for d in NODE_SPECTRA])
+    def test_node_values_match_enumeration(self, d):
+        t = d.max() * np.logspace(-8, 8, 17)
+        for p in range(1, len(d) + 1):
+            w = haar._success_weights(d, p, loading_point(d, p))
+            below, at_p = haar._count_cdfs(d, p, t)
+            rows = haar._node_cdfs(d, p, w, t)
+            for i, ti in enumerate(t):
+                want_below, want_at_p, want_loo = _enumerated_counts(d, p, ti)
+                np.testing.assert_allclose(below[i], want_below, rtol=1e-14)
+                np.testing.assert_allclose(at_p[i], want_at_p, rtol=1e-14)
+                np.testing.assert_allclose(rows[:-1, i], want_loo, rtol=1e-14)
+                assert rows[-1, i] == below[i]
+
+    @pytest.mark.parametrize("d", NODE_SPECTRA, ids=[f"r={len(d)}" for d in NODE_SPECTRA])
+    def test_weights_sum_to_p_whatever_the_node(self, d):
+        r = len(d)
+        for p in range(1, r + 1):
+            t_star = loading_point(d, p)
+            w = haar._success_weights(d, p, t_star)
+            assert abs(w.sum() - p) <= 1e-14 * p
+            assert (w > 0).all() and (w <= 1).all()
+            for t in t_star * np.logspace(-6, 6, 7):
+                np.testing.assert_allclose(haar._success_weights(d, p, t), w, rtol=1e-13)
+        # one success falls on j with odds d_j; at p = r every term succeeds
+        np.testing.assert_allclose(haar._success_weights(d, 1, 0.3), d / d.sum(), rtol=1e-14)
+        assert np.array_equal(haar._success_weights(d, r, 0.3), np.ones(r))
+
+
+def loading_point(d, p: int) -> float:
+    """t* with ``sum_i d_i / (d_i + t*) = p`` for p < r, by bisection in
+    log t, and 1 at p = r, where the weights do not depend on it either."""
+    if p == len(d):
+        return 1.0
+    lo, hi = math.log(d.min()) - 40.0, math.log(d.sum()) + 40.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if (d / (d + math.exp(mid))).sum() > p else (lo, mid)
+    return math.exp((lo + hi) / 2)
+
+
+def leave_one_out_pass(d, p: int, t):
+    """The map's CDF rows at the nodes t, as :func:`singcov.haar._node_cdfs`
+    gives them, by a pass per node that needs no weights: a prefix pass
+    stores the law of the first j terms at the counts ``0 .. p - 1``, a
+    suffix pass carries the CDF of the terms after j, reversed, and each
+    ``Pr[N_-j <= p - 1]`` is the dot product of the two. Nodes go a few at
+    a time, by the ``8 (r + 1) p`` bytes of the prefix."""
+    r = len(d)
+    per = max(1, 2**21 // (8 * (r + 1) * p))
+    out = np.empty((r + 1, len(t)))
+    for a in range(0, len(t), per):
+        ti = t[a : a + per]
+        success = d[:, None] / (d[:, None] + ti)
+        failure = ti / (d[:, None] + ti)
+        prefix = np.zeros((r + 1, p, len(ti)))
+        prefix[0, 0] = 1.0
+        for j in range(r):
+            np.multiply(prefix[j], failure[j], out=prefix[j + 1])
+            prefix[j + 1, 1:] += prefix[j, :-1] * success[j]
+        out[r, a : a + per] = prefix[r].sum(axis=0)
+        suffix = np.ones((p, len(ti)))  # suffix[a]: Pr[count after term j <= p - 1 - a]
+        for j in range(r - 1, -1, -1):
+            out[j, a : a + per] = np.einsum("an,an->n", prefix[j], suffix)
+            suffix[:-1] = suffix[:-1] * failure[j] + suffix[1:] * success[j]
+            suffix[-1] *= failure[j]
+    return out
+
+
+# (spectrum, p) at the ends of the map's range: 600 eigenvalues over 3.5
+# decades with p near r, 14 decades at half the rank, and p = r - 1 on a
+# singular K
+RANGE_CASES = [
+    (np.geomspace(3.0, 1e-3, 600), 550),
+    (np.logspace(0.0, -14.0, 80), 40),
+    (np.append(np.linspace(3.0, 1.0, 300), 0.0), 299),
+]
+
+
+class TestRangeAgainstLeaveOneOutPass:
+    @pytest.mark.parametrize("d, p", RANGE_CASES, ids=["geomspace-600", "14-decades", "p=r-1"])
+    def test_map_converges_and_matches_the_reference_pass(self, monkeypatch, d, p):
+        spec = invcov_spectrum(np.diag(d), p)
+        r = len(spec.lambdas)
+        assert abs(math.fsum(d[:r] * spec.lambdas) - p) <= 1e-13 * p
+        monkeypatch.setattr(haar, "_node_cdfs", lambda d, p, w, t: leave_one_out_pass(d, p, t))
+        ref = invcov_spectrum(np.diag(d), p)
+        np.testing.assert_allclose(spec.lambdas, ref.lambdas, rtol=1e-13)
+        assert math.isnan(spec.mu) == math.isnan(ref.mu)
+        if not math.isnan(ref.mu):
+            assert abs(spec.mu - ref.mu) <= 1e-13 * ref.mu

@@ -15,6 +15,7 @@ from singcov.linalg import (
     RandomSource,
     WelfordAccumulator,
     _inv_batch_hermitian,
+    _pinv_batch_hermitian,
     block_pinv_correction,
     block_pinv_update,
     default_rank_tol,
@@ -112,7 +113,8 @@ class TestWelford:
 class TestBlockInverse:
     def test_inverse_and_frobenius_condition(self):
         w = np.stack([random_psd(4, 4, 13) + np.eye(4), np.diag([1.0, 2.0, 4.0, 1e-3])])
-        inv, cond = _inv_batch_hermitian(w)
+        inv, cond, refused = _inv_batch_hermitian(w)
+        assert len(refused) == 0
         np.testing.assert_allclose(inv, np.linalg.inv(w), rtol=1e-12)
         want = [np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) for a in w]
         np.testing.assert_allclose(cond, want, rtol=1e-12)
@@ -122,17 +124,27 @@ class TestBlockInverse:
         w = np.stack([random_hermitian(4, 15 + i) + 5 * np.eye(4) for i in range(3)])
         w = np.swapaxes(w.conj(), 1, 2)
         assert not w.flags.c_contiguous
-        _, cond = _inv_batch_hermitian(w)
+        _, cond, _ = _inv_batch_hermitian(w)
         want = [np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) for a in w]
         np.testing.assert_allclose(cond, want, rtol=1e-12)
 
     def test_exactly_singular_block_falls_back_to_eigendecomposition(self):
         w = np.stack([np.diag([2.0, 0.0, 1.0]), random_psd(3, 3, 14) + np.eye(3)])
-        inv, cond = _inv_batch_hermitian(w)
+        inv, cond, refused = _inv_batch_hermitian(w)
+        assert refused.tolist() == [0]
         assert cond[0] == np.inf
         np.testing.assert_allclose(inv[0], np.diag([0.5, 0.0, 1.0]), atol=1e-15)
         np.testing.assert_allclose(inv[1], np.linalg.inv(w[1]), rtol=1e-12)
         assert np.isfinite(cond[1])
+
+    def test_singular_blocks_take_the_pseudoinverse_cutoff(self):
+        # LU meets an exactly zero pivot in the all-ones block, whose two
+        # small eigenvalues come out of eigh as roundoff, not as zeros; the
+        # cutoff of the pseudoinverse leaves them out
+        w = np.stack([np.ones((3, 3)), random_psd(3, 3, 16) + np.eye(3)])
+        inv, cond, refused = _inv_batch_hermitian(w)
+        assert refused.tolist() == [0] and cond[0] == np.inf
+        np.testing.assert_allclose(inv[0], np.ones((3, 3)) / 9, atol=1e-15)
 
     def test_fallback_inverts_regular_blocks_by_lu(self):
         # blocks 1, 4 and 5 have a zero eigenvalue, so LU refuses the stack;
@@ -142,14 +154,16 @@ class TestBlockInverse:
         for i in singular:
             w[i] = np.diag([2.0, 0.0, 1.0, 0.5, 0.0 if i == 5 else 3.0])
         regular = np.setdiff1d(np.arange(8), singular)
-        inv, cond = _inv_batch_hermitian(w)
-        want_inv, want_cond = _inv_batch_hermitian(w[regular])
+        inv, cond, refused = _inv_batch_hermitian(w)
+        want_inv, want_cond, _ = _inv_batch_hermitian(w[regular])
+        assert refused.tolist() == singular
         assert np.array_equal(inv[regular], want_inv)
         assert np.array_equal(cond[regular], want_cond)
         for i in singular:
             # the pseudoinverse of each singular block, its zero eigenvalue left out
             assert cond[i] == np.inf
             np.testing.assert_allclose(inv[i], np.linalg.pinv(w[i]), atol=1e-14)
+            assert np.array_equal(inv[i], _pinv_batch_hermitian(w[i][None])[0])
 
     def test_singular_blocks_hold_a_few_blocks_at_once(self):
         # a whole stack's eigenvectors and their products held about four
@@ -157,7 +171,7 @@ class TestBlockInverse:
         w = np.stack([np.diag(np.append(np.arange(1.0, 16.0), 0.0))] * 400).astype(complex)
         tracemalloc.start()
         try:
-            inv, cond = _inv_batch_hermitian(w)
+            inv, cond, _ = _inv_batch_hermitian(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
