@@ -179,6 +179,18 @@ def _enumerated_counts(d, p: int, t: float):
     return math.fsum(mass[count <= p - 1]), math.fsum(mass[count == p]), np.array(loo)
 
 
+def loading_point(d, p: int) -> float:
+    """t* with ``sum_i d_i / (d_i + t*) = p`` for p < r, by bisection in
+    log t; at p = r, where no t has that mean, 1."""
+    if p == len(d):
+        return 1.0
+    lo, hi = math.log(d.min()) - 40.0, math.log(d.sum()) + 40.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if (d / (d + math.exp(mid))).sum() > p else (lo, mid)
+    return math.exp((lo + hi) / 2)
+
+
 NODE_SPECTRA = [
     np.array([3.0, 1.9, 1.2, 0.7, 0.25]),
     np.logspace(0.5, -6, 12),
@@ -217,18 +229,6 @@ class TestCountPass:
         # one success falls on j with odds d_j; at p = r every term succeeds
         np.testing.assert_allclose(haar._success_weights(d, 1, 0.3), d / d.sum(), rtol=1e-14)
         assert np.array_equal(haar._success_weights(d, r, 0.3), np.ones(r))
-
-
-def loading_point(d, p: int) -> float:
-    """t* with ``sum_i d_i / (d_i + t*) = p`` for p < r, by bisection in
-    log t, and 1 at p = r, where the weights do not depend on it either."""
-    if p == len(d):
-        return 1.0
-    lo, hi = math.log(d.min()) - 40.0, math.log(d.sum()) + 40.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if (d / (d + math.exp(mid))).sum() > p else (lo, mid)
-    return math.exp((lo + hi) / 2)
 
 
 def leave_one_out_pass(d, p: int, t):
