@@ -340,9 +340,9 @@ class TestInvcovSpectrumChunk:
         calls = []
         count_cdfs = haar._count_cdfs
 
-        def counting(d, p, t):
+        def counting(ratios, p, t):
             calls.append(len(t))
-            return count_cdfs(d, p, t)
+            return count_cdfs(ratios, p, t)
 
         monkeypatch.setattr(haar, "_count_cdfs", counting)
         want = invcov_spectrum(np.diag(d), 40)
@@ -400,6 +400,21 @@ class TestInvcovSpectrumProperties:
     def test_identity_maps_to_p_over_m(self, c, m, p):
         spec = invcov_spectrum(c * np.eye(m), p)
         np.testing.assert_allclose(spec.lambdas, p / (m * c), rtol=1e-15)
+
+    @pytest.mark.parametrize("c", [1.0, 3.7])
+    def test_identity_maps_to_p_over_m_at_rank_1100(self, c):
+        # e_550 of 1100 equal eigenvalues is C(1100, 550) c^550, about 1e330
+        # at c = 1, so the count law must not pass through e_k itself
+        spec = invcov_spectrum(c * np.eye(1100), 550)
+        np.testing.assert_allclose(spec.lambdas, 550 / (1100 * c), rtol=1e-14)
+
+    def test_converges_at_rank_1100_with_p_near_the_rank(self):
+        d = np.sort(np.random.default_rng(1100).uniform(0.5, 3.0, 1100))[::-1]
+        spec = invcov_spectrum(np.diag(d), 1090)
+        assert abs(math.fsum(d * spec.lambdas) - 1090) <= 1e-13 * 1090
+        assert (spec.lambdas > 0).all()
+        # the map keeps the order of the eigenvalues
+        assert (np.diff(spec.lambdas) > 0).all()
 
     def test_exact_tie_maps_to_one_value(self):
         # d_1 = d_2 exactly; a split of 1e-12 moves the map by as little
@@ -1021,9 +1036,9 @@ class TestChunkPlan:
         assert _chunk_draws(draw_bytes, chunk_bytes) == 1
 
     def test_spectrum_memory_is_bounded_per_chunk(self):
-        # the count pass and the values of one node hold about
-        # 8 (2 r + 3 p + 4 (r + 1)) bytes, 12 kB here; the 400 nodes of the
-        # finest level would hold 4.8 MB in one chunk
+        # the count law and the values of one node hold about
+        # 8 (2 r + 1 + 4 (r + 1)) bytes, 9.6 kB here; the 400 nodes of the
+        # finest level would hold 3.9 MB in one chunk
         k = _padded_psd(201, 200, 11)
         tracemalloc.start()
         try:

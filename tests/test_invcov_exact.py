@@ -199,16 +199,17 @@ NODE_SPECTRA = [
 
 
 class TestCountPass:
-    # the per-node pass and the weights of the leave-one-out identity
+    # the per-node count law and the weights of the leave-one-out identity
     # against enumeration of every success set, at t over 16 decades
 
     @pytest.mark.parametrize("d", NODE_SPECTRA, ids=[f"r={len(d)}" for d in NODE_SPECTRA])
     def test_node_values_match_enumeration(self, d):
         t = d.max() * np.logspace(-8, 8, 17)
+        ratios = haar._count_ratios(d)
         for p in range(1, len(d) + 1):
             w = haar._success_weights(d, p, loading_point(d, p))
-            below, at_p = haar._count_cdfs(d, p, t)
-            rows = haar._node_cdfs(d, p, w, t)
+            below, at_p = haar._count_cdfs(ratios, p, t)
+            rows = haar._node_cdfs(ratios, p, w, t)
             for i, ti in enumerate(t):
                 want_below, want_at_p, want_loo = _enumerated_counts(d, p, ti)
                 np.testing.assert_allclose(below[i], want_below, rtol=1e-14)
@@ -259,6 +260,25 @@ def leave_one_out_pass(d, p: int, t):
     return out
 
 
+def forward_count_pass(d, p: int, t):
+    """``Pr[N <= p - 1]`` and ``Pr[N = p]`` at the nodes t, as
+    :func:`singcov.haar._count_cdfs` gives them, by a forward pass per node
+    over the eigenvalues: it carries the law of the count of the first j
+    terms at the counts ``0 .. p`` (mass above p never returns), and then
+    sums the counts below p in order."""
+    success = d[:, None] / (d[:, None] + t)
+    failure = t / (d[:, None] + t)
+    law = np.zeros((p + 1, len(t)))
+    law[0] = 1.0
+    moved = np.empty((p, len(t)))
+    for j in range(len(d)):
+        top = min(j + 1, p)  # the first j terms reach the counts 0 .. j
+        np.multiply(law[:top], success[j], out=moved[:top])
+        law[: top + 1] *= failure[j]
+        law[1 : top + 1] += moved[:top]
+    return np.add.accumulate(law[:p])[-1], law[p]
+
+
 # (spectrum, p) at the ends of the map's range: 600 eigenvalues over 3.5
 # decades with p near r, 14 decades at half the rank, and p = r - 1 on a
 # singular K
@@ -267,17 +287,59 @@ RANGE_CASES = [
     (np.logspace(0.0, -14.0, 80), 40),
     (np.append(np.linspace(3.0, 1.0, 300), 0.0), 299),
 ]
+RANGE_IDS = ["geomspace-600", "14-decades", "p=r-1"]
 
 
 class TestRangeAgainstLeaveOneOutPass:
-    @pytest.mark.parametrize("d, p", RANGE_CASES, ids=["geomspace-600", "14-decades", "p=r-1"])
+    @pytest.mark.parametrize("d, p", RANGE_CASES, ids=RANGE_IDS)
     def test_map_converges_and_matches_the_reference_pass(self, monkeypatch, d, p):
         spec = invcov_spectrum(np.diag(d), p)
         r = len(spec.lambdas)
         assert abs(math.fsum(d[:r] * spec.lambdas) - p) <= 1e-13 * p
+        # the map hands its eigenvalues, not their ratios, to the reference
+        monkeypatch.setattr(haar, "_count_ratios", lambda d: d)
         monkeypatch.setattr(haar, "_node_cdfs", lambda d, p, w, t: leave_one_out_pass(d, p, t))
         ref = invcov_spectrum(np.diag(d), p)
         np.testing.assert_allclose(spec.lambdas, ref.lambdas, rtol=1e-13)
         assert math.isnan(spec.mu) == math.isnan(ref.mu)
         if not math.isnan(ref.mu):
             assert abs(spec.mu - ref.mu) <= 1e-13 * ref.mu
+
+
+class TestCountLawAgainstForwardPass:
+    # the count law from the ratios e_k / e_(k-1) against a forward pass
+    # over the eigenvalues at every node, at t over 16 decades; each node's
+    # law sums to 1, and values below 2^-60 of it are left out, as the
+    # map's window leaves them out
+
+    @staticmethod
+    def assert_node_values_match(d, ps):
+        t = d.max() * np.logspace(-8, 8, 17)
+        ratios = haar._count_ratios(d)
+        for p in ps:
+            for got, want in zip(haar._count_cdfs(ratios, p, t), forward_count_pass(d, p, t)):
+                seen = want > 2.0**-60
+                np.testing.assert_allclose(got[seen], want[seen], rtol=1e-14, err_msg=f"p={p}")
+
+    @pytest.mark.parametrize("d", NODE_SPECTRA, ids=[f"r={len(d)}" for d in NODE_SPECTRA])
+    def test_node_spectra_at_every_p(self, d):
+        self.assert_node_values_match(d, range(1, len(d) + 1))
+
+    @pytest.mark.parametrize("d, p", RANGE_CASES, ids=RANGE_IDS)
+    def test_range_spectra(self, d, p):
+        d = d[d > 0]
+        r = len(d)
+        # about 60 counts spread over 1 .. r, with the case's own p
+        self.assert_node_values_match(d, sorted({*range(1, r + 1, max(1, r // 60)), p, r}))
+
+    @pytest.mark.parametrize("d, p", RANGE_CASES, ids=RANGE_IDS)
+    def test_map_matches_the_forward_pass_map(self, monkeypatch, d, p):
+        spec = invcov_spectrum(np.diag(d), p)
+        # the map hands its eigenvalues, not their ratios, to the reference
+        monkeypatch.setattr(haar, "_count_ratios", lambda d: d)
+        monkeypatch.setattr(haar, "_count_cdfs", forward_count_pass)
+        ref = invcov_spectrum(np.diag(d), p)
+        np.testing.assert_allclose(spec.lambdas, ref.lambdas, rtol=1e-14)
+        assert math.isnan(spec.mu) == math.isnan(ref.mu)
+        if not math.isnan(ref.mu):
+            assert abs(spec.mu - ref.mu) <= 1e-14 * ref.mu

@@ -40,14 +40,15 @@ SECONDS = 20
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_workload(workload: str, seed: int) -> dict:
-    """One benchmark run; the parsed JSON of its last output line."""
+def run_workload(workload: str, seed: int, root: str = ROOT) -> dict:
+    """One benchmark run of the tree at ``root``; the parsed JSON of its
+    last output line."""
     cmd = [
-        sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+        sys.executable, os.path.join(root, "perfbench", "run.py"),
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(SECONDS), "--trace", "0",
     ]
-    proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(
