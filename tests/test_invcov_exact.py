@@ -312,25 +312,22 @@ class TestCountLawAgainstForwardPass:
     # law sums to 1, and values below 2^-60 of it are left out, as the
     # map's window leaves them out
 
-    @staticmethod
-    def assert_node_values_match(d, ps):
-        t = d.max() * np.logspace(-8, 8, 17)
-        ratios = haar._count_ratios(d)
-        for p in ps:
-            for got, want in zip(haar._count_cdfs(ratios, p, t), forward_count_pass(d, p, t)):
-                seen = want > 2.0**-60
-                np.testing.assert_allclose(got[seen], want[seen], rtol=1e-14, err_msg=f"p={p}")
-
-    @pytest.mark.parametrize("d", NODE_SPECTRA, ids=[f"r={len(d)}" for d in NODE_SPECTRA])
-    def test_node_spectra_at_every_p(self, d):
-        self.assert_node_values_match(d, range(1, len(d) + 1))
-
-    @pytest.mark.parametrize("d, p", RANGE_CASES, ids=RANGE_IDS)
-    def test_range_spectra(self, d, p):
+    @pytest.mark.parametrize(
+        "d, p",
+        [(d, len(d)) for d in NODE_SPECTRA] + RANGE_CASES,
+        ids=[f"r={len(d)}" for d in NODE_SPECTRA] + RANGE_IDS,
+    )
+    def test_node_values_match_the_forward_pass(self, d, p):
         d = d[d > 0]
         r = len(d)
-        # about 60 counts spread over 1 .. r, with the case's own p
-        self.assert_node_values_match(d, sorted({*range(1, r + 1, max(1, r // 60)), p, r}))
+        t = d.max() * np.logspace(-8, 8, 17)
+        ratios = haar._count_ratios(d)
+        # every count up to r = 119, about 60 spread over 1 .. r above that,
+        # and the case's own p
+        for q in sorted({*range(1, r + 1, max(1, r // 60)), p, r}):
+            for got, want in zip(haar._count_cdfs(ratios, q, t), forward_count_pass(d, q, t)):
+                seen = want > 2.0**-60
+                np.testing.assert_allclose(got[seen], want[seen], rtol=1e-14, err_msg=f"p={q}")
 
     @pytest.mark.parametrize("d, p", RANGE_CASES, ids=RANGE_IDS)
     def test_map_matches_the_forward_pass_map(self, monkeypatch, d, p):
