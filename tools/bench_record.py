@@ -52,7 +52,8 @@ def run_workload(workload: str, seed: int, root: str = ROOT) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(
-            f"{workload} seed {seed}: {result['failed']} failed, correct={result['correct']}"
+            f"{workload} seed {seed} in {root}: {result['failed']} failed, "
+            f"correct={result['correct']}"
         )
     return result
 
