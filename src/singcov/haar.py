@@ -637,7 +637,8 @@ def _count_ratios(d):
 
     ``Pr[N(t) = k] = e_k(d) t^(r - k) / prod_i (t + d_i)`` for the count
     ``N(t)`` of :func:`_count_cdfs`, so ``Pr[N = k] / Pr[N = k - 1] =
-    rho_k / t`` at every t, and the ratios are made once per map. Adding
+    rho_k / t`` at every t, and the ratios are made once per map; the
+    weights of :func:`_success_weights` are made from them too. Adding
     the eigenvalue ``d_j`` to the terms before it sends ``rho_1`` to
     ``rho_1 + d_j`` and ``rho_k`` to
     ``(rho_k + d_j) rho_(k-1) / (rho_(k-1) + d_j)``, with ``rho_k = 0``
@@ -653,7 +654,8 @@ def _count_ratios(d):
     leaves each ratio within an ulp of its exact value once rounded to
     float64. That cost nothing at r = 150 (0.5 ms, mostly call overhead)
     and took 18 ms against 4 ms at r = 1100, on a 2-vCPU x86-64 VM. Where
-    ``np.longdouble`` is float64, the law keeps the float64 figure.
+    ``np.longdouble`` is float64, the law and the weights keep the float64
+    figure.
     """
     d = d.astype(np.longdouble)
     rho = np.zeros_like(d)
@@ -693,37 +695,36 @@ def _count_cdfs(ratios, p: int, t):
     return below / total, law[p] / total
 
 
-def _success_weights(d, p: int, t: float):
+def _success_weights(ratios, d, p: int):
     """``w_j = Pr[B_j = 1 | N = p]`` for the success ``B_j`` of term j of
-    ``N(t)`` (see :func:`_count_cdfs`), at the node t.
+    ``N(t)`` (see :func:`_count_cdfs`), from the ratios of
+    :func:`_count_ratios`.
 
     Given ``N = p``, the set S of successes has the law proportional to
-    ``prod_(i in S) d_i / t``, so w does not depend on t, and
-    ``Pr[N_-j <= p - 1] = Pr[N <= p - 1] + w_j Pr[N = p]`` at every t. Here
-    ``w_j = q_j Pr[N_-j = p - 1] / Pr[N = p]`` at the one node t, with
-    ``q_j = d_j / (d_j + t)``: a prefix pass stores the law of the first j
-    terms, 8 (r + 1) (p + 1) bytes, and a suffix pass carries the law of
-    the terms after j, reversed, so that each ``Pr[N_-j = p - 1]`` is a dot
-    product of the two. At ``p = r`` every term succeeds, and w is 1.
+    ``prod_(i in S) d_i`` at every t, so ``w_j = d_j e_(p-1)(d_-j) / e_p(d)``
+    and ``Pr[N_-j <= p - 1] = Pr[N <= p - 1] + w_j Pr[N = p]`` at every t.
+    With ``g_k = d_j e_(k-1)(d_-j) / e_k(d)``, the identity
+    ``e_k(d) = e_k(d_-j) + d_j e_(k-1)(d_-j)`` gives
+    ``g_k = (d_j / rho_k) (1 - g_(k-1))`` from ``g_0 = 0``, and for
+    ``f_k = 1 - g_k`` the reverse ``f_(k-1) = (1 - f_k) rho_k / d_j`` from
+    ``f_r = 0``. The ratios descend in k, so for ``d_j < rho_p`` the first
+    runs up to ``w_j = g_p`` with factors ``d_j / rho_k`` below 1, and
+    otherwise the second runs down to ``w_j = 1 - f_p`` with factors
+    ``rho_k / d_j`` at most 1: an error is never amplified, and no step
+    takes a difference of nearly equal numbers. So ``0 < w <= 1``, and at
+    ``p = r`` no step runs and w is 1. The weights are as accurate as the
+    ratios.
     """
-    r = len(d)
-    if p == r:
-        return np.ones(r)
-    success, failure = d / (d + t), t / (d + t)
-    prefix = np.zeros((r + 1, p + 1))
-    prefix[0, 0] = 1.0
-    for j in range(r):
-        np.multiply(prefix[j], failure[j], out=prefix[j + 1])
-        prefix[j + 1, 1:] += prefix[j, :-1] * success[j]
-    loo = np.empty(r)
-    suffix = np.zeros(p)  # suffix[a]: Pr[count after term j = p - 1 - a]
-    suffix[-1] = 1.0
-    for j in range(r - 1, -1, -1):
-        loo[j] = prefix[j, :p] @ suffix
-        suffix[:-1] = suffix[:-1] * failure[j] + suffix[1:] * success[j]
-        suffix[-1] *= failure[j]
-    # w_j <= 1, which a rounding of its ratio may pass by an ulp
-    return np.minimum(success * loo / prefix[r, p], 1.0)
+    up = d < ratios[p - 1]
+    low, high = d[up], d[~up]
+    g, f = np.zeros_like(low), np.zeros_like(high)
+    for rho in ratios[:p]:
+        g = low / rho * (1.0 - g)
+    for rho in ratios[p:][::-1]:
+        f = rho / high * (1.0 - f)
+    w = np.empty_like(d)
+    w[up], w[~up] = g, 1.0 - f
+    return w
 
 
 def _node_cdfs(ratios, p: int, w, t):
@@ -761,10 +762,9 @@ def _map_levels(d, p: int, kernel: bool):
     integral. Each halving adds the midpoints of the last grid, so the
     finest grid's nodes are the whole cost.
 
-    The weights of :func:`_success_weights` are taken once, near the ``t*``
-    where the mean count ``sum_i d_i / (d_i + t*)`` is p and ``Pr[N = p]``
-    is near its largest, and the ratios of :func:`_count_ratios` once, so
-    no node runs a pass over the eigenvalues.
+    The ratios of :func:`_count_ratios` are made once, and the weights of
+    :func:`_success_weights` from them, so no node runs a pass over the
+    eigenvalues.
     Nodes go in chunks of the Monte Carlo chunk share, by the bytes that a
     node holds in its count law and in its integrand values. The values of
     each level are added to the sums node after node, so the map has the
@@ -783,9 +783,8 @@ def _map_levels(d, p: int, kernel: bool):
     mean = (d[:, None] / (d[:, None] + t)).sum(axis=0)
     hi = int(np.argmax(p * np.log(mean) - lgamma(p + 1) <= np.log(_NEGLIGIBLE)))
     t_hi, t_top = t[hi], t[-1]
-    # t* interpolated in log t between the coarse nodes, where the mean descends
-    w = _success_weights(d, p, float(np.exp(np.interp(p, mean[::-1], coarse[::-1]))))
     ratios = _count_ratios(d)
+    w = _success_weights(ratios, d, p)
     # nodes per chunk: the count law, then the CDF rows and the integrands,
     # or the integrands and their running sums in np.longdouble (16 bytes a
     # value on x86-64)
@@ -856,13 +855,13 @@ def invcov_spectrum(k, p: int, samples=None, rng=None) -> InvcovSpectrum:
     The integrals are trapezoid sums in ``log t`` (see :func:`_map_levels`),
     whose step is halved until two successive steps agree to ``1e-13`` and
     ``sum_i d_i lambda_i = p`` holds to ``1e-13 p``; a map that does not
-    converge raises ``RuntimeError``. The CDF of each ``N_-j`` is that of N
-    plus ``w_j Pr[N = p]``, with weights w taken once per map (see
-    :func:`_success_weights`). The law of N at a node is built from the
-    ratios ``e_k(d) / e_(k-1)(d)`` of the elementary symmetric polynomials,
-    which do not depend on t and are also made once per map (see
+    converge raises ``RuntimeError``. The law of N at a node is built from
+    the ratios ``e_k(d) / e_(k-1)(d)`` of the elementary symmetric
+    polynomials, which do not depend on t and are made once per map (see
     :func:`_count_ratios`), so a node costs O(r) arithmetic and no pass over
-    the eigenvalues (see :func:`_count_cdfs`). Only the eigenvalues of K are
+    the eigenvalues (see :func:`_count_cdfs`). The CDF of each ``N_-j`` is
+    that of N plus ``w_j Pr[N = p]``, with weights w read from the same
+    ratios (see :func:`_success_weights`). Only the eigenvalues of K are
     computed.
 
     For a singular K of numeric rank r < m, ``p >= r`` raises ``ValueError``:

@@ -179,16 +179,34 @@ def _enumerated_counts(d, p: int, t: float):
     return math.fsum(mass[count <= p - 1]), math.fsum(mass[count == p]), np.array(loo)
 
 
-def loading_point(d, p: int) -> float:
-    """t* with ``sum_i d_i / (d_i + t*) = p`` for p < r, by bisection in
-    log t; at p = r, where no t has that mean, 1."""
-    if p == len(d):
-        return 1.0
-    lo, hi = math.log(d.min()) - 40.0, math.log(d.sum()) + 40.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if (d / (d + math.exp(mid))).sum() > p else (lo, mid)
-    return math.exp((lo + hi) / 2)
+def success_weights_exact(d) -> dict:
+    """``w_j = d_j e_(p-1)(d_-j) / e_p(d)`` for every p = 1 .. r, keyed by p,
+    with e_k the elementary symmetric polynomials, in mpmath at 50 digits.
+    ``e_(p-1)(d_-j)`` is the coefficient of a product, from the
+    coefficients of the terms before j and of those after it; every
+    operation adds or multiplies positive numbers."""
+    with mp.workdps(50):
+        x = [mp.mpf(float(v)) for v in d]
+        r = len(x)
+
+        def coefficients(terms):
+            # e_0 .. e_len(terms) of each prefix of terms, the empty one first
+            out = [[mp.mpf(1)]]
+            for v in terms:
+                e = out[-1]
+                out.append([a + v * b for a, b in zip(e + [0], [0] + e)])
+            return out
+
+        before, after = coefficients(x), coefficients(x[::-1])[::-1]
+        weights = {}
+        for p in range(1, r + 1):
+            w = []
+            for j in range(r):
+                a, b = before[j], after[j + 1]
+                lo, hi = max(0, p - len(b)), min(len(a), p)
+                w.append(x[j] * mp.fsum(a[i] * b[p - 1 - i] for i in range(lo, hi)))
+            weights[p] = np.array([float(v / before[r][p]) for v in w])
+        return weights
 
 
 NODE_SPECTRA = [
@@ -207,7 +225,7 @@ class TestCountPass:
         t = d.max() * np.logspace(-8, 8, 17)
         ratios = haar._count_ratios(d)
         for p in range(1, len(d) + 1):
-            w = haar._success_weights(d, p, loading_point(d, p))
+            w = haar._success_weights(ratios, d, p)
             below, at_p = haar._count_cdfs(ratios, p, t)
             rows = haar._node_cdfs(ratios, p, w, t)
             for i, ti in enumerate(t):
@@ -219,17 +237,28 @@ class TestCountPass:
 
     @pytest.mark.parametrize("d", NODE_SPECTRA, ids=[f"r={len(d)}" for d in NODE_SPECTRA])
     def test_weights_sum_to_p_whatever_the_node(self, d):
+        # the weights are made from the t-free ratios, so no node enters
         r = len(d)
+        ratios = haar._count_ratios(d)
         for p in range(1, r + 1):
-            t_star = loading_point(d, p)
-            w = haar._success_weights(d, p, t_star)
+            w = haar._success_weights(ratios, d, p)
             assert abs(w.sum() - p) <= 1e-14 * p
             assert (w > 0).all() and (w <= 1).all()
-            for t in t_star * np.logspace(-6, 6, 7):
-                np.testing.assert_allclose(haar._success_weights(d, p, t), w, rtol=1e-13)
         # one success falls on j with odds d_j; at p = r every term succeeds
-        np.testing.assert_allclose(haar._success_weights(d, 1, 0.3), d / d.sum(), rtol=1e-14)
-        assert np.array_equal(haar._success_weights(d, r, 0.3), np.ones(r))
+        np.testing.assert_allclose(haar._success_weights(ratios, d, 1), d / d.sum(), rtol=1e-14)
+        assert np.array_equal(haar._success_weights(ratios, d, r), np.ones(r))
+
+    @pytest.mark.parametrize(
+        "d",
+        NODE_SPECTRA + [np.logspace(0.0, -14.0, 80)],
+        ids=[f"r={len(d)}" for d in NODE_SPECTRA] + ["14-decades"],
+    )
+    def test_weights_match_the_coefficients(self, d):
+        # against 50 digits at every p, with ties and over 14 decades
+        ratios = haar._count_ratios(d)
+        for p, want in success_weights_exact(d).items():
+            got = haar._success_weights(ratios, d, p)
+            np.testing.assert_allclose(got, want, rtol=1e-15, err_msg=f"p={p}")
 
 
 def leave_one_out_pass(d, p: int, t):
@@ -290,15 +319,27 @@ RANGE_CASES = [
 RANGE_IDS = ["geomspace-600", "14-decades", "p=r-1"]
 
 
+def map_eigenvalues(monkeypatch) -> list:
+    """The eigenvalues that the map hands to :func:`singcov.haar._count_ratios`,
+    recorded as they pass, for a reference node function to read; the
+    ratios, and the weights made from them, stay the map's own."""
+    seen = []
+    ratios = haar._count_ratios
+    monkeypatch.setattr(haar, "_count_ratios", lambda d: seen.append(d) or ratios(d))
+    return seen
+
+
 class TestRangeAgainstLeaveOneOutPass:
     @pytest.mark.parametrize("d, p", RANGE_CASES, ids=RANGE_IDS)
     def test_map_converges_and_matches_the_reference_pass(self, monkeypatch, d, p):
         spec = invcov_spectrum(np.diag(d), p)
         r = len(spec.lambdas)
         assert abs(math.fsum(d[:r] * spec.lambdas) - p) <= 1e-13 * p
-        # the map hands its eigenvalues, not their ratios, to the reference
-        monkeypatch.setattr(haar, "_count_ratios", lambda d: d)
-        monkeypatch.setattr(haar, "_node_cdfs", lambda d, p, w, t: leave_one_out_pass(d, p, t))
+        # the reference reads the map's eigenvalues, not their ratios
+        seen = map_eigenvalues(monkeypatch)
+        monkeypatch.setattr(
+            haar, "_node_cdfs", lambda ratios, p, w, t: leave_one_out_pass(seen[-1], p, t)
+        )
         ref = invcov_spectrum(np.diag(d), p)
         np.testing.assert_allclose(spec.lambdas, ref.lambdas, rtol=1e-13)
         assert math.isnan(spec.mu) == math.isnan(ref.mu)
@@ -332,9 +373,11 @@ class TestCountLawAgainstForwardPass:
     @pytest.mark.parametrize("d, p", RANGE_CASES, ids=RANGE_IDS)
     def test_map_matches_the_forward_pass_map(self, monkeypatch, d, p):
         spec = invcov_spectrum(np.diag(d), p)
-        # the map hands its eigenvalues, not their ratios, to the reference
-        monkeypatch.setattr(haar, "_count_ratios", lambda d: d)
-        monkeypatch.setattr(haar, "_count_cdfs", forward_count_pass)
+        # the reference reads the map's eigenvalues, not their ratios
+        seen = map_eigenvalues(monkeypatch)
+        monkeypatch.setattr(
+            haar, "_count_cdfs", lambda ratios, p, t: forward_count_pass(seen[-1], p, t)
+        )
         ref = invcov_spectrum(np.diag(d), p)
         np.testing.assert_allclose(spec.lambdas, ref.lambdas, rtol=1e-14)
         assert math.isnan(spec.mu) == math.isnan(ref.mu)
