@@ -237,7 +237,6 @@ class TestCountPass:
 
     @pytest.mark.parametrize("d", NODE_SPECTRA, ids=[f"r={len(d)}" for d in NODE_SPECTRA])
     def test_weights_sum_to_p_whatever_the_node(self, d):
-        # the weights are made from the t-free ratios, so no node enters
         r = len(d)
         ratios = haar._count_ratios(d)
         for p in range(1, r + 1):
