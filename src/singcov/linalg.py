@@ -355,11 +355,19 @@ def sample_complex_gaussian(shape, rng: RandomSource) -> np.ndarray:
     the array whichever sampler asks for it.
     """
     out = np.empty(shape, dtype=np.complex128)
+    _fill_complex_gaussian(out, rng)
+    return out
+
+
+def _fill_complex_gaussian(out, rng: RandomSource, conjugate: bool = False):
+    """Fill the complex array ``out``, which may be a strided view, with the
+    array that :func:`sample_complex_gaussian` draws from ``rng`` at its
+    shape, or with that array's conjugate: the same normals, with the
+    imaginary parts negated, which is exact."""
     # the product with 1/sqrt(2) rounds as numpy's complex division by sqrt(2)
     scale = 1.0 / np.sqrt(2.0)
-    np.multiply(rng.generator.standard_normal(shape), scale, out=out.real)
-    np.multiply(rng.generator.standard_normal(shape), scale, out=out.imag)
-    return out
+    np.multiply(rng.generator.standard_normal(out.shape), scale, out=out.real)
+    np.multiply(rng.generator.standard_normal(out.shape), -scale if conjugate else scale, out=out.imag)
 
 
 def sample_gaussian_covariance(sigma, n: int, rng: RandomSource) -> np.ndarray:

@@ -265,6 +265,20 @@ class TestInvcovRankFactor:
         assert np.abs(mc.estimate - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(mc.stderr - acc.stderr()).max() <= 1e-12 * acc.stderr().max()
 
+    def test_gaussian_rows_are_the_conjugate_transposed_gaussians(self, monkeypatch):
+        # the rows are filled in place, bit for bit the rows G* of the
+        # sampler's Gaussians G on the same chunk stream
+        m, p, seed = 100, 25, 64
+        assert haar._lifts_gaussian(p, m)
+        seen, lifts = [], haar._compression_lifts
+        monkeypatch.setattr(
+            haar, "_compression_lifts", lambda phi, *args: seen.append(phi.copy()) or lifts(phi, *args)
+        )
+        invcov_p_mc(random_psd(m, m, 65), p, 3, RandomSource(seed))
+        g = sample_complex_gaussian((3, m, p), haar._chunk_streams(RandomSource(seed))(0))
+        assert len(seen) == 1 and seen[0].flags.c_contiguous
+        assert np.array_equal(seen[0], np.conjugate(np.swapaxes(g, 1, 2)))
+
     def test_gaussian_basis_rejections_match_definitional_condition_numbers(self, monkeypatch):
         # at m p > 80 and 2p <= m each draw lifts the sampler's Gaussian G;
         # a limit this low flags nearly every draw by the screen

@@ -18,7 +18,8 @@ from conftest import random_psd
 
 from singcov import haar
 from singcov.haar import invcov_p_mc, invcov_spectrum
-from singcov.linalg import RandomSource, eig_hermitian
+from singcov.linalg import RandomSource, eig_hermitian, sample_gaussian_covariance
+from singcov.toeplitz import PowerToeplitz
 
 
 def invcov_spectrum_exact(d, p: int) -> np.ndarray:
@@ -382,3 +383,109 @@ class TestCountLawAgainstForwardPass:
         assert math.isnan(spec.mu) == math.isnan(ref.mu)
         if not math.isnan(ref.mu):
             assert abs(spec.mu - ref.mu) <= 1e-14 * ref.mu
+
+
+def full_window_levels(d, p: int, kernel: bool):
+    """The map's trapezoid levels, as :func:`singcov.haar._map_levels` yields
+    them, on a grid that runs on to ``_PAD`` above ``log sum_i d_i``: the
+    nodes above ``t_hi`` take ``t / (t + c)^2`` with no count law, and the
+    closed-form tail ``1 / (t_top + c)`` from the last node, at half
+    weight, ends the sums. The window below, the halvings, the chunks and
+    the ``np.longdouble`` sums are those of the map."""
+    r = len(d)
+    c = np.append(d, 0.0) if kernel else d
+    step = haar._COARSE_STEP
+    low = np.log(d.min()) - haar._PAD
+    top = int(np.ceil((np.log(d.sum()) + haar._PAD - low) / step))
+    coarse = low + step * np.arange(top + 1)
+    t = np.exp(coarse)
+    mean = (d[:, None] / (d[:, None] + t)).sum(axis=0)
+    bound = p * np.log(mean) - math.lgamma(p + 1)
+    t_hi, t_top = t[int(np.argmax(bound <= np.log(haar._NEGLIGIBLE)))], t[-1]
+    ratios = haar._count_ratios(d)
+    w = haar._success_weights(ratios, d, p)
+    wide = haar._chunk_draws(8 * (2 * r + 1 + 4 * len(c)))
+
+    def integrands(s):
+        t = np.exp(s)
+        f = t / (t + c[:, None]) ** 2
+        inside = int(np.searchsorted(t, t_hi, side="right"))
+        if inside:
+            f[:, :inside] *= haar._node_cdfs(ratios, p, w, t[:inside])[: len(c)]
+        return f
+
+    def fold(total, s):
+        for a in range(0, len(s), wide):
+            f = integrands(s[a : a + wide]).astype(np.longdouble)
+            f[:, 0] += total
+            total = np.add.accumulate(f, axis=1)[:, -1]
+        return total
+
+    f = np.hstack([integrands(coarse[a : a + wide]) for a in range(0, len(coarse), wide)])
+    f[:, -1] /= 2
+    tail = 1.0 / (t_top + c)
+    cover = step * np.cumsum(f, axis=1) <= haar._NEGLIGIBLE * (step * f.sum(axis=1) + tail)[:, None]
+    lo = max(int(np.argmin(cover.all(axis=0))) - 1, 0)
+    total = f[:, lo:].sum(axis=1, dtype=np.longdouble)
+    nodes = top - lo
+    yield step, (step * total + tail).astype(np.float64)
+    for _ in range(haar._MAX_HALVINGS):
+        total = fold(total, coarse[lo] + step * (np.arange(nodes) + 0.5))
+        step, nodes = step / 2, 2 * nodes
+        yield step, (step * total + tail).astype(np.float64)
+
+
+def sample_covariance(m: int, n: int, seed: int = 7):
+    """A sample covariance of n observations of the power-decay truth
+    (alpha = 0.5) of size m."""
+    return sample_gaussian_covariance(PowerToeplitz(m, 0.5).matrix(), n, RandomSource(seed))
+
+
+def one_large_eigenvalue():
+    """``diag([1e6] + 149 eigenvalues in [0.5, 3])``: at p = 45 the top
+    eigenvalue lies far above ``t_hi``, so its whole integrand sits in the
+    closed-form tail."""
+    return np.diag(np.append(1e6, np.random.default_rng(11).uniform(0.5, 3.0, 149)))
+
+
+# (K, p): the README's sample-covariance shapes, every range case, I_1100 at
+# p = 550, and a K whose top eigenvalue lies above t_hi
+TAIL_CASES = [
+    (sample_covariance(100, 75), 25),
+    (sample_covariance(100, 75), 50),
+    (sample_covariance(400, 300), 100),
+    *((np.diag(d), p) for d, p in RANGE_CASES),
+    (np.eye(1100), 550),
+    (one_large_eigenvalue(), 45),
+]
+TAIL_IDS = ["100x75,p=25", "100x75,p=50", "400x300,p=100", *RANGE_IDS, "I_1100", "one-large"]
+
+
+class TestTailAgainstFullWindow:
+    # the sums end at t_hi with the closed-form tail and its Euler-Maclaurin
+    # corrections, where the full window ran on to log sum_i d_i + _PAD
+
+    @pytest.mark.parametrize("k, p", TAIL_CASES, ids=TAIL_IDS)
+    def test_map_matches_the_full_window_levels(self, monkeypatch, k, p):
+        spec = invcov_spectrum(k, p)
+        monkeypatch.setattr(haar, "_map_levels", full_window_levels)
+        ref = invcov_spectrum(k, p)
+        np.testing.assert_allclose(spec.lambdas, ref.lambdas, rtol=1e-15)
+        assert math.isnan(spec.mu) == math.isnan(ref.mu)
+        if not math.isnan(ref.mu):
+            assert abs(spec.mu - ref.mu) <= 1e-15 * ref.mu
+
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 16, 1 / 32])
+    def test_tail_matches_a_half_line_trapezoid_sum(self, h):
+        # c = 0 (the kernel), far below t_hi, near it, and far above it; at
+        # c = t_hi itself g is even about s_hi and every correction is 0.
+        # 1e3 t_hi keeps g's peak 35 below the end of the sum, whose own
+        # uncorrected tail 1 / (t_top + c) is then exact to 1e-18
+        s_hi = 2.5
+        t_hi = math.exp(s_hi)
+        c = np.array([0.0, 1e-6 * t_hi, t_hi / 4, 1e3 * t_hi])
+        t = np.exp(s_hi + h * np.arange(round(haar._PAD / h) + 1))
+        g = t / (t + c[:, None]) ** 2
+        g[:, [0, -1]] /= 2
+        want = [h * math.fsum(row) + 1.0 / (t[-1] + ci) for row, ci in zip(g, c)]
+        np.testing.assert_allclose(haar._tail_series(t_hi, c)(h), want, rtol=1e-15)
