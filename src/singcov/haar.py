@@ -797,15 +797,17 @@ def _tail_series(t, c):
     ``v = c / (t + c)`` and ``w = 1 / (t + c)``, ``g = u w`` and
     ``du/ds = u v``, ``dv/ds = -u v``, ``dw/ds = -u w``, so each derivative
     is w times a polynomial in u and v (see :func:`_tail_table`): at c = 0,
-    ``(-1)^n / t``. The polynomials are at most 1.3e4 in size on
-    ``u + v = 1``, which bounds the terms by ``w`` whatever c.
+    ``(-1)^n / t``. On ``u + v = 1`` the polynomials stay below 1.3e4 in
+    size, so each term is bounded relative to ``w`` whatever c.
     """
     w = 1.0 / (t + c)
     powers = np.arange(2 * _TAIL_TERMS + 1)[:, None]
     u, v = (t * w) ** powers, (c * w) ** powers
-    terms = [row[: 2 * k + 3] @ (u[: 2 * k + 3] * v[2 * k + 2 :: -1]) for k, row in enumerate(_tail_table())]
+    # row k multiplies the monomials u^a v^(2k+2-a) of degree 2k + 2
+    terms = np.array(
+        [row[: 2 * k + 3] @ (u[: 2 * k + 3] * v[2 * k + 2 :: -1]) for k, row in enumerate(_tail_table())]
+    )
     orders = 2 * np.arange(1, _TAIL_TERMS + 1)
-    terms = np.array(terms)
     return lambda h: w * (1.0 - h**orders @ terms)
 
 
@@ -921,10 +923,13 @@ def invcov_spectrum(k, p: int, samples=None, rng=None) -> InvcovSpectrum:
     This is the gradient of Chiani, Win & Zanella's determinant ratio for
     ``E log det(Z* D Z)`` (IEEE Trans. Inf. Theory 49(10), 2003), with
     ``log z`` written as an integral over t, so that every term is positive.
-    The integrals are trapezoid sums in ``log t`` (see :func:`_map_levels`),
-    whose step is halved until two successive steps agree to ``1e-13`` and
-    ``sum_i d_i lambda_i = p`` holds to ``1e-13 p``; a map that does not
-    converge raises ``RuntimeError``. The law of N at a node is built from
+    The integrals are trapezoid sums in ``log t`` (see :func:`_map_levels`)
+    that end at the node ``t_hi`` above which every CDF is 1 to ``2^-60``;
+    the rest, ``int_(t_hi)^inf dt / (t + d_j)^2`` or ``dt / t^2`` for mu, is
+    taken in closed form with its Euler-Maclaurin end corrections (see
+    :func:`_tail_series`). The step is halved until two successive steps
+    agree to ``1e-13`` and ``sum_i d_i lambda_i = p`` holds to ``1e-13 p``;
+    a map that does not converge raises ``RuntimeError``. The law of N at a node is built from
     the ratios ``e_k(d) / e_(k-1)(d)`` of the elementary symmetric
     polynomials, which do not depend on t and are made once per map (see
     :func:`_count_ratios`), so a node costs O(r) arithmetic and no pass over
