@@ -441,22 +441,17 @@ def sample_covariance(m: int, n: int, seed: int = 7):
     return sample_gaussian_covariance(PowerToeplitz(m, 0.5).matrix(), n, RandomSource(seed))
 
 
-def one_large_eigenvalue():
-    """``diag([1e6] + 149 eigenvalues in [0.5, 3])``: at p = 45 the top
-    eigenvalue lies far above ``t_hi``, so its whole integrand sits in the
-    closed-form tail."""
-    return np.diag(np.append(1e6, np.random.default_rng(11).uniform(0.5, 3.0, 149)))
-
-
 # (K, p): the README's sample-covariance shapes, every range case, I_1100 at
-# p = 550, and a K whose top eigenvalue lies above t_hi
+# p = 550, and diag([1e6] + 149 eigenvalues in [0.5, 3]) at p = 45, whose top
+# eigenvalue lies far above t_hi, so that its whole integrand sits in the
+# closed-form tail
 TAIL_CASES = [
     (sample_covariance(100, 75), 25),
     (sample_covariance(100, 75), 50),
     (sample_covariance(400, 300), 100),
     *((np.diag(d), p) for d, p in RANGE_CASES),
     (np.eye(1100), 550),
-    (one_large_eigenvalue(), 45),
+    (np.diag(np.append(1e6, np.random.default_rng(11).uniform(0.5, 3.0, 149))), 45),
 ]
 TAIL_IDS = ["100x75,p=25", "100x75,p=50", "400x300,p=100", *RANGE_IDS, "I_1100", "one-large"]
 
