@@ -879,7 +879,7 @@ def _map_levels(d, p: int, kernel: bool):
             total = np.add.accumulate(f, axis=1)[:, -1]
         return total
 
-    f = np.hstack([integrands(coarse[a : a + wide]) for a in range(0, hi + 1, wide)])
+    f = np.hstack([integrands(coarse[a : a + wide]) for a in range(0, len(coarse), wide)])
     f[:, -1] /= 2
     cover = step * np.cumsum(f, axis=1) <= _NEGLIGIBLE * (step * f.sum(axis=1) + tail(step))[:, None]
     lo = max(int(np.argmin(cover.all(axis=0))) - 1, 0)

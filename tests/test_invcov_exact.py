@@ -435,10 +435,10 @@ def full_window_levels(d, p: int, kernel: bool):
         yield step, (step * total + tail).astype(np.float64)
 
 
-def sample_covariance(m: int, n: int, seed: int = 7):
+def sample_covariance(m: int, n: int):
     """A sample covariance of n observations of the power-decay truth
-    (alpha = 0.5) of size m."""
-    return sample_gaussian_covariance(PowerToeplitz(m, 0.5).matrix(), n, RandomSource(seed))
+    (alpha = 0.5) of size m, drawn at seed 7."""
+    return sample_gaussian_covariance(PowerToeplitz(m, 0.5).matrix(), n, RandomSource(7))
 
 
 # (K, p): the README's sample-covariance shapes, every range case, I_1100 at
