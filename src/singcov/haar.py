@@ -929,14 +929,14 @@ def invcov_spectrum(k, p: int, samples=None, rng=None) -> InvcovSpectrum:
     taken in closed form with its Euler-Maclaurin end corrections (see
     :func:`_tail_series`). The step is halved until two successive steps
     agree to ``1e-13`` and ``sum_i d_i lambda_i = p`` holds to ``1e-13 p``;
-    a map that does not converge raises ``RuntimeError``. The law of N at a node is built from
-    the ratios ``e_k(d) / e_(k-1)(d)`` of the elementary symmetric
-    polynomials, which do not depend on t and are made once per map (see
-    :func:`_count_ratios`), so a node costs O(r) arithmetic and no pass over
-    the eigenvalues (see :func:`_count_cdfs`). The CDF of each ``N_-j`` is
-    that of N plus ``w_j Pr[N = p]``, with weights w read from the same
-    ratios (see :func:`_success_weights`). Only the eigenvalues of K are
-    computed.
+    a map that does not converge raises ``RuntimeError``. The law of N at a
+    node is built from the ratios ``e_k(d) / e_(k-1)(d)`` of the elementary
+    symmetric polynomials, which do not depend on t and are made once per
+    map (see :func:`_count_ratios`), so a node costs O(r) arithmetic and no
+    pass over the eigenvalues (see :func:`_count_cdfs`). The CDF of each
+    ``N_-j`` is that of N plus ``w_j Pr[N = p]``, with weights w read from
+    the same ratios (see :func:`_success_weights`). Only the eigenvalues of
+    K are computed.
 
     For a singular K of numeric rank r < m, ``p >= r`` raises ``ValueError``:
     near ``t = 0``, ``Pr[N <= p - 1]`` behaves like ``t^(r - p + 1)``, so
