@@ -80,8 +80,16 @@ def require_psd(eigenvalues, name):
         raise ValueError(f"{name} must be positive semidefinite")
 
 
+def require_int(value, name):
+    """``value`` must be a Python or numpy integer: not a ``bool``, and not a
+    float, even an integral one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def require_p(p: int, m: int):
-    """A compression or injection size p must lie in [1, m]."""
+    """A compression or injection size p must be an integer in [1, m]."""
+    require_int(p, "p")
     if not (1 <= p <= m):
         raise ValueError(f"p={p} must lie in [1, {m}]")
 

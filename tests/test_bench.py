@@ -163,18 +163,31 @@ class TestRunExperiment:
             assert l <= s + 1e-12
 
     def test_deterministic_across_threads(self, monkeypatch):
-        # the chunk pool changes which thread runs a chunk, never the rows
+        # the chunk pool changes which thread runs a chunk, never the rows;
+        # at m = 12, 7000 draws span several chunks on both inverse paths
         config = make_config(
+            m=12,
+            n=9,
+            truth={"kind": "power", "alpha": 0.5},
             estimators=["sample", "invcovp", "hybrid_inverse"],
-            theta_grid=[2.0],
+            theta_grid=[1.0],
             p_grid=[3],
+            mc_samples=7000,
+            trials=2,
         )
+        chunk_streams, used = haar._chunk_streams, set()
+
+        def counted(rng):
+            stream = chunk_streams(rng)
+            return lambda j: used.add(j) or stream(j)
+
+        monkeypatch.setattr(haar, "_chunk_streams", counted)
         monkeypatch.setattr(haar, "_TWO_THREADS", False)
         one = bench.run_experiment(config)
         monkeypatch.setattr(haar, "_TWO_THREADS", True)
         two = bench.run_experiment(config)
-        for a, b in zip(one.rows, two.rows):
-            assert a.values == b.values
+        assert len(used) > 1
+        assert [a.values for a in one.rows] == [b.values for b in two.rows]
 
     def test_invalid_rows_marked_not_fatal(self):
         config = make_config(

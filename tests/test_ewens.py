@@ -341,11 +341,12 @@ class TestHybridInverse:
         # each draw's block is a permutation of K, so its scattered inverse is
         # K^-1 itself: every entry of the fold is hit by every draw, and an
         # entry below the diagonal comes from a mirrored one above it
-        k = random_psd(6, 6, 86)
-        mc = hybrid_inverse_mc(k, 0.9, 6, 3000, RandomSource(14))
-        inv = np.linalg.inv(k)
-        assert np.abs(mc.estimate - inv).max() <= 1e-12 * np.abs(inv).max()
-        assert mc.stderr.max() <= 1e-12 * np.abs(inv).max()
+        for m, samples in ((6, 3000), (8, 300)):
+            k = random_psd(m, m, 80 + m)
+            mc = hybrid_inverse_mc(k, 0.9, m, samples, RandomSource(14))
+            inv = np.linalg.inv(k)
+            assert np.abs(mc.estimate - inv).max() <= 1e-12 * np.abs(inv).max()
+            assert mc.stderr.max() <= 1e-12 * np.abs(inv).max()
 
     def test_mc_above_rank_keeps_the_trace_at_the_rank(self):
         # a 6 x 6 block of a rank-4 K has rank 4 and is pseudo-inverted, so

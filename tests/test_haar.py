@@ -78,6 +78,33 @@ class TestCovPClosed:
             cov_p_closed(np.eye(3), 4)
 
 
+# each public call that takes a size p, at (p, samples) on eye(4) + 0.1;
+# the closed forms ignore samples
+SIZE_CALLS = {
+    "cov_p_closed": lambda p, s: cov_p_closed(np.eye(4) + 0.1, p),
+    "cov_p_mc": lambda p, s: cov_p_mc(np.eye(4) + 0.1, p, s, RandomSource(0)),
+    "hybrid_estimator": lambda p, s: ewens.hybrid_estimator(np.eye(4) + 0.1, 2.0, p),
+    "hybrid_inverse_mc": lambda p, s: hybrid_inverse_mc(np.eye(4) + 0.1, 2.0, p, s, RandomSource(0)),
+    "invcov_p_mc": lambda p, s: invcov_p_mc(np.eye(4) + 0.1, p, s, RandomSource(0)),
+    "invcov_spectrum": lambda p, s: invcov_spectrum(np.eye(4) + 0.1, p),
+    "trace_moment": lambda p, s: trace_moment([Fraction(1), Fraction(2), Fraction(3)], p, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(SIZE_CALLS))
+def test_sizes_must_be_integers(name):
+    # a float p, integral or not, or a bool is no size; a numpy integer is
+    call = SIZE_CALLS[name]
+    for p in (2.5, 2.0, np.float64(2.0), True):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            call(p, 200)
+    call(np.int64(2), 200)
+    if name.endswith("_mc"):
+        with pytest.raises(ValueError, match="samples must be an integer, got 10.5"):
+            call(1, 10.5)
+        call(1, np.int64(200))
+
+
 # the two inverse paths at (k, p): the Monte Carlo average and the exact map
 INVERSE_CALLS = {
     "full": lambda k, p: invcov_p_mc(k, p, 200, RandomSource(15)),
@@ -102,15 +129,16 @@ class TestInvcov:
     def test_accepts_p_at_rank_and_rejects_above(self):
         # on a singular K the kernel value is infinite from p = rank on, so
         # p = rank is rejected with the p above it, and p = rank - 1 runs
-        k = random_psd(6, 3, 9)
-        mc = invcov_p_mc(k, 2, 2000, RandomSource(10))
-        assert mc.samples == 2000
-        assert mc.rejected <= 20
-        assert np.isfinite(invcov_spectrum(k, 2).mu)
-        for p in (3, 4):
-            for call in INVERSE_CALLS.values():
-                with pytest.raises(ValueError, match=f"p={p} must lie below rank 3"):
-                    call(k, p)
+        for m, rank in ((6, 3), (12, 9)):
+            k = random_psd(m, rank, 9)
+            mc = invcov_p_mc(k, rank - 1, 2000, RandomSource(10))
+            assert mc.samples == 2000 and np.isfinite(mc.estimate).all()
+            assert mc.rejected <= 20
+            assert np.isfinite(invcov_spectrum(k, rank - 1).mu)
+            for p in (rank, rank + 1):
+                for call in INVERSE_CALLS.values():
+                    with pytest.raises(ValueError, match=f"p={p} must lie below rank {rank}"):
+                        call(k, p)
 
     @pytest.mark.parametrize("call", list(INVERSE_CALLS))
     def test_ill_conditioned_draws_exhaust_the_budget(self, call):
@@ -248,6 +276,7 @@ class TestInvcovRankFactor:
         mc = invcov_p_mc(k, p, 3000, RandomSource(61))
         acc, rejected = _replay_invcov(k, p, 3000, RandomSource(61), haar.COND_LIMIT)
         want = (acc.mean + acc.mean.conj().T) / 2
+        assert len(haar._round_plan(3000, _full_lift_size(m, p))) > 1
         assert (mc.samples, mc.rejected) == (3000, rejected) == (3000, 0)
         assert np.abs(mc.estimate - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(mc.stderr - acc.stderr()).max() <= 1e-12 * acc.stderr().max()
@@ -316,7 +345,8 @@ class TestInvcovSpectrumChunk:
 
     @pytest.mark.parametrize(
         ("m", "r", "p", "samples"),
-        [(40, 30, 10, 4000), (8, 4, 2, 20000), (8, 4, 3, 20000), (7, 5, 4, 20000)],
+        [(40, 30, 10, 4000), (8, 4, 2, 20000), (8, 4, 3, 20000), (7, 5, 4, 20000),
+         (12, 9, 4, 4000), (12, 9, 7, 4000)],
     )
     def test_singular_spectrum_matches_full_lift(self, m, r, p, samples):
         # invcov_p_mc lifts Gaussian bases at (40, 30, 10), frames at the others
@@ -410,7 +440,9 @@ class TestInvcovSpectrumProperties:
         if p == len(d):
             np.testing.assert_allclose(spec.lambdas * nonzero, 1.0, rtol=1e-13)
 
-    @pytest.mark.parametrize(("c", "m", "p"), [(1.0, 30, 7), (3.7, 12, 5), (1e-9, 50, 49)])
+    @pytest.mark.parametrize(
+        ("c", "m", "p"), [(1.0, 30, 7), (3.7, 12, 5), (2.0, 10, 3), (1e-9, 50, 49)]
+    )
     def test_identity_maps_to_p_over_m(self, c, m, p):
         spec = invcov_spectrum(c * np.eye(m), p)
         np.testing.assert_allclose(spec.lambdas, p / (m * c), rtol=1e-15)
@@ -429,6 +461,25 @@ class TestInvcovSpectrumProperties:
         assert (spec.lambdas > 0).all()
         # the map keeps the order of the eigenvalues
         assert (np.diff(spec.lambdas) > 0).all()
+
+    def test_top_eigenvalue_in_the_closed_form_tail(self):
+        # d_max = 1e6 lies far above t_hi, so its whole integrand is the tail's
+        d = np.append(1e6, np.random.default_rng(0).uniform(0.5, 3.0, 149))
+        spec = invcov_spectrum(np.diag(d), 45)
+        assert abs(np.sort(d)[::-1] @ spec.lambdas - 45) <= 1e-13 * 45
+        assert (spec.lambdas > 0).all() and (np.diff(spec.lambdas) > 0).all()
+
+    def test_sample_covariances_at_rank_minus_one_and_full_frame(self):
+        # p = r - 1 on a rank-9 K of size 12, and p = m on a full-rank K,
+        # where the map is 1 / d
+        k = sample_gaussian_covariance(np.eye(12), 9, RandomSource(0))
+        d = np.linalg.eigvalsh(k)[::-1][:9]
+        spec = invcov_spectrum(k, 8)
+        assert abs(d @ spec.lambdas - 8) <= 1e-13 * 8
+        assert spec.mu > spec.lambdas[-1]
+        full = sample_gaussian_covariance(np.eye(6), 12, RandomSource(1))
+        w = np.linalg.eigvalsh(full)[::-1]
+        np.testing.assert_allclose(invcov_spectrum(full, 6).lambdas * w, 1.0, rtol=1e-13)
 
     def test_exact_tie_maps_to_one_value(self):
         # d_1 = d_2 exactly; a split of 1e-12 moves the map by as little
@@ -521,6 +572,8 @@ class TestInvcovPProperties:
         "frames_lapack_81": (9, 9, 9),
         "frames_lapack_rank_minus_one": (12, 10, 9),
         "frames_exactly_singular": (10, 6, 5),
+        "frames_rank_nine": (12, 9, 3),
+        "frames_lapack_rank_nine": (12, 9, 7),
         "gaussian_85": (17, 17, 5),
         "gaussian_81": (81, 81, 1),
         "gaussian_2p_eq_m": (18, 18, 9),
@@ -610,6 +663,9 @@ class TestMonteCarloDriver:
         ),
         "hybrid_inverse_mc_singular_blocks": lambda: hybrid_inverse_mc(
             _padded_psd(12, 6, 65), 0.8, 4, 12000, RandomSource(71)
+        ),
+        "hybrid_inverse_mc_rank_nine": lambda: hybrid_inverse_mc(
+            random_psd(12, 9, 65), 0.7, 3, 10000, RandomSource(3)
         ),
         "invcov_p_mc_rejecting": lambda: invcov_p_mc(
             random_psd(10, 7, 63), 5, 3000, RandomSource(62)
@@ -993,6 +1049,10 @@ class TestChunkPlan:
         # p above the rank of K: every block is pseudo-inverted
         "hybrid_inverse_mc_above_rank": lambda s: hybrid_inverse_mc(
             random_psd(100, 30, 14), 10.0, 40, s, RandomSource(14)
+        ),
+        # K zero outside a rank-30 block: LU refuses every block, exactly singular
+        "hybrid_inverse_mc_exactly_singular": lambda s: hybrid_inverse_mc(
+            _padded_psd(100, 30, 15), 10.0, 40, s, RandomSource(15)
         ),
     }
 

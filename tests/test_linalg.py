@@ -200,7 +200,8 @@ class TestHaarSampling:
 
     @pytest.mark.parametrize(
         "m, p, gram_schmidt",
-        [(1, 1, True), (5, 2, True), (5, 5, True), (12, 4, True), (80, 1, True),
+        [(1, 1, True), (2, 1, True), (4, 2, True), (5, 2, True), (5, 3, True),
+         (6, 4, True), (5, 5, True), (8, 8, True), (12, 4, True), (80, 1, True),
          (20, 4, True), (27, 3, False), (9, 9, False), (100, 2, False),
          (18, 9, False), (17, 9, False), (100, 1, False), (200, 1, False),
          (100, 50, False)],
