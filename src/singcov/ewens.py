@@ -480,14 +480,14 @@ def hybrid_inverse_mc(
     which a chunk's variates are taken from its stream; each chunk has its
     own, derived from one key drawn from ``rng``), with no permutation
     drawn, inverts the selected block of K and scatters it back. A block
-    whose Frobenius condition number exceeds ``haar.COND_LIMIT`` is
-    pseudo-inverted instead, as in :func:`~singcov.linalg.pseudoinverse`.
-    So is every block when p exceeds the rank of K: the average is then one
-    of pseudoinverses, and each draw ``E_s`` gives
-    ``Tr(K E_s) = rank(V_s K V_s^T)``, which on a generic K is p for p up to
-    the rank of K and the rank above it. ``singcov estimate`` and
-    ``singcov experiment`` refuse a p above the rank; this function does
-    not. Welford accumulation provides per-entry standard errors.
+    whose Frobenius condition number exceeds ``haar.COND_LIMIT``, or that LU
+    refused as exactly singular, is pseudo-inverted instead, as in
+    :func:`~singcov.linalg.pseudoinverse`. So is every block when p exceeds
+    the rank of K: the average is then one of pseudoinverses, and each draw
+    ``E_s`` gives ``Tr(K E_s) = rank(V_s K V_s^T)``, which on a generic K is
+    p for p up to the rank of K and the rank above it. ``singcov estimate``
+    and ``singcov experiment`` refuse a p above the rank; this function
+    does not. Welford accumulation provides per-entry standard errors.
     """
     k = require_hermitian(k, name="k")
     m = k.shape[0]
@@ -501,12 +501,10 @@ def hybrid_inverse_mc(
     def chunk(b, rng, acc):
         idx = draw(b, rng)
         blocks = k[idx[:, :, None], idx[:, None, :]]
-        inv, cond, refused = _inv_batch_hermitian(blocks)
-        # kappa_2 <= kappa_F, so every block the pseudoinverse would
-        # truncate is among these; those that LU refused hold theirs already
-        bad = ~(cond <= haar.COND_LIMIT)
-        bad[refused] = False
-        bad = np.flatnonzero(bad)
+        inv, cond = _inv_batch_hermitian(blocks)
+        # kappa_2 <= kappa_F, so every block the pseudoinverse would truncate
+        # is among these, and so is every block that LU refused (kappa_F = inf)
+        bad = np.flatnonzero(~(cond <= haar.COND_LIMIT))
         for start in range(0, len(bad), step):
             i = bad[start : start + step]
             inv[i] = _pinv_batch_hermitian(blocks[i])

@@ -392,8 +392,11 @@ def _compression_lifts(phi, k, degree: int, keep=None):
     At degree -1, given the rule ``keep`` of :func:`_gaussian_basis_rule`,
     ``phi`` holds the conjugate transposes ``G*`` of m x p Gaussian bases G
     of the frames' row spans in place of the frames. The lift
-    ``G (G* K G)^{-1} G*`` is then the frame's, and ``keep`` decides which
-    draws are kept, by the condition number of the frame's ``Phi K Phi*``.
+    ``G (G* K G)^{-1} G*`` is then the frame's, and ``keep(w, w_inv, cond,
+    phi)`` decides which draws are kept, by the condition number of the
+    frame's ``Phi K Phi*``. A W that LU refused has a condition number of inf
+    and a zero inverse (see :func:`~singcov.linalg._inv_batch_hermitian`),
+    so its draw is rejected by either rule.
 
     ``W^degree Phi`` is ``degree`` products with W, or one with ``W^-1``,
     and the lift ``Phi* (.)`` one more. At a positive degree, frames whose
@@ -426,17 +429,8 @@ def _compression_lifts(phi, k, degree: int, keep=None):
     del rows  # freed, like w below, so the chunk's peak holds neither
     w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
     if degree < 0:
-        w_inv, cond, _ = _inv_batch_hermitian(w)
-        if keep is None:
-            good = cond <= COND_LIMIT
-        else:
-
-            def gram(i):
-                # the Gram matrices G* G of the draws i, from their rows G*
-                drawn = phi[i]
-                return drawn @ np.swapaxes(drawn, 1, 2).conj()
-
-            good = keep(w, w_inv, cond, _squared_frobenius(phi), gram)
+        w_inv, cond = _inv_batch_hermitian(w)
+        good = cond <= COND_LIMIT if keep is None else keep(w, w_inv, cond, phi)
         w = w_inv
         del w_inv  # so that `del w` below frees it
         if not good.all():
@@ -512,33 +506,33 @@ def _trace_square(a):
 
 
 def _gaussian_basis_rule(d, p: int):
-    """The rule ``keep(w, w_inv, cond, basis_sq, gram)`` that says which
-    draws of a chunk on Gaussian bases to keep, for a K of positive
-    eigenvalues ``d``: those whose ``Phi K Phi*`` has a Frobenius condition
-    number of at most ``COND_LIMIT``, exactly as on the frames Phi.
+    """The rule ``keep(w, w_inv, cond, rows)`` that says which draws of a
+    chunk on Gaussian bases to keep, for a K of positive eigenvalues ``d``:
+    those whose ``Phi K Phi*`` has a Frobenius condition number of at most
+    ``COND_LIMIT``, exactly as on the frames Phi.
 
-    A draw's m x p basis Z of its frame's row span has the Gram matrix
-    ``G = Z* Z``, and ``w``, ``w_inv`` and ``cond`` hold ``W = Z* K Z``, its
-    inverse and its own condition number (see
-    :func:`~singcov.linalg._inv_batch_hermitian`). ``Phi K Phi*`` is similar
-    to ``G^{-1} W``, so the square of its condition number is
+    A draw's m x p basis Z of its frame's row span, held as its rows ``Z*``
+    in ``rows``, has the Gram matrix ``G = Z* Z``, and ``w``, ``w_inv`` and
+    ``cond`` hold ``W = Z* K Z``, its inverse and its own condition number
+    (see :func:`~singcov.linalg._inv_batch_hermitian`). ``Phi K Phi*`` is
+    similar to ``G^{-1} W``, so the square of its condition number is
     ``tr((G^{-1} W)^2) tr((W^{-1} G)^2)``. A screen bounds that by
     ``s ||W^{-1}||_F^2 ||Z||_F^4``, where s sums the p largest ``d_k^2``
     (Poincare separation: the eigenvalues of a compression of K lie below
-    those of K) and ``basis_sq`` holds each ``||Z||_F^2 >= ||G||_2``. A
-    draw whose W is singular is rejected. Only the draws whose screen
-    exceeds ``COND_LIMIT^2``, at the indices ``flagged``, pay for their
-    ``gram(flagged)`` and the exact value.
+    those of K), since ``||Z||_F^2 >= ||G||_2``. A draw whose W is singular
+    (``cond`` inf) is rejected. Only the draws whose screen exceeds
+    ``COND_LIMIT^2`` pay for their Gram matrices and the exact value.
     """
     top_sq = float(np.sort(d * d)[max(len(d) - p, 0) :].sum())
     limit_sq = COND_LIMIT**2
 
-    def keep(w, w_inv, cond, basis_sq, gram):
-        screen = top_sq * _squared_frobenius(w_inv) * basis_sq**2
+    def keep(w, w_inv, cond, rows):
+        screen = top_sq * _squared_frobenius(w_inv) * _squared_frobenius(rows) ** 2
         good = np.isfinite(cond)
         flagged = np.flatnonzero(good & (screen > limit_sq))
         if len(flagged):
-            g = gram(flagged)
+            drawn = rows[flagged]
+            g = drawn @ np.swapaxes(drawn, 1, 2).conj()
             w_norm_sq = _trace_square(np.linalg.solve(g, w[flagged]))
             good[flagged] = w_norm_sq * _trace_square(w_inv[flagged] @ g) <= limit_sq
         return good

@@ -193,19 +193,15 @@ def pseudoinverse(k) -> np.ndarray:
 
 
 def _pinv_batch_hermitian(w_batch):
-    """Batched Hermitian pseudoinverse for a stack of small matrices."""
+    """Batched Hermitian pseudoinverse for a stack of small matrices: each
+    ``U diag(x) U*`` for its eigenvectors U and reciprocal eigenvalues x,
+    those at or below :func:`default_rank_tol` set to zero."""
     w_batch = np.asarray(w_batch, dtype=np.complex128)
     m = w_batch.shape[-1]
     lam, u = np.linalg.eigh(w_batch)
     cut = default_rank_tol(lam, m)
     inv = np.where(np.abs(lam) > cut, 1.0 / np.where(lam == 0, 1.0, lam), 0.0)
-    return _spectral_product(u, inv)
-
-
-def _spectral_product(u, x):
-    """``U diag(x) U*`` for each matrix U of the stack ``u`` and the matching
-    real vector x of ``x``."""
-    return (u * x[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
+    return (u * inv[..., None, :]) @ np.swapaxes(u, -1, -2).conj()
 
 
 def _squared_frobenius(a):
@@ -216,25 +212,17 @@ def _squared_frobenius(a):
     return np.einsum("...k,...k->...", f, f)
 
 
-# Exactly singular blocks that _inv_batch_hermitian pseudo-inverts at once:
-# their eigenvectors and spectral products then hold a few blocks beyond the
-# stack and its inverse; a whole stack of them at once holds about four
-# stacks more.
-_SINGULAR_SLICE = 4
-_NO_BLOCKS = np.empty(0, dtype=np.intp)
-
-
 def _inv_batch_hermitian(w_batch):
     """Inverses of a stack of Hermitian blocks, of shape (b, p, p), each by
-    one LU factorization, each block's Frobenius condition number
-    ``||W||_F ||W^-1||_F``, and the indices of the blocks that LU refused.
+    one LU factorization, and each block's Frobenius condition number
+    ``||W||_F ||W^-1||_F``.
 
     ``np.linalg.inv`` refuses the whole stack when one block is exactly
     singular, that is, when LU meets an exactly zero pivot, which is where
     ``np.linalg.slogdet`` gives the sign 0. The other blocks are then
-    inverted by LU as a stack of their own, and the singular blocks get
-    their pseudoinverses with the cutoff of :func:`pseudoinverse`,
-    ``_SINGULAR_SLICE`` at a time, and a condition number of inf.
+    inverted by LU as a stack of their own, to the same bits, and each
+    singular block gets a condition number of inf and a zero inverse: what
+    to use in its place is the caller's to decide.
     """
     w_batch = np.asarray(w_batch, dtype=np.complex128)
     try:
@@ -246,15 +234,10 @@ def _inv_batch_hermitian(w_batch):
         cond = np.full(len(w_batch), np.inf)
         cond[~singular] = np.sqrt(_squared_frobenius(regular) * _squared_frobenius(regular_inv))
         del regular
-        inv = np.empty_like(w_batch)
+        inv = np.zeros_like(w_batch)
         inv[~singular] = regular_inv
-        del regular_inv
-        at = np.flatnonzero(singular)
-        for start in range(0, len(at), _SINGULAR_SLICE):
-            i = at[start : start + _SINGULAR_SLICE]
-            inv[i] = _pinv_batch_hermitian(w_batch[i])
-        return inv, cond, at
-    return inv, np.sqrt(_squared_frobenius(w_batch) * _squared_frobenius(inv)), _NO_BLOCKS
+        return inv, cond
+    return inv, np.sqrt(_squared_frobenius(w_batch) * _squared_frobenius(inv))
 
 
 def block_pinv_correction(a_block, a_col):

@@ -358,29 +358,31 @@ class TestHybridInverse:
     @pytest.mark.parametrize("p", [40, 25])
     def test_mc_pseudo_inverts_refused_blocks_once(self, monkeypatch, p):
         # K is zero outside a rank-30 block, so LU refuses every block at
-        # p = 40 and most at p = 25; _inv_batch_hermitian pseudo-inverts
-        # those itself, and the fix-up takes only blocks that LU inverted,
-        # none of which is ill-conditioned here. Hiding the refusals makes
-        # the fix-up pseudo-invert every refused block afresh, to the same
-        # bits
+        # p = 40 and most at p = 25, and none that it inverts is
+        # ill-conditioned here: the fix-up pseudo-inverts exactly the blocks
+        # of condition number inf, each once
         k = np.zeros((100, 100), dtype=complex)
         k[:30, :30] = random_psd(30, 30, 88)
         inv_batch, pinv = ewens._inv_batch_hermitian, ewens._pinv_batch_hermitian
-        fixed = []
+        refused, fixed = [], []
+
+        def measured(blocks):
+            inv, cond = inv_batch(blocks)
+            refused.append(int((cond == np.inf).sum()))
+            return inv, cond
 
         def counting(blocks):
             fixed.append(len(blocks))
             return pinv(blocks)
 
+        monkeypatch.setattr(ewens, "_inv_batch_hermitian", measured)
         monkeypatch.setattr(ewens, "_pinv_batch_hermitian", counting)
-        got = hybrid_inverse_mc(k, 2.0, p, 300, RandomSource(16))
-        assert fixed == []
-        monkeypatch.setattr(ewens, "_inv_batch_hermitian", lambda b: inv_batch(b)[:2] + (np.array([], int),))
-        fixed.clear()
-        want = hybrid_inverse_mc(k, 2.0, p, 300, RandomSource(16))
-        assert sum(fixed) > 0
-        assert np.array_equal(got.estimate, want.estimate)
-        assert np.array_equal(got.stderr, want.stderr)
+        mc = hybrid_inverse_mc(k, 2.0, p, 300, RandomSource(16))
+        assert sum(refused) > 0
+        assert sum(fixed) == sum(refused)
+        if p == 40:
+            assert sum(refused) == 300
+        assert np.isfinite(mc.estimate).all()
 
     def test_mc_pseudo_inverts_exactly_singular_blocks(self):
         # blocks that select a zero diagonal entry are exactly singular
@@ -390,6 +392,32 @@ class TestHybridInverse:
         mc = hybrid_inverse_mc(k, theta, p, 40000, RandomSource(12))
         resid = np.abs(mc.estimate - ref)
         assert (resid <= 5 * np.maximum(mc.stderr, 1e-12)).all()
+
+
+class TestHybridInverseEdgeShapes:
+    # every block that LU refuses, or that is ill-conditioned, reaches the
+    # estimate as a pseudoinverse: none of the zero inverses that stand in
+    # for refused blocks may leak into it
+    @staticmethod
+    def check(k, theta, p, samples, seed):
+        mc = hybrid_inverse_mc(k, theta, p, samples, RandomSource(seed))
+        ref = hybrid_inverse_bruteforce(k, theta, p)
+        assert np.isfinite(mc.estimate).all() and np.isfinite(mc.stderr).all()
+        assert np.array_equal(mc.estimate, mc.estimate.conj().T)
+        resid = np.abs(mc.estimate - ref)
+        assert (resid <= 5 * np.maximum(mc.stderr, 1e-12 * np.abs(ref).max())).all()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("rank", [2, 1])
+    def test_m_equal_2(self, p, rank):
+        self.check(random_psd(2, rank, 94 + rank), 1.3, p, 4000, 20 + p)
+
+    @pytest.mark.parametrize("m,p", [(m, p) for m in range(2, 7) for p in range(1, m + 1)])
+    def test_diagonal_with_trailing_zeros(self, m, p):
+        # the blocks that select a zero entry are exactly singular
+        zeros = max(1, m // 3)
+        d = np.append(np.linspace(2.0, 0.5, m - zeros), np.zeros(zeros))
+        self.check(np.diag(d), 1.7, p, 4000, 30 + 10 * m + p)
 
 
 class TestBatchedEnumeration:

@@ -113,8 +113,7 @@ class TestWelford:
 class TestBlockInverse:
     def test_inverse_and_frobenius_condition(self):
         w = np.stack([random_psd(4, 4, 13) + np.eye(4), np.diag([1.0, 2.0, 4.0, 1e-3])])
-        inv, cond, refused = _inv_batch_hermitian(w)
-        assert len(refused) == 0
+        inv, cond = _inv_batch_hermitian(w)
         np.testing.assert_allclose(inv, np.linalg.inv(w), rtol=1e-12)
         want = [np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) for a in w]
         np.testing.assert_allclose(cond, want, rtol=1e-12)
@@ -124,27 +123,26 @@ class TestBlockInverse:
         w = np.stack([random_hermitian(4, 15 + i) + 5 * np.eye(4) for i in range(3)])
         w = np.swapaxes(w.conj(), 1, 2)
         assert not w.flags.c_contiguous
-        _, cond, _ = _inv_batch_hermitian(w)
+        _, cond = _inv_batch_hermitian(w)
         want = [np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(a)) for a in w]
         np.testing.assert_allclose(cond, want, rtol=1e-12)
 
-    def test_exactly_singular_block_falls_back_to_eigendecomposition(self):
+    def test_exactly_singular_block_gets_infinite_condition_and_zero_inverse(self):
         w = np.stack([np.diag([2.0, 0.0, 1.0]), random_psd(3, 3, 14) + np.eye(3)])
-        inv, cond, refused = _inv_batch_hermitian(w)
-        assert refused.tolist() == [0]
+        inv, cond = _inv_batch_hermitian(w)
         assert cond[0] == np.inf
-        np.testing.assert_allclose(inv[0], np.diag([0.5, 0.0, 1.0]), atol=1e-15)
+        assert np.array_equal(inv[0], np.zeros((3, 3)))
         np.testing.assert_allclose(inv[1], np.linalg.inv(w[1]), rtol=1e-12)
         assert np.isfinite(cond[1])
 
-    def test_singular_blocks_take_the_pseudoinverse_cutoff(self):
+    def test_refused_all_ones_block_takes_the_pseudoinverse_cutoff(self):
         # LU meets an exactly zero pivot in the all-ones block, whose two
         # small eigenvalues come out of eigh as roundoff, not as zeros; the
-        # cutoff of the pseudoinverse leaves them out
+        # cutoff of the pseudoinverse that replaces its inverse leaves them out
         w = np.stack([np.ones((3, 3)), random_psd(3, 3, 16) + np.eye(3)])
-        inv, cond, refused = _inv_batch_hermitian(w)
-        assert refused.tolist() == [0] and cond[0] == np.inf
-        np.testing.assert_allclose(inv[0], np.ones((3, 3)) / 9, atol=1e-15)
+        _, cond = _inv_batch_hermitian(w)
+        assert cond[0] == np.inf and np.isfinite(cond[1])
+        np.testing.assert_allclose(_pinv_batch_hermitian(w)[0], np.ones((3, 3)) / 9, atol=1e-15)
 
     def test_fallback_inverts_regular_blocks_by_lu(self):
         # blocks 1, 4 and 5 have a zero eigenvalue, so LU refuses the stack;
@@ -154,29 +152,27 @@ class TestBlockInverse:
         for i in singular:
             w[i] = np.diag([2.0, 0.0, 1.0, 0.5, 0.0 if i == 5 else 3.0])
         regular = np.setdiff1d(np.arange(8), singular)
-        inv, cond, refused = _inv_batch_hermitian(w)
-        want_inv, want_cond, _ = _inv_batch_hermitian(w[regular])
-        assert refused.tolist() == singular
+        inv, cond = _inv_batch_hermitian(w)
+        want_inv, want_cond = _inv_batch_hermitian(w[regular])
         assert np.array_equal(inv[regular], want_inv)
         assert np.array_equal(cond[regular], want_cond)
-        for i in singular:
-            # the pseudoinverse of each singular block, its zero eigenvalue left out
-            assert cond[i] == np.inf
-            np.testing.assert_allclose(inv[i], np.linalg.pinv(w[i]), atol=1e-14)
-            assert np.array_equal(inv[i], _pinv_batch_hermitian(w[i][None])[0])
+        assert np.flatnonzero(cond == np.inf).tolist() == singular
+        assert not inv[singular].any()
 
-    def test_singular_blocks_hold_a_few_blocks_at_once(self):
-        # a whole stack's eigenvectors and their products held about four
-        # stacks more; a few blocks at a time hold the inverse's stack alone
-        w = np.stack([np.diag(np.append(np.arange(1.0, 16.0), 0.0))] * 400).astype(complex)
+    def test_fallback_peak_holds_the_inverse_and_half_a_stack(self):
+        # half the blocks are singular: the regular half and its inverse, then
+        # the output and that inverse, are held at once (1.507 stacks measured
+        # when the singular blocks were pseudo-inverted a few at a time)
+        w = np.stack([random_psd(16, 16, 30 + i) + np.eye(16) for i in range(400)])
+        w[::2] = np.diag(np.append(np.arange(1.0, 16.0), 0.0))
         tracemalloc.start()
         try:
-            inv, cond, _ = _inv_batch_hermitian(w)
+            _, cond = _inv_batch_hermitian(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (cond == np.inf).all()
-        assert peak <= 1.25 * w.nbytes, f"peak {peak / w.nbytes:.2f} stacks"
+        assert (cond[::2] == np.inf).all() and np.isfinite(cond[1::2]).all()
+        assert peak <= 1.51 * w.nbytes, f"peak {peak / w.nbytes:.3f} stacks"
 
 
 class TestHaarSampling:
