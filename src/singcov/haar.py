@@ -45,7 +45,6 @@ from .linalg import (
     WelfordAccumulator,
     _fill_complex_gaussian,
     _inv_batch_hermitian,
-    _squared_frobenius,
     eig_hermitian,
     hermitize,
     numeric_rank,
@@ -382,21 +381,19 @@ def _plane_products(a, x):
     return out
 
 
-def _compression_lifts(phi, k, degree: int, keep=None):
+def _compression_lifts(phi, k, degree: int):
     """Lifts ``Phi* W^degree Phi`` of a chunk of frames ``phi`` (b, p, m), as
     a (b', m, m) stack, for the compressed matrix ``W = Phi K Phi*`` of a
     positive ``degree``, or ``W = (Phi F)(Phi F)*`` of the factor ``k = F``
-    at degree -1. At degree -1 the b' draws kept are those whose W has a
-    Frobenius condition number of at most ``COND_LIMIT``.
+    at degree -1. At degree -1 the b' draws kept are those whose W, the
+    matrix inverted, has a Frobenius condition number of at most
+    ``COND_LIMIT``. A W that LU refused has a condition number of inf and a
+    zero inverse (see :func:`~singcov.linalg._inv_batch_hermitian`), so its
+    draw is rejected.
 
-    At degree -1, given the rule ``keep`` of :func:`_gaussian_basis_rule`,
-    ``phi`` holds the conjugate transposes ``G*`` of m x p Gaussian bases G
-    of the frames' row spans in place of the frames. The lift
-    ``G (G* K G)^{-1} G*`` is then the frame's, and ``keep(w, w_inv, cond,
-    phi)`` decides which draws are kept, by the condition number of the
-    frame's ``Phi K Phi*``. A W that LU refused has a condition number of inf
-    and a zero inverse (see :func:`~singcov.linalg._inv_batch_hermitian`),
-    so its draw is rejected by either rule.
+    At degree -1 ``phi`` may hold the conjugate transposes ``G*`` of m x p
+    Gaussian bases G of the frames' row spans in place of the frames. The
+    lift ``G (G* K G)^{-1} G*`` is then the frame's, and W is ``G* K G``.
 
     ``W^degree Phi`` is ``degree`` products with W, or one with ``W^-1``,
     and the lift ``Phi* (.)`` one more. At a positive degree, frames whose
@@ -430,7 +427,7 @@ def _compression_lifts(phi, k, degree: int, keep=None):
     w = (w + np.swapaxes(w, 1, 2).conj()) / 2.0
     if degree < 0:
         w_inv, cond = _inv_batch_hermitian(w)
-        good = cond <= COND_LIMIT if keep is None else keep(w, w_inv, cond, phi)
+        good = cond <= COND_LIMIT
         w = w_inv
         del w_inv  # so that `del w` below frees it
         if not good.all():
@@ -444,7 +441,7 @@ def _compression_lifts(phi, k, degree: int, keep=None):
 
 
 def _compression_mc(
-    k, p: int, degree: int, samples: int, rng: RandomSource, keep=None
+    k, p: int, degree: int, samples: int, rng: RandomSource, gaussian: bool = False
 ) -> MonteCarloEstimate:
     """Monte Carlo mean of ``Phi* (Phi K Phi*)^degree Phi`` over Haar frames,
     lifted in full.
@@ -457,15 +454,15 @@ def _compression_mc(
     Frobenius condition number above ``COND_LIMIT`` are rejected and
     redrawn. Each chunk's lifts are those of :func:`_compression_lifts`.
 
-    Given the rule ``keep`` of :func:`_gaussian_basis_rule`, each draw at
-    degree -1 lifts the m x p complex Gaussian G that
-    :func:`~singcov.linalg.sample_haar_stiefel_batch` would orthonormalize
-    into its frame, drawn from the same stream, and skips the QR.
+    With ``gaussian``, each draw at degree -1 lifts the m x p complex
+    Gaussian G that :func:`~singcov.linalg.sample_haar_stiefel_batch` would
+    orthonormalize into its frame, drawn from the same stream, and skips
+    the QR; its W is ``(G* F)(G* F)*``.
     """
     m = k.shape[0]
 
     def rows(b, rng):
-        if keep is None:
+        if not gaussian:
             return sample_haar_stiefel_batch(p, m, b, rng)
         # the rows G* of the sampler's Gaussians G, not orthonormalized,
         # filled through the transposed view that holds G's entries
@@ -475,12 +472,12 @@ def _compression_mc(
 
     def chunk(b, rng, acc):
         # the rows are freed once lifted, so Welford's pass does not hold them
-        acc.add_batch(_compression_lifts(rows(b, rng), k, degree, keep))
+        acc.add_batch(_compression_lifts(rows(b, rng), k, degree))
 
-    return _monte_carlo(samples, rng, chunk, *_compression_bytes(m, p, degree, keep is not None))
+    return _monte_carlo(samples, rng, chunk, *_compression_bytes(m, p, degree))
 
 
-def _compression_bytes(m: int, p: int, degree: int, gaussian: bool):
+def _compression_bytes(m: int, p: int, degree: int):
     """``(draw_bytes, chunk_bytes)`` of a :func:`_compression_mc` chunk of
     p x m frames (see :func:`_chunk_draws`).
 
@@ -489,55 +486,18 @@ def _compression_bytes(m: int, p: int, degree: int, gaussian: bool):
     outweigh the products' five frames; else the lift phase's frame,
     ``(W^l Phi)*`` and lift, or the sampler's four frames (Gram-Schmidt and
     LAPACK QR hold the Gaussian, its copy and two more, which at p > m/2
-    outweighs the lift); and one p x p stack. The chunk holds the Welford
-    fold's batch mean and sum of squares and, on planes, the buffers of
-    numpy's strided loops: up to two operands of ``np.getbufsize()``
-    complex entries (one was seen, in the products and in the lift).
+    outweighs the lift); and one p x p stack. The Gaussian bases of
+    :func:`_lifts_gaussian` hold no QR, but at their ``2p <= m`` the four
+    frames never outweigh the lift phase, so their plan is the frames'. The
+    chunk holds the Welford fold's batch mean and sum of squares and, on
+    planes, the buffers of numpy's strided loops: up to two operands of
+    ``np.getbufsize()`` complex entries (one was seen, in the products and
+    in the lift).
     """
     frame, lift, chunk = 16 * m * p, 16 * m * m, 24 * m * m
     if degree > 0 and p * m * m <= 128:
         return 3 * frame + 2 * lift + 16 * p * p, chunk + 32 * np.getbufsize()
-    return max(2 * frame + lift, 0 if gaussian else 4 * frame) + 16 * p * p, chunk
-
-
-def _trace_square(a):
-    """``Re tr(A^2)`` of each matrix in a stack."""
-    return np.einsum("bij,bji->b", a, a).real
-
-
-def _gaussian_basis_rule(d, p: int):
-    """The rule ``keep(w, w_inv, cond, rows)`` that says which draws of a
-    chunk on Gaussian bases to keep, for a K of positive eigenvalues ``d``:
-    those whose ``Phi K Phi*`` has a Frobenius condition number of at most
-    ``COND_LIMIT``, exactly as on the frames Phi.
-
-    A draw's m x p basis Z of its frame's row span, held as its rows ``Z*``
-    in ``rows``, has the Gram matrix ``G = Z* Z``, and ``w``, ``w_inv`` and
-    ``cond`` hold ``W = Z* K Z``, its inverse and its own condition number
-    (see :func:`~singcov.linalg._inv_batch_hermitian`). ``Phi K Phi*`` is
-    similar to ``G^{-1} W``, so the square of its condition number is
-    ``tr((G^{-1} W)^2) tr((W^{-1} G)^2)``. A screen bounds that by
-    ``s ||W^{-1}||_F^2 ||Z||_F^4``, where s sums the p largest ``d_k^2``
-    (Poincare separation: the eigenvalues of a compression of K lie below
-    those of K), since ``||Z||_F^2 >= ||G||_2``. A draw whose W is singular
-    (``cond`` inf) is rejected. Only the draws whose screen exceeds
-    ``COND_LIMIT^2`` pay for their Gram matrices and the exact value.
-    """
-    top_sq = float(np.sort(d * d)[max(len(d) - p, 0) :].sum())
-    limit_sq = COND_LIMIT**2
-
-    def keep(w, w_inv, cond, rows):
-        screen = top_sq * _squared_frobenius(w_inv) * _squared_frobenius(rows) ** 2
-        good = np.isfinite(cond)
-        flagged = np.flatnonzero(good & (screen > limit_sq))
-        if len(flagged):
-            drawn = rows[flagged]
-            g = drawn @ np.swapaxes(drawn, 1, 2).conj()
-            w_norm_sq = _trace_square(np.linalg.solve(g, w[flagged]))
-            good[flagged] = w_norm_sq * _trace_square(w_inv[flagged] @ g) <= limit_sq
-        return good
-
-    return keep
+    return max(2 * frame + lift, 4 * frame) + 16 * p * p, chunk
 
 
 def cov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimate:
@@ -611,12 +571,12 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
     :func:`~singcov.linalg.sample_haar_stiefel_batch` would orthonormalize
     into its frame Phi. The lift depends on Phi only through its row span,
     so ``Phi* (Phi K Phi*)^-1 Phi = G W^-1 G*`` with ``W = (G* F)(G* F)*``.
-    The draw is still kept by the condition number of its frame's
-    ``Phi K Phi*``: a screen bounds that number, and only the draws it flags
-    pay for ``G* G`` and the exact value (see :func:`_gaussian_basis_rule`).
-    At the other shapes each draw lifts its frame: Gram-Schmidt frames are
-    cheap, and at ``2p > m`` G is too ill-conditioned. Either way the draws
-    and the chunk plan are the same, and the results agree to roundoff.
+    The draw is kept by the condition number of this W, the matrix that is
+    inverted, which is at most ``kappa_2(G)^2`` times that of its frame's
+    ``Phi K Phi*``; near the numerically effective rank it may thus reject
+    a draw whose frame would be kept. At the other shapes each draw lifts
+    its frame: Gram-Schmidt frames are cheap, and at ``2p > m`` G is too
+    ill-conditioned. Either way the draws and the chunk plan are the same.
 
     Returns
     -------
@@ -629,8 +589,8 @@ def invcov_p_mc(k, p: int, samples: int, rng: RandomSource) -> MonteCarloEstimat
     rank, scale = _inverse_path_rank(dec.eigenvalues, p)
     d = dec.eigenvalues[:rank] / scale
     factor = dec.eigenvectors[:, :rank] * np.sqrt(d)
-    keep = _gaussian_basis_rule(d, p) if _lifts_gaussian(p, len(dec.eigenvalues)) else None
-    mc = _compression_mc(factor, p, -1, samples, rng, keep)
+    gaussian = _lifts_gaussian(p, len(dec.eigenvalues))
+    mc = _compression_mc(factor, p, -1, samples, rng, gaussian)
     return MonteCarloEstimate(mc.estimate / scale, mc.stderr / scale, mc.samples, mc.rejected)
 
 

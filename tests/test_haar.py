@@ -150,6 +150,11 @@ class TestInvcov:
         if call == "full":
             with pytest.raises(RuntimeError, match="resampling budget"):
                 invcov_p_mc(k, 4, 200, RandomSource(16))
+            # padded to m = 24 each draw lifts a Gaussian basis G, whose
+            # G* K G has at least the frame's kappa_F over kappa_2(G)^2
+            assert haar._lifts_gaussian(4, 24)
+            with pytest.raises(RuntimeError, match="resampling budget"):
+                invcov_p_mc(np.diag(np.pad(np.diag(k), (0, 18))), 4, 200, RandomSource(16))
             return
         spec = invcov_spectrum(k, 4)
         assert np.isfinite(spec.lambdas).all() and (spec.lambdas > 0).all()
@@ -225,23 +230,37 @@ def _compressions(k, phi):
 
 def _full_lift_size(m, p):
     """Draws per chunk of invcov_p_mc's plan."""
-    gaussian = haar._lifts_gaussian(p, m)
-    return _chunk_draws(*haar._compression_bytes(m, p, -1, gaussian))
+    return _chunk_draws(*haar._compression_bytes(m, p, -1))
+
+
+def _inverse_draws(k, p, b, stream):
+    """b draws of invcov_p_mc from ``stream``: their Haar frames Phi, the
+    definitional ``(Phi K Phi*)^-1`` of each, and the kappa_F of the matrix
+    that invcov_p_mc inverts. That is ``Phi K Phi*`` itself, or, at the
+    shapes where it lifts the sampler's Gaussian G in place of its frame,
+    ``G* K G``; Phi is then the QR frame of G, which spans the same rows."""
+    m = k.shape[0]
+    if not haar._lifts_gaussian(p, m):
+        phi = sample_haar_stiefel_batch(p, m, b, stream)
+        return (phi, *_compressions(k, phi))
+    g = sample_complex_gaussian((b, m, p), stream)
+    phi = np.swapaxes(np.linalg.qr(g)[0], 1, 2).conj()
+    return phi, _compressions(k, phi)[0], _compressions(k, np.swapaxes(g, 1, 2).conj())[1]
 
 
 def _replay_invcov(k, p, samples, rng, limit, size=None):
-    """The Haar frames of invcov_p_mc, chunk by chunk in the sizes and streams
-    of its plan with rejected draws redrawn, and the dense Welford fold of the
-    definitional lift Phi* (Phi K Phi*)^-1 Phi of each kept frame. ``size``
-    replays the plan of another path whose chunks hold the same frames."""
+    """The draws of invcov_p_mc, chunk by chunk in the sizes and streams of
+    its plan with rejected draws redrawn, and the dense Welford fold of the
+    definitional lift Phi* (Phi K Phi*)^-1 Phi of each kept frame, a draw
+    kept by the kappa_F of :func:`_inverse_draws`. ``size`` replays the plan
+    of another path whose chunks hold the same frames."""
     m = k.shape[0]
     acc = WelfordAccumulator()
     rejected = 0
 
     def chunk(b, stream):
         nonlocal rejected
-        phi = sample_haar_stiefel_batch(p, m, b, stream)
-        w_inv, kappa = _compressions(k, phi)
+        phi, w_inv, kappa = _inverse_draws(k, p, b, stream)
         keep = kappa <= limit
         rejected += int((~keep).sum())
         acc.add_batch(np.swapaxes(phi[keep], 1, 2).conj() @ w_inv[keep] @ phi[keep])
@@ -253,23 +272,22 @@ def _replay_invcov(k, p, samples, rng, limit, size=None):
 
 def _first_chunk_limit(k, p, seed, rejects=3):
     """A condition-number limit that rejects the ``rejects`` draws of the
-    largest kappa_F of the first chunk of invcov_p_mc(k, p, ...,
-    RandomSource(seed)): the geometric mean of the two kappa_F it falls
-    between."""
-    m = k.shape[0]
+    largest kappa_F (of :func:`_inverse_draws`) of the first chunk of
+    invcov_p_mc(k, p, ..., RandomSource(seed)): the geometric mean of the
+    two kappa_F it falls between."""
     first_stream = haar._chunk_streams(RandomSource(seed))(0)
-    first = sample_haar_stiefel_batch(p, m, _full_lift_size(m, p), first_stream)
-    cond = np.sort(_compressions(k, first)[1])
+    cond = np.sort(_inverse_draws(k, p, _full_lift_size(k.shape[0], p), first_stream)[2])
     return float(np.sqrt(cond[-rejects - 1] * cond[-rejects]))
 
 
 class TestInvcovRankFactor:
-    # 3000 draws span two or more chunks at each shape; the last three
+    # 3000 draws span two or more chunks at each shape; the last four
     # shapes, with m p > 80 and 2p <= m, lift the sampler's Gaussians
-    # directly, and the replay orthonormalizes them by LAPACK QR
+    # directly, and the replay orthonormalizes them by LAPACK QR; the last
+    # two are the experiment's invcovp shapes
     @pytest.mark.parametrize(
         ("m", "rank", "p"),
-        [(10, 7, 4), (10, 7, 5), (8, 8, 3), (20, 15, 5), (30, 30, 4), (100, 75, 25)],
+        [(10, 7, 4), (10, 7, 5), (8, 8, 3), (20, 15, 5), (30, 30, 4), (100, 75, 25), (100, 75, 50)],
     )
     def test_matches_definitional_lift_on_same_frames(self, m, rank, p):
         k = random_psd(m, rank, 60 + p)
@@ -309,25 +327,17 @@ class TestInvcovRankFactor:
         assert np.array_equal(seen[0], np.conjugate(np.swapaxes(g, 1, 2)))
 
     def test_gaussian_basis_rejections_match_definitional_condition_numbers(self, monkeypatch):
-        # at m p > 80 and 2p <= m each draw lifts the sampler's Gaussian G;
-        # a limit this low flags nearly every draw by the screen
-        # s ||W^-1||_F^2 ||G||_F^4, so the exact kappa_F of Phi K Phi* on
-        # the Gram matrix G* G decides which are kept
+        # at m p > 80 and 2p <= m each draw lifts the sampler's Gaussian G,
+        # and is kept by the kappa_F of G* K G, the matrix it inverts; at
+        # this limit that rule rejects a draw whose frame's Phi K Phi* it
+        # would keep
         m, rank, p, samples, seed = 20, 15, 5, 3000, 62
         k = random_psd(m, rank, 63)
         assert haar._lifts_gaussian(p, m)
         limit = _first_chunk_limit(k, p, seed, rejects=1)
         size = _full_lift_size(m, p)
-        g = sample_complex_gaussian((size, m, p), haar._chunk_streams(RandomSource(seed))(0))
-        frames = sample_haar_stiefel_batch(p, m, size, haar._chunk_streams(RandomSource(seed))(0))
-        cond = _compressions(k, frames)[1]
-        w_inv = np.linalg.inv(np.swapaxes(g, 1, 2).conj() @ k @ g)
-        screen = (
-            np.sort(np.linalg.eigvalsh(k) ** 2)[-p:].sum()
-            * (np.abs(w_inv) ** 2).sum(axis=(1, 2))
-            * (np.abs(g) ** 2).sum(axis=(1, 2)) ** 2
-        )
-        assert ((screen > limit**2) & (cond <= limit)).sum() > 100
+        frames, _, cond = _inverse_draws(k, p, size, haar._chunk_streams(RandomSource(seed))(0))
+        assert ((cond > limit) & (_compressions(k, frames)[1] <= limit)).any()
 
         monkeypatch.setattr(haar, "COND_LIMIT", limit)
         mc = invcov_p_mc(k, p, samples, RandomSource(seed))
@@ -1095,17 +1105,16 @@ class TestChunkPlan:
             assert 0.5 * planned <= peak <= planned, f"{name}: peak {peak} of {planned} planned"
 
     def test_chunk_bytes_stay_within_budget(self):
-        # full lift at m=400, p=100 on both bases: the bytes the planned draws
-        # and their chunk hold fit the budget
-        for gaussian in (True, False):
-            held = haar._compression_bytes(400, 100, -1, gaussian)
-            draws = _chunk_draws(*held)
-            assert draws >= 1
-            assert draws * held[0] + held[1] <= _CHUNK_BYTES
+        # full lift at m=400, p=100, on Gaussian bases: the bytes the planned
+        # draws and their chunk hold fit the budget
+        held = haar._compression_bytes(400, 100, -1)
+        draws = _chunk_draws(*held)
+        assert draws >= 1
+        assert draws * held[0] + held[1] <= _CHUNK_BYTES
 
     def test_at_least_one_draw_when_one_exceeds_budget(self):
         m, p = 2000, 1000
-        draw_bytes, chunk_bytes = haar._compression_bytes(m, p, -1, False)
+        draw_bytes, chunk_bytes = haar._compression_bytes(m, p, -1)
         assert draw_bytes > _CHUNK_BYTES
         assert _chunk_draws(draw_bytes, chunk_bytes) == 1
 

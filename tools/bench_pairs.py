@@ -11,10 +11,13 @@ speed does not favour one side. A run that fails, or whose outputs fail
 perfbench's checks, stops the script.
 
 Prints one JSON object: the revisions, each pair's end-to-end metrics, and
-for every metric the median and quartiles of either side and the number of
-pairs in which the change read lower. Progress goes to standard error. The
-temporary directory is removed at the end, and no file is written in the
-repository.
+for every metric the median and quartiles of either side, the number of
+pairs in which the change read lower, and the relative move of the change's
+median from the parent's, flagged where it is worse than the metric's
+``bound`` in ``BENCHMARK.json``: the rule a change that claims no gain is
+judged by. Every end-to-end metric there is lower-is-better. Progress goes
+to standard error. The temporary directory is removed at the end, and no
+file is written in the repository.
 """
 
 from __future__ import annotations
@@ -44,11 +47,26 @@ def export(rev: str, dest: str):
         raise SystemExit(f"git archive {rev} failed")
 
 
-def summarize(pairs: list) -> dict:
+def end_to_end_bounds() -> dict:
+    """The ``bound`` of each end-to-end metric in ``BENCHMARK.json``, by
+    name. Only lower-is-better metrics are judged; another stops the
+    script."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+    for metric in metrics:
+        if metric["better"] != "lower":
+            raise SystemExit(f"BENCHMARK.json: {metric['name']} is not lower-is-better")
+    return {metric["name"]: metric["bound"] for metric in metrics}
+
+
+def summarize(pairs: list, bounds: dict) -> dict:
     """Per metric of ``pairs`` (each ``{"parent": metrics, "change":
     metrics}``, metrics as perfbench prints them): the unit, the median and
-    the quartiles of either side, and ``lower_in``, the count of pairs in
-    which the change read lower, as ``"k of n"``."""
+    the quartiles of either side, ``lower_in``, the count of pairs in which
+    the change read lower, as ``"k of n"``, ``move``, the change's median
+    over the parent's less 1, and ``beyond_bound``, whether ``move`` exceeds
+    the metric's bound in ``bounds``: a lower-is-better metric worse than
+    the parent's by more than the bound."""
     summary = {}
     for name, first in pairs[0]["parent"].items():
         values = {side: [p[side][name]["value"] for p in pairs] for side in SIDES}
@@ -58,6 +76,8 @@ def summarize(pairs: list) -> dict:
             q1, median, q3 = np.percentile(values[side], [25, 50, 75])
             summary[name][side] = {"median": median, "quartiles": [q1, q3]}
         summary[name]["lower_in"] = f"{lower} of {len(pairs)}"
+        move = summary[name]["change"]["median"] / summary[name]["parent"]["median"] - 1
+        summary[name].update(move=move, bound=bounds[name], beyond_bound=bool(move > bounds[name]))
     return summary
 
 
@@ -85,7 +105,7 @@ def compare(parent: str, change: str, workload: str, count: int) -> dict:
         "revisions": revs,
         "command": f"perfbench/run.py --workload {workload} --seed <s> --seconds {SECONDS} --trace 0",
         "pairs": pairs,
-        "summary": summarize(pairs),
+        "summary": summarize(pairs, end_to_end_bounds()),
     }
 
 
